@@ -41,7 +41,7 @@ from .entanglement import (
     schmidt_log_negativity,
     symmetry_check,
 )
-from .errors import FitError, IntegrationError, QuadratureError
+from .errors import IntegrationError, QuadratureError
 from .rates import (
     ConstantRate,
     DivisibilityClass,

@@ -212,6 +212,11 @@ def _run_sweep_cell(args: tuple) -> tuple:
 
 def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> dict:
     """Run the Cartesian product of the sweep axes and aggregate snapshots."""
+    return _sweep(config, out_dir, workers)[0]
+
+
+def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
+    """The sweep itself; returns the output paths and the failed cells."""
     if config.sweep is None:
         raise ConfigError("sweep: config has no sweep section")
     sweep = config.sweep
@@ -274,9 +279,11 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> di
             paths["metadata"],
             _metadata(config, {"cells": len(cells), "failures": failures}),
         )
+    for failure in failures:
+        print(f"sweep: cell {failure['cell']} failed: {failure['error']}", file=sys.stderr)
     if failures:
         print(f"sweep: {len(failures)} of {len(cells)} cells failed", file=sys.stderr)
-    return paths
+    return paths, failures
 
 
 def divisibility_report(config: ExperimentConfig) -> dict:
@@ -307,10 +314,10 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _apply_kappa(load_config(args.config), args.kappa)
     out_dir = args.out or config.output_directory
-    paths = sweep_experiment(config, out_dir, workers=args.workers)
+    paths, failures = _sweep(config, out_dir, args.workers)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
-    return 0
+    return FAILURE_EXIT if failures else 0
 
 
 def _cmd_divisibility(args) -> int:

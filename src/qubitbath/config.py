@@ -58,6 +58,13 @@ def _positive(value, where: str) -> float:
     return value
 
 
+def _positive_int(value, where: str) -> int:
+    # bool is an int subclass, but true/false is never a count
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where}: expected a positive integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StateConfig:
     family: str
@@ -208,11 +215,12 @@ def _parse_sweep(payload: dict) -> SweepConfig:
             raise ConfigError(f"sweep.axes: unsupported axis {key!r} (use n, s or kappa)")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{key}: expected a non-empty list")
+    workers = payload.get("workers")
     return SweepConfig(
         axes=axes,
         snapshot_t=_positive(payload.get("snapshot_t", 30.0), "sweep.snapshot_t"),
-        workers=payload.get("workers"),
-        job_cap=int(payload.get("job_cap", 512)),
+        workers=None if workers is None else _positive_int(workers, "sweep.workers"),
+        job_cap=_positive_int(payload.get("job_cap", 512), "sweep.job_cap"),
         memory_budget_mb=_positive(payload.get("memory_budget_mb", 4096.0), "sweep.memory_budget_mb"),
     )
 

@@ -10,15 +10,16 @@ prefactor convention: 1 places the bare rate on every site, 1/4 places a
 quarter of it there; both are supported and every output records the choice.
 
 Propagation is classic fixed-step fourth-order Runge-Kutta with rates
-evaluated at the stage times.  Two equivalent steppers are provided:
-
-* a dense stepper that materialises the right-hand side as a matrix (works
-  for any supported noise kind), and
-* a coherence-class stepper for pure dephasing, which exploits that the
-  dephasing generator is diagonal elementwise: an element whose basis
-  strings differ in d bits obeys the scalar ODE y' = -2 kappa d gamma(t) y
-  / omega_0, so one RK4 amplification factor per Hamming class d propagates
-  the whole matrix.  The arithmetic per element is the RK4 arithmetic.
+evaluated at the stage times.  Both noise kinds have generators that are
+diagonal in the Pauli-string basis: a string with letter counts (nx, ny, nz)
+obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
+gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
+advances one RK4 amplification factor per letter-count class and rebuilds
+the matrix only at recording times; under pure dephasing the class is the
+Hamming distance of a computational-basis element, so no Pauli expansion is
+needed.  Full-matrix RK4 is exactly RK4 on these factors, and the dense
+stepper, which materialises the right-hand side as a matrix, is kept as the
+independent reference (``IntegratorOptions(dense=True)``).
 
 Closed-form propagators for both noise kinds serve as independent oracles
 for the integrator.
@@ -26,6 +27,7 @@ for the integrator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -115,8 +117,8 @@ class IntegratorOptions:
 
     ``observable_every`` defaults to every integrator step; full states are
     recorded (and positivity is spot-checked) every ``sample_every`` time
-    units.  ``dense`` forces the dense matrix stepper even where the
-    coherence-class fast path applies.
+    units.  ``dense`` replaces the Pauli-class stepper by the dense matrix
+    stepper, the independent reference for both noise kinds.
     """
 
     step: float = 0.01
@@ -154,35 +156,21 @@ class Trajectory:
         return self.states[-1]
 
 
-# cached per-qubit-count structures for the elementwise generator algebra
-_WORKSPACES = {}
-
-
 class _Workspace:
+    """Per-qubit-count structures for the elementwise generator algebra."""
+
     def __init__(self, n: int):
         self.n = n
-        self.dim = 2**n
         self.hamming = hamming_distance_matrix(n)
         self.hamming_idx = self.hamming.astype(np.intp)
         self.tshape = (2,) * (2 * n)
-        sign = np.array([1.0, -1.0])
-        self.row_signs = []
-        self.col_signs = []
-        for i in range(n):
-            shape_r = [1] * (2 * n)
-            shape_r[i] = 2
-            shape_c = [1] * (2 * n)
-            shape_c[n + i] = 2
-            self.row_signs.append(sign.reshape(shape_r))
-            self.col_signs.append(sign.reshape(shape_c))
+        # (1, -1) along one row or column axis of the (2,) * 2n tensor
+        sign, shapes = np.array([1.0, -1.0]), 1 + np.eye(2 * n, dtype=int)
+        self.row_signs = [sign.reshape(shapes[i]) for i in range(n)]
+        self.col_signs = [sign.reshape(shapes[n + i]) for i in range(n)]
 
 
-def _workspace(n: int) -> _Workspace:
-    ws = _WORKSPACES.get(n)
-    if ws is None:
-        ws = _Workspace(n)
-        _WORKSPACES[n] = ws
-    return ws
+_workspace = functools.lru_cache(maxsize=None)(_Workspace)
 
 
 def _rhs_matrix(mat: np.ndarray, t: float, spec: NoiseSpec, ws: _Workspace) -> np.ndarray:
@@ -225,20 +213,19 @@ def lindblad_rhs(rho, t: float, spec: NoiseSpec) -> np.ndarray:
     return _rhs_matrix(mat, t, spec, _workspace(n))
 
 
+@dataclass
 class _RunStats:
-    __slots__ = ("max_trace_drift", "max_herm_drift", "min_eigenvalue", "renormalizations")
-
-    def __init__(self):
-        self.max_trace_drift = 0.0
-        self.max_herm_drift = 0.0
-        self.min_eigenvalue = None
-        self.renormalizations = 0
+    max_trace_drift: float = 0.0
+    max_herm_drift: float = 0.0
+    min_eigenvalue: Optional[float] = None
+    renormalizations: int = 0
 
 
 class _DenseStepper:
     """RK4 on the full density matrix; hermitise and re-trace each step."""
 
     engine = "rk4-dense"
+    classes = None
 
     def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, stats: _RunStats):
         self.mat = np.array(rho0.elements, dtype=complex)
@@ -280,42 +267,75 @@ class _DenseStepper:
         return self.mat
 
 
-class _CoherenceClassStepper:
-    """RK4 amplification factors per Hamming class for pure dephasing.
+# Pauli coefficients Tr(P rho), P = I, X, Y, Z, of (rho_00, rho_01, rho_10, rho_11)
+_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_FROM_PAULI = 0.5 * _TO_PAULI.conj().T
+# rows sigma_x, sigma_y, sigma_z; 1 where letter I, X, Y, Z anticommutes with it
+_ANTICOMMUTES = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
 
-    Every matrix element with basis strings d bits apart evolves by the same
-    scalar linear ODE, so the stepper advances n+1 scalars and rebuilds the
-    matrix on demand.  Hermiticity and trace are preserved exactly (the
-    class-0 factor stays 1 and the factors are real).
+
+def _site_maps(op: np.ndarray, tens: np.ndarray, n: int) -> np.ndarray:
+    """Apply the 4x4 map ``op`` on every site of a 4^n array in site order."""
+    for i in range(n):
+        tens = op @ tens.reshape(4**i, 4, -1)
+    return tens.reshape(-1)
+
+
+class _ClassStepper:
+    """One RK4 amplification factor per Pauli-string decay class (module docs).
+
+    Only axes with a rate not identically zero are evaluated.  With z alone
+    the class is the Hamming distance and rho is rebuilt elementwise; else rho0
+    is expanded once in Pauli strings and mapped back at each rebuild.
     """
 
-    engine = "rk4-coherence-classes"
+    engine = "rk4-pauli-classes"
 
     def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, stats: _RunStats):
-        self.rho0 = rho0.elements
-        self.spec = spec
+        n = self.n = rho0.n
         self.h = h
-        self.ws = _workspace(rho0.n)
-        self.stats = stats
-        self.decay = 2.0 * spec.kappa / spec.omega0 * np.arange(rho0.n + 1, dtype=float)
-        self.factors = np.ones(rho0.n + 1, dtype=float)
+        models = (spec.rate_x, spec.rate_y, spec.rate_z)
+        active = [axis for axis in range(3) if not _is_zero_rate(models[axis])] or [2]
+        self.rho0, self.coeffs0 = rho0.elements, None
+        if active == [2]:
+            self.class_idx = _workspace(n).hamming_idx
+            anti = [np.arange(n + 1, dtype=float)]
+        else:
+            # per active axis, letters of each string (site order) anticommuting
+            # with it; strings with equal counts on every active axis share a class
+            anti = np.zeros((len(active), 1), dtype=np.intp)
+            for _ in range(n):
+                anti = (anti[:, :, None] + _ANTICOMMUTES[active, None, :]).reshape(len(active), -1)
+            anti, self.class_idx = np.unique(anti, axis=1, return_inverse=True)
+            perm = [axis for i in range(n) for axis in (i, n + i)]
+            self.unperm = np.argsort(perm)
+            tens = np.transpose(self.rho0.reshape((2,) * (2 * n)), perm)
+            self.coeffs0 = _site_maps(_TO_PAULI, tens, n).real.copy()
+        scale = 2.0 * spec.kappa / spec.omega0
+        self.axes = [(models[axis], -(scale * row)) for axis, row in zip(active, anti)]
+        self.classes = len(self.axes[0][1])
+        self.factors = np.ones(self.classes, dtype=float)
+
+    def _decay(self, t: float) -> np.ndarray:
+        terms = [neg * float(model.rate(t)) for model, neg in self.axes]
+        return sum(terms[1:], terms[0])
 
     def advance(self, k: int) -> None:
         h = self.h
         t = (k - 1) * h
-        rate = self.spec.rate_z.rate
-        g1 = float(rate(t))
-        gm = float(rate(t + 0.5 * h))
-        g2 = float(rate(t + h))
-        lam = self.decay
-        a1 = -lam * g1
-        a2 = -lam * gm * (1.0 + 0.5 * h * a1)
-        a3 = -lam * gm * (1.0 + 0.5 * h * a2)
-        a4 = -lam * g2 * (1.0 + h * a3)
+        a1 = self._decay(t)
+        am = self._decay(t + 0.5 * h)
+        a2 = am * (1.0 + 0.5 * h * a1)
+        a3 = am * (1.0 + 0.5 * h * a2)
+        a4 = self._decay(t + h) * (1.0 + h * a3)
         self.factors *= 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
 
     def current(self) -> np.ndarray:
-        return self.rho0 * self.factors[self.ws.hamming_idx]
+        scaled = self.factors[self.class_idx]
+        if self.coeffs0 is None:
+            return self.rho0 * scaled
+        tens = _site_maps(_FROM_PAULI, self.coeffs0 * scaled, self.n)
+        return np.transpose(tens.reshape((2,) * (2 * self.n)), self.unperm).reshape(self.rho0.shape)
 
 
 def _stride(name: str, interval: Optional[float], h: float, default: int) -> int:
@@ -325,6 +345,23 @@ def _stride(name: str, interval: Optional[float], h: float, default: int) -> int
     if stride < 1 or abs(stride * h - interval) > 1e-9:
         raise ValueError(f"{name}={interval} is not a positive multiple of step={h}")
     return stride
+
+
+def _integrate(rho0, spec, n_steps, options, stats, strides, record):
+    """Select the stepper and run the one RK4 loop of evolve and oracle_deviation.
+
+    Calls ``record(t, matrix, *due)`` at t = 0 and after each step where one of
+    ``strides`` falls due (all are due at both ends); returns the stepper.
+    """
+    h = options.step
+    stepper = (_DenseStepper if options.dense else _ClassStepper)(rho0, spec, h, stats)
+    record(0.0, stepper.current(), *[True] * len(strides))
+    for k in range(1, n_steps + 1):
+        stepper.advance(k)
+        due = [k % stride == 0 or k == n_steps for stride in strides]
+        if True in due:
+            record(k * h, stepper.current(), *due)
+    return stepper
 
 
 def evolve(
@@ -343,39 +380,27 @@ def evolve(
     step size is too large.
     """
     h = options.step
-    n_steps = int(round(t_max / h))
-    if n_steps < 1 or abs(n_steps * h - t_max) > 1e-9:
-        raise ValueError(f"t_max={t_max} is not a positive multiple of step={h}")
+    n_steps = _stride("t_max", t_max, h, None)
     obs_stride = _stride("observable_every", options.observable_every, h, 1)
     sample_stride = _stride("sample_every", options.sample_every, h, n_steps)
 
-    unique_cuts = []
-    seen_labels = set()
     for cut in cuts:
         if cut.n != rho0.n:
             raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {rho0.n}")
-        if cut.label not in seen_labels:  # e.g. highest-cut == 1-Rest at n = 3
-            seen_labels.add(cut.label)
-            unique_cuts.append(cut)
-    cuts = unique_cuts
+    # one entry per label, e.g. highest-cut == 1-Rest at n = 3
+    cuts = list({cut.label: cut for cut in cuts}.values())
 
     stats = _RunStats()
-    fast_ok = spec.kind == DEPHASING
-    stepper_cls = _DenseStepper if (options.dense or not fast_ok) else _CoherenceClassStepper
-    stepper = stepper_cls(rho0, spec, h, stats)
+    times, state_times, states = [], [], []
+    observables = {cut.label: [] for cut in cuts}
 
-    labels = [cut.label for cut in cuts]
-    times = []
-    observables = {label: [] for label in labels}
-    state_times = []
-    states = []
-
-    def record_observables(t: float, mat: np.ndarray) -> None:
-        times.append(t)
-        for cut, label in zip(cuts, labels):
-            observables[label].append(log_negativity(mat, cut))
-
-    def record_state(t: float, mat: np.ndarray) -> None:
+    def record(t: float, mat: np.ndarray, obs_due: bool, state_due: bool) -> None:
+        if obs_due:
+            times.append(t)
+            for cut in cuts:
+                observables[cut.label].append(log_negativity(mat, cut))
+        if not state_due:
+            return
         state = DensityMatrix(n=rho0.n, elements=mat.copy(), check_positivity=False)
         if options.check_positivity:
             lam_min = state.min_eigenvalue()
@@ -390,24 +415,17 @@ def evolve(
             state_times.append(t)
             states.append(state)
 
-    record_observables(0.0, stepper.current())
-    record_state(0.0, stepper.current())
-    for k in range(1, n_steps + 1):
-        stepper.advance(k)
-        t = k * h
-        if k % obs_stride == 0 or k == n_steps:
-            record_observables(t, stepper.current())
-        if k % sample_stride == 0 or k == n_steps:
-            record_state(t, stepper.current())
+    stepper = _integrate(rho0, spec, n_steps, options, stats, (obs_stride, sample_stride), record)
 
     metadata = {
         "noise": spec.to_dict(),
         "kappa": spec.kappa,
         "omega0": spec.omega0,
         "integrator": stepper.engine,
+        "classes": stepper.classes,
         "step": h,
         "t_max": t_max,
-        "cuts": labels,
+        "cuts": list(observables),
         "max_trace_drift": stats.max_trace_drift,
         "max_hermiticity_drift": stats.max_herm_drift,
         "min_eigenvalue": stats.min_eigenvalue,
@@ -433,9 +451,7 @@ def analytic_dephasing_map(rho0: DensityMatrix, big_gamma: float, spec: NoiseSpe
         raise ValueError("analytic_dephasing_map requires a dephasing NoiseSpec")
     ws = _workspace(rho0.n)
     factors = np.exp(-2.0 * spec.kappa * big_gamma / spec.omega0 * ws.hamming)
-    return DensityMatrix(
-        n=rho0.n, elements=rho0.elements * factors, check_positivity=False
-    )
+    return DensityMatrix(n=rho0.n, elements=rho0.elements * factors, check_positivity=False)
 
 
 def analytic_pauli_map(
@@ -473,20 +489,14 @@ def analytic_pauli_map(
         flip = np.flip(tens, axis=(i, n + i))
         signs = ws.row_signs[i] * ws.col_signs[i]
         tens = c_i * tens + c_x * flip + c_y * (signs * flip) + c_z * (signs * tens)
-    return DensityMatrix(
-        n=n, elements=tens.reshape(rho0.dim, rho0.dim), check_positivity=False
-    )
+    return DensityMatrix(n=n, elements=tens.reshape(rho0.dim, rho0.dim), check_positivity=False)
 
 
 def analytic_state_at(rho0: DensityMatrix, spec: NoiseSpec, t: float) -> DensityMatrix:
     """Closed-form state at time t for whichever noise kind spec carries."""
     if spec.kind == DEPHASING:
         return analytic_dephasing_map(rho0, float(spec.rate_z.integrated(t)), spec)
-    lams = (
-        float(spec.rate_x.integrated(t)),
-        float(spec.rate_y.integrated(t)),
-        float(spec.rate_z.integrated(t)),
-    )
+    lams = [float(m.integrated(t)) for m in (spec.rate_x, spec.rate_y, spec.rate_z)]
     return analytic_pauli_map(rho0, lams, spec)
 
 
@@ -504,23 +514,12 @@ def oracle_deviation(
     This is the primary correctness gate for the integrator.
     """
     h = options.step
-    n_steps = int(round(t_max / h))
-    if n_steps < 1 or abs(n_steps * h - t_max) > 1e-9:
-        raise ValueError(f"t_max={t_max} is not a positive multiple of step={h}")
+    n_steps = _stride("t_max", t_max, h, None)
     stride = _stride("compare_every", compare_every, h, 1)
+    deviations = []
 
-    stats = _RunStats()
-    fast_ok = spec.kind == DEPHASING
-    stepper_cls = _DenseStepper if (options.dense or not fast_ok) else _CoherenceClassStepper
-    stepper = stepper_cls(rho0, spec, h, stats)
+    def compare(t: float, mat: np.ndarray, due: bool) -> None:
+        deviations.append(np.abs(mat - analytic_state_at(rho0, spec, t).elements).max())
 
-    worst = 0.0
-    for k in range(1, n_steps + 1):
-        stepper.advance(k)
-        if k % stride == 0 or k == n_steps:
-            t = k * h
-            exact = analytic_state_at(rho0, spec, t)
-            dev = float(np.abs(stepper.current() - exact.elements).max())
-            if dev > worst:
-                worst = dev
-    return worst
+    _integrate(rho0, spec, n_steps, options, _RunStats(), (stride,), compare)
+    return float(np.max(deviations))  # a NaN from a blown-up run is kept, not skipped

@@ -10,7 +10,3 @@ class IntegrationError(RuntimeError):
 
     Usually means the step size is too large for the requested rates.
     """
-
-
-class FitError(RuntimeError):
-    """Raised when a nonlinear fit cannot produce even a best-effort result."""

@@ -78,6 +78,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="axes"):
             parse_config(payload)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 0),
+            ("workers", -3),
+            ("workers", "two"),
+            ("workers", 2.5),
+            ("workers", True),
+            ("job_cap", 0),
+            ("job_cap", -1),
+            ("job_cap", 2.5),
+        ],
+    )
+    def test_sweep_counts_must_be_positive_integers(self, field, value):
+        payload = base_payload(sweep={"axes": {"n": [3]}, field: value})
+        with pytest.raises(ConfigError, match=f"sweep.{field}"):
+            parse_config(payload)
+
+    def test_sweep_counts_accept_positive_integers(self):
+        config = parse_config(base_payload(sweep={"axes": {"n": [3]}, "workers": 2, "job_cap": 1}))
+        assert (config.sweep.workers, config.sweep.job_cap) == (2, 1)
+        assert parse_config(base_payload(sweep={"axes": {"n": [3]}})).sweep.workers is None
+
     def test_load_config_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"state": }')
@@ -208,6 +231,30 @@ class TestSweepCommand:
         )
         with pytest.raises(ConfigError, match="memory"):
             sweep_experiment(config, str(tmp_path / "sweep"))
+
+    def test_failed_cell_makes_cli_exit_nonzero(self, tmp_path, monkeypatch, capsys):
+        import qubitbath.cli as cli
+
+        real_evolve = cli.evolve
+
+        def evolve_failing_at_n4(rho0, *args, **kwargs):
+            if rho0.n == 4:
+                raise RuntimeError("injected cell failure")
+            return real_evolve(rho0, *args, **kwargs)
+
+        payload = base_payload(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.0})
+        payload["output"]["formats"] = ["csv"]  # no summary.json to carry the failure
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", path, "--out", str(out), "--workers", "1"]
+        assert main(argv) == 0
+        monkeypatch.setattr(cli, "evolve", evolve_failing_at_n4)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "injected cell failure" in err
+        assert "1 of 2 cells failed" in err
+        with open(out / "summary.csv", newline="") as handle:
+            assert [r["n"] for r in csv.DictReader(handle)] == ["3"]
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = parse_config(base_payload())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitbath import (
     ConstantRate,
@@ -14,6 +16,7 @@ from qubitbath import (
     analytic_pauli_map,
     analytic_state_at,
     density_from_pure,
+    dicke_state,
     evolve,
     ghz_state,
     highest_cut,
@@ -36,6 +39,26 @@ rng = np.random.default_rng(99)
 REVIVAL_RATES = dict(
     rate_z=SinusoidalRate(1.0), rate_x=ConstantRate(0.1), rate_y=ConstantRate(0.1)
 )
+
+# noise settings for the class-vs-dense agreement property, with the class
+# count the class stepper uses at n qubits: all three axes active give one
+# class per letter-count triple, one axis alone one per count 0..n of the
+# letters anticommuting with it
+AGREEMENT_NOISES = {
+    "fig5-rates": (dict(kind="pauli", **REVIVAL_RATES), lambda n: math.comb(n + 3, 3)),
+    "ohmic-dephasing": (
+        dict(kind="dephasing", rate_z=OhmicZeroTempRate(2.47)),
+        lambda n: n + 1,
+    ),
+    "x-only": (
+        dict(kind="pauli", rate_z=ConstantRate(0.0), rate_x=SinusoidalRate(0.8)),
+        lambda n: n + 1,
+    ),
+    "y-only": (
+        dict(kind="pauli", rate_z=ConstantRate(0.0), rate_y=ConstantRate(0.3)),
+        lambda n: n + 1,
+    ),
+}
 
 
 def random_density(n):
@@ -156,10 +179,12 @@ class TestEvolve:
 
     def test_matches_pauli_oracle(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        dev = oracle_deviation(
-            density_from_pure(ghz_state(3)), spec, 10.0, options=IntegratorOptions(step=0.01)
-        )
-        assert dev < 1e-8
+        rho0 = density_from_pure(ghz_state(3))
+        for dense in (False, True):
+            dev = oracle_deviation(
+                rho0, spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
+            )
+            assert dev < 1e-8
 
     def test_fast_and_dense_steppers_agree(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
@@ -167,9 +192,46 @@ class TestEvolve:
         opts = dict(step=0.02, sample_every=4.0)
         fast = evolve(rho0, spec, 4.0, options=IntegratorOptions(**opts))
         dense = evolve(rho0, spec, 4.0, options=IntegratorOptions(dense=True, **opts))
-        assert fast.metadata["integrator"] == "rk4-coherence-classes"
+        assert fast.metadata["integrator"] == "rk4-pauli-classes"
         assert dense.metadata["integrator"] == "rk4-dense"
+        assert fast.metadata["classes"] == 5  # Hamming distances 0..4
         assert np.abs(fast.final_state().elements - dense.final_state().elements).max() < 1e-13
+
+    @given(
+        family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
+        n=st.integers(2, 6),
+        noise=st.sampled_from(sorted(AGREEMENT_NOISES)),
+        kappa=st.sampled_from([1.0, 0.25]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_class_stepper_matches_dense(self, family, n, noise, kappa, data):
+        if family == "ghz":
+            psi = ghz_state(n)
+        elif family == "w":
+            psi = w_state(n)
+        elif family == "dicke":
+            psi = dicke_state(n, data.draw(st.integers(1, n - 1), label="k"))
+        else:  # complex amplitudes catch a rebuild that returns rho^T
+            gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+            psi = PureState(n, amp / np.linalg.norm(amp))
+        spec_kwargs, class_count = AGREEMENT_NOISES[noise]
+        spec = NoiseSpec(kappa=kappa, **spec_kwargs)
+        rho0 = density_from_pure(psi)
+        cuts = [one_vs_rest(n)] + ([highest_cut(n)] if n >= 3 else [])
+        opts = dict(step=0.02, observable_every=0.1, sample_every=0.5)
+        fast, dense = (
+            evolve(rho0, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=dense, **opts))
+            for dense in (False, True)
+        )
+        assert fast.metadata["integrator"] == "rk4-pauli-classes"
+        assert fast.metadata["classes"] == class_count(n)
+        assert len(fast.states) == len(dense.states) == 7
+        for a, b in zip(fast.states, dense.states):
+            assert np.abs(a.elements - b.elements).max() <= 1e-13
+        for label in fast.observables:
+            assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
 
     def test_fourth_order_convergence(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=1.0)
