@@ -9,6 +9,7 @@ bodies (timestamps only ever appear in the JSON metadata).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
@@ -31,7 +33,7 @@ from .analysis import (
     fit_reciprocal_exp,
     vanishing_crossing,
 )
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, _positive_int, load_config, parse_config
 from .entanglement import parse_cut_label
 from .dynamics import evolve, oracle_deviation
 from .errors import IntegrationError, QuadratureError
@@ -52,8 +54,26 @@ def _ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Write a text file beside ``path`` and move it there only once complete.
+
+    A writer that raises (or an interrupted process) leaves ``path`` as it
+    was, so no truncated output can pass for a finished one.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _atomic_open(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -75,7 +95,7 @@ def _apply_kappa(config: ExperimentConfig, kappa) -> ExperimentConfig:
 
 
 def _write_trajectory_csv(path: str, trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "bipartition_label", "log_negativity"])
         for label, series in trajectory.observables.items():
@@ -207,7 +227,8 @@ def _run_sweep_cell(args: tuple) -> tuple:
             )
         return cell, rows, None
     except Exception as exc:  # per-cell failures must not kill the sweep
-        return cell, [], f"{type(exc).__name__}: {exc}"
+        failure = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+        return cell, [], failure
 
 
 def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> dict:
@@ -229,7 +250,8 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     workers = workers if workers is not None else sweep.workers
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), len(cells)))
+    # same rule as sweep.workers in the config, so --workers 0 is a usage error
+    workers = min(_positive_int(workers, "workers"), len(cells))
 
     max_n = max((int(c.get("n", config.state.n)) for c in cells), default=config.state.n)
     budget = sweep.memory_budget_mb * 1024.0 * 1024.0
@@ -250,10 +272,10 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
 
     rows = []
     failures = []
-    for cell, cell_rows, error in results:
+    for cell, cell_rows, failure in results:
         rows.extend(cell_rows)
-        if error is not None:
-            failures.append({"cell": cell, "error": error})
+        if failure is not None:
+            failures.append({"cell": cell, **failure})
 
     def sort_key(row):
         return (
@@ -268,7 +290,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     _ensure_dir(out_dir)
     paths = {"summary": os.path.join(out_dir, "summary.csv")}
     columns = ["n", "s", "kappa", "cut", "t", "log_negativity"]
-    with open(paths["summary"], "w", encoding="utf-8", newline="") as handle:
+    with _atomic_open(paths["summary"]) as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:

@@ -4,8 +4,15 @@ Entanglement across a cut A|B is quantified by the logarithmic negativity
 
     E = log2 || rho^(T_A) ||_1,
 
-computed from the eigenvalues of the (Hermitian) partial transpose.  E is
-reported in ebits: a maximally entangled two-level Schmidt pair gives 1.
+computed from the eigenvalues of the (Hermitian) partial transpose
+(Vidal & Werner, PRA 65, 032314 (2002)).  E is reported in ebits: a
+maximally entangled two-level Schmidt pair gives 1.
+
+The eigenvalues come from ``states.block_eigvalsh``, which solves the
+connected components of the exact nonzero pattern one block at a time.
+Local dephasing and Pauli noise keep rho(t)^(T_A) block-diagonal up to a
+permutation (e.g. blocks of at most 26 for W at n = 10 under dephasing), so
+this is the dense spectrum at a small fraction of the dense cost.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, block_eigvalsh
 
 __all__ = [
     "Bipartition",
@@ -136,8 +143,7 @@ def log_negativity(rho, cut: Bipartition) -> float:
     Values below 1e-12 are reported as exactly 0 so that separable states do
     not show phantom entanglement from eigensolver noise.
     """
-    pt = partial_transpose(rho, cut)
-    eigs = np.linalg.eigvalsh(pt)
+    eigs = block_eigvalsh(partial_transpose(rho, cut))
     value = float(np.log2(np.abs(eigs).sum()))
     return 0.0 if value < CLAMP_TOL else value
 

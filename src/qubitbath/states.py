@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from math import comb, sqrt
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "PureState",
     "DensityMatrix",
+    "block_eigvalsh",
     "ghz_state",
     "w_state",
     "dicke_state",
@@ -39,6 +42,8 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_FLOOR = -1e-10
+# below this dimension one dense solve (~10-60 us) beats the ~0.3 ms graph step
+_BLOCK_MIN_DIM = 128
 
 
 def _require_qubit_count(n: int) -> None:
@@ -90,8 +95,9 @@ class DensityMatrix:
     """2^n x 2^n Hermitian, unit-trace, positive-semidefinite matrix.
 
     Hermiticity and trace are always validated on construction; the
-    positive-semidefiniteness check costs an eigensolve and can be skipped
-    for matrices produced by maps that preserve positivity by construction.
+    positive-semidefiniteness check costs an eigensolve (``block_eigvalsh``,
+    block by block over the exact nonzero pattern) and can be skipped for
+    matrices produced by maps that preserve positivity by construction.
     """
 
     n: int
@@ -111,7 +117,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"matrix does not have unit trace: trace = {tr}")
         if self.check_positivity:
-            lam_min = float(np.linalg.eigvalsh(mat)[0])
+            lam_min = float(block_eigvalsh(mat)[0])
             if lam_min < _PSD_FLOOR:
                 raise ValueError(f"matrix is not PSD: min eigenvalue = {lam_min}")
         mat.setflags(write=False)
@@ -122,7 +128,7 @@ class DensityMatrix:
         return 2**self.n
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements)[0])
+        return float(block_eigvalsh(self.elements)[0])
 
     def to_json(self) -> str:
         payload = {
@@ -140,6 +146,33 @@ class DensityMatrix:
             [[complex(re, im) for re, im in row] for row in payload["elements"]]
         )
         return cls(n=int(payload["n"]), elements=mat)
+
+
+def block_eigvalsh(mat) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, solved one block at a time.
+
+    The blocks are the connected components of the exact nonzero pattern, so
+    the spectrum is the dense one for any input: only exact zeros split
+    blocks, and a roundoff-sized entry merely merges two of them.  Local
+    dephasing and Pauli noise keep rho(t) and its partial transposes
+    block-diagonal up to a permutation, which makes the blocks small.  Blocks
+    of one size are solved in one stacked call; matrices below dimension
+    128 get one dense call.
+    """
+    mat = np.asarray(mat)
+    if len(mat) < _BLOCK_MIN_DIM:
+        return np.linalg.eigvalsh(mat)
+    _, labels = connected_components(csr_array(mat != 0), directed=False)
+    sizes = np.bincount(labels)
+    # nodes grouped by component, components of one size next to each other
+    order = np.lexsort((labels, sizes[labels]))
+    eigs, start = [], 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        members = order[start : start + size * count].reshape(count, size)
+        start += size * count
+        blocks = mat[members[:, :, None], members[:, None, :]]
+        eigs.append(np.linalg.eigvalsh(blocks).ravel())
+    return np.sort(np.concatenate(eigs))
 
 
 def ghz_state(n: int) -> PureState:

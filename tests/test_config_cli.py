@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import qubitbath.cli as cli
 from qubitbath.cli import (
     divisibility_report,
     main,
@@ -256,6 +257,26 @@ class TestSweepCommand:
         with open(out / "summary.csv", newline="") as handle:
             assert [r["n"] for r in csv.DictReader(handle)] == ["3"]
 
+        # summary.json carries the traceback; stderr keeps the one line
+        payload["output"]["formats"] = ["csv", "json"]
+        argv[2] = write_config(tmp_path, payload, name="with_json.json")
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        (failure,) = json.loads((out / "summary.json").read_text())["failures"]
+        assert failure["cell"] == {"n": 4}
+        assert failure["error"] == "RuntimeError: injected cell failure"
+        assert failure["traceback"].startswith("Traceback (most recent call last):")
+        assert "evolve_failing_at_n4" in failure["traceback"]
+        assert failure["traceback"].rstrip().endswith(failure["error"])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_is_a_usage_error(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path, base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 1.0}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out), "--workers", workers]) == 2
+        assert f"workers: expected a positive integer, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = parse_config(base_payload())
         with pytest.raises(ConfigError, match="sweep"):
@@ -371,3 +392,43 @@ class TestFitCommand:
         path = self.write_summary(tmp_path, rows)
         assert main(["fit", "--input", path]) == 2
         assert "pass --s" in capsys.readouterr().err
+
+
+class TestAtomicOutputs:
+    """A writer that raises partway leaves no target file and no temporary."""
+
+    def test_json_writer(self, tmp_path):
+        target = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            cli._write_json(str(target), {"a": list(range(1000)), "b": object()})
+        assert list(tmp_path.iterdir()) == []
+        target.write_text("previous\n")
+        with pytest.raises(TypeError):
+            cli._write_json(str(target), {"a": list(range(1000)), "b": object()})
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "previous\n"
+
+    def test_trajectory_writer(self, tmp_path):
+        class Broken:
+            times = [0.0, 1.0, 2.0]
+            observables = {"1-Rest": [0.5, 0.25, "not a number"]}
+
+        target = tmp_path / "trajectory.csv"
+        with pytest.raises(ValueError):
+            cli._write_trajectory_csv(str(target), Broken())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_writer(self, tmp_path, monkeypatch):
+        config = parse_config(base_payload(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.0}))
+        out = tmp_path / "sweep"
+        real_fmt = cli._fmt
+
+        def fmt_failing_on_n4(value):
+            if value == 4:
+                raise RuntimeError("injected write failure")
+            return real_fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", fmt_failing_on_n4)
+        with pytest.raises(RuntimeError, match="injected write failure"):
+            sweep_experiment(config, str(out), workers=1)
+        assert list(out.iterdir()) == []

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from qubitbath import (
     Bipartition,
+    ConstantRate,
+    IntegratorOptions,
+    NoiseSpec,
+    OhmicZeroTempRate,
+    SinusoidalRate,
     density_from_pure,
+    dicke_state,
+    evolve,
     ghz_state,
     highest_cut,
     log_negativity,
@@ -18,7 +25,7 @@ from qubitbath import (
     symmetry_check,
     w_state,
 )
-from qubitbath.states import DensityMatrix, PureState
+from qubitbath.states import DensityMatrix, PureState, block_eigvalsh
 
 rng = np.random.default_rng(12345)
 
@@ -214,3 +221,42 @@ def test_accepts_density_matrix_wrapper():
     rho = density_from_pure(ghz_state(3))
     assert isinstance(rho, DensityMatrix)
     assert log_negativity(rho, one_vs_rest(3)) == pytest.approx(1.0, abs=1e-10)
+
+
+NOISES = {
+    "fig5 pauli": NoiseSpec(
+        "pauli",
+        rate_z=SinusoidalRate(1.0),
+        rate_x=ConstantRate(0.1),
+        rate_y=ConstantRate(0.1),
+        kappa=0.25,
+    ),
+    "ohmic dephasing": NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25),
+}
+FAMILIES = {"ghz": ghz_state, "w": w_state, "dicke": lambda n: dicke_state(n, 2)}
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.sampled_from(sorted(NOISES)),
+    st.integers(7, 8),  # dimension >= 128, where the block path takes over
+    st.sampled_from([0.5, 2.0, 6.0]),
+    st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_block_path_matches_dense_on_evolved_states(family, noise, n, t, data):
+    side = data.draw(
+        st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True), label="side_a"
+    )
+    cut = Bipartition(n, tuple(side))
+    rho0 = density_from_pure(FAMILIES[family](n))
+    trajectory = evolve(
+        rho0, NOISES[noise], t, options=IntegratorOptions(observable_every=t, sample_every=t)
+    )
+    for state in trajectory.states:
+        dense = np.linalg.eigvalsh(state.elements)
+        assert np.abs(block_eigvalsh(state.elements) - dense).max() <= 1e-12
+        assert abs(state.min_eigenvalue() - dense[0]) <= 1e-12
+        pt_dense = np.linalg.eigvalsh(partial_transpose(state, cut))
+        expected = max(float(np.log2(np.abs(pt_dense).sum())), 0.0)
+        assert abs(log_negativity(state, cut) - expected) <= 1e-12

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitbath import (
@@ -14,7 +14,14 @@ from qubitbath import (
     ghz_state,
     w_state,
 )
-from qubitbath.states import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, hamming_distance_matrix
+from qubitbath.states import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    block_eigvalsh,
+    hamming_distance_matrix,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -207,3 +214,33 @@ def test_hamming_distance_matrix():
     d = hamming_distance_matrix(2)
     expected = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
     assert np.array_equal(d, expected)
+
+
+def planted_blocks(sizes, seed, min_dim=128):
+    """Random Hermitian blocks of the given sizes, zero-padded to min_dim and
+    scattered by a random permutation of rows and columns."""
+    rng = np.random.default_rng(seed)
+    d = max(sum(sizes), min_dim)
+    mat = np.zeros((d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        mat[start : start + size, start : start + size] = a + a.conj().T
+        start += size
+    perm = rng.permutation(d)
+    return mat[np.ix_(perm, perm)]
+
+
+@given(st.lists(st.sampled_from([1, 2, 3, 7, 16]), max_size=30), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+@example([], 0)  # the all-zero matrix: nothing but singletons
+@example([1] * 130, 1)
+@example([2] * 70, 2)
+def test_block_eigvalsh_matches_dense(sizes, seed):
+    # padding to dimension 128 keeps every case on the block path
+    mat = planted_blocks(sizes, seed)
+    dense = np.linalg.eigvalsh(mat)
+    block = block_eigvalsh(mat)
+    assert block.shape == dense.shape
+    assert np.all(np.diff(block) >= 0.0)
+    assert np.abs(block - dense).max() <= 1e-12
