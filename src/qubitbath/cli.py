@@ -172,7 +172,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _estimate_cell_bytes(n: int) -> float:
-    # dense complex matrix plus RK4 stages, Hamming table and scratch copies
+    # rho0, each rebuilt matrix and its recorded copy, the partial transposes,
+    # the Hamming tables and scratch copies
     return 12.0 * 16.0 * (4.0**n)
 
 

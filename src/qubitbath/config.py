@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import IntegratorOptions, NoiseSpec, SUPPORTED_KAPPAS
+from .dynamics import IntegratorOptions, NoiseSpec
 from .entanglement import parse_cut_label
 from .states import PureState, dicke_state, ghz_state, w_state
 
@@ -185,8 +185,6 @@ def _parse_noise(payload: dict) -> NoiseSpec:
         spec = NoiseSpec.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"noise: {exc}") from exc
-    if spec.kappa not in SUPPORTED_KAPPAS:
-        raise ConfigError(f"noise.kappa: must be one of {SUPPORTED_KAPPAS}")
     return spec
 
 

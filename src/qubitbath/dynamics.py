@@ -14,12 +14,11 @@ evaluated at the stage times.  Both noise kinds have generators that are
 diagonal in the Pauli-string basis: a string with letter counts (nx, ny, nz)
 obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
 gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
-advances one RK4 amplification factor per letter-count class and rebuilds
-the matrix only at recording times; under pure dephasing the class is the
-Hamming distance of a computational-basis element, so no Pauli expansion is
-needed.  Full-matrix RK4 is exactly RK4 on these factors, and the dense
-stepper, which materialises the right-hand side as a matrix, is kept as the
-independent reference (``IntegratorOptions(dense=True)``).
+advances one RK4 amplification factor per letter-count class (the Hamming
+distance under pure dephasing), with rates evaluated a block of steps at a
+time, and rebuilds the matrix only at recording points.  Full-matrix RK4 is
+exactly RK4 on these factors; the dense stepper, which materialises the
+right-hand side, is the independent reference (``IntegratorOptions(dense=True)``).
 
 Closed-form propagators for both noise kinds serve as independent oracles
 for the integrator.
@@ -115,10 +114,10 @@ class NoiseSpec:
 class IntegratorOptions:
     """Fixed-step RK4 settings and recording cadence.
 
-    ``observable_every`` defaults to every integrator step; full states are
-    recorded (and positivity is spot-checked) every ``sample_every`` time
-    units.  ``dense`` replaces the Pauli-class stepper by the dense matrix
-    stepper, the independent reference for both noise kinds.
+    ``observable_every`` defaults to every step when ``evolve`` has cuts, else
+    to t_max; full states are recorded (and positivity is spot-checked) every
+    ``sample_every`` time units.  ``dense`` replaces the Pauli-class stepper by
+    the dense matrix stepper, the independent reference for both noise kinds.
     """
 
     step: float = 0.01
@@ -126,7 +125,6 @@ class IntegratorOptions:
     sample_every: float = 1.0
     record_states: bool = True
     dense: bool = False
-    check_positivity: bool = True
 
     def __post_init__(self):
         if self.step <= 0:
@@ -213,55 +211,49 @@ def lindblad_rhs(rho, t: float, spec: NoiseSpec) -> np.ndarray:
     return _rhs_matrix(mat, t, spec, _workspace(n))
 
 
-@dataclass
-class _RunStats:
-    max_trace_drift: float = 0.0
-    max_herm_drift: float = 0.0
-    min_eigenvalue: Optional[float] = None
-    renormalizations: int = 0
-
-
 class _DenseStepper:
     """RK4 on the full density matrix; hermitise and re-trace each step."""
 
     engine = "rk4-dense"
     classes = None
 
-    def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, stats: _RunStats):
+    def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float):
         self.mat = np.array(rho0.elements, dtype=complex)
         self.spec = spec
         self.h = h
         self.ws = _workspace(rho0.n)
-        self.stats = stats
+        self.max_trace_drift = self.max_herm_drift = 0.0
+        self.renormalizations = 0
 
-    def advance(self, k: int) -> None:
+    def advance(self, k0: int, k: int) -> None:
         h = self.h
-        t = (k - 1) * h
-        mat = self.mat
-        k1 = _rhs_matrix(mat, t, self.spec, self.ws)
-        k2 = _rhs_matrix(mat + (0.5 * h) * k1, t + 0.5 * h, self.spec, self.ws)
-        k3 = _rhs_matrix(mat + (0.5 * h) * k2, t + 0.5 * h, self.spec, self.ws)
-        k4 = _rhs_matrix(mat + h * k3, t + h, self.spec, self.ws)
-        mat = mat + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        for j in range(k0 + 1, k + 1):
+            t = (j - 1) * h
+            mat = self.mat
+            k1 = _rhs_matrix(mat, t, self.spec, self.ws)
+            k2 = _rhs_matrix(mat + (0.5 * h) * k1, t + 0.5 * h, self.spec, self.ws)
+            k3 = _rhs_matrix(mat + (0.5 * h) * k2, t + 0.5 * h, self.spec, self.ws)
+            k4 = _rhs_matrix(mat + h * k3, t + h, self.spec, self.ws)
+            mat = mat + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-        delta = mat - mat.conj().T
-        herm_drift = float(np.abs(delta).max())
-        if herm_drift > self.stats.max_herm_drift:
-            self.stats.max_herm_drift = herm_drift
-        mat -= 0.5 * delta
+            delta = mat - mat.conj().T
+            herm_drift = float(np.abs(delta).max())
+            if herm_drift > self.max_herm_drift:
+                self.max_herm_drift = herm_drift
+            mat -= 0.5 * delta
 
-        trace = float(np.trace(mat).real)
-        drift = abs(trace - 1.0)
-        if drift > self.stats.max_trace_drift:
-            self.stats.max_trace_drift = drift
-        if drift > TRACE_ERROR_TOL:
-            raise IntegrationError(
-                f"trace drifted by {drift:.3e} at t={k * h:.4f}; reduce the step size"
-            )
-        if drift > TRACE_RENORM_TOL:
-            mat = mat / trace
-            self.stats.renormalizations += 1
-        self.mat = mat
+            trace = float(np.trace(mat).real)
+            drift = abs(trace - 1.0)
+            if drift > self.max_trace_drift:
+                self.max_trace_drift = drift
+            if drift > TRACE_ERROR_TOL:
+                raise IntegrationError(
+                    f"trace drifted by {drift:.3e} at t={j * h:.4f}; reduce the step size"
+                )
+            if drift > TRACE_RENORM_TOL:
+                mat = mat / trace
+                self.renormalizations += 1
+            self.mat = mat
 
     def current(self) -> np.ndarray:
         return self.mat
@@ -281,6 +273,11 @@ def _site_maps(op: np.ndarray, tens: np.ndarray, n: int) -> np.ndarray:
     return tens.reshape(-1)
 
 
+# Steps whose growth rows come from one rate call per axis and RK4 stage; capped because
+# 1024 (1024 x 120 rows at fig5 GHZ n=7) raised that run's peak RSS by 7%, 128 by under 1%.
+_BLOCK_STEPS = 128
+
+
 class _ClassStepper:
     """One RK4 amplification factor per Pauli-string decay class (module docs).
 
@@ -290,10 +287,12 @@ class _ClassStepper:
     """
 
     engine = "rk4-pauli-classes"
+    max_trace_drift = max_herm_drift = 0.0  # trace and hermiticity are exact
+    renormalizations = 0
 
-    def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, stats: _RunStats):
+    def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, n_steps: int):
         n = self.n = rho0.n
-        self.h = h
+        self.h, self.n_steps = h, n_steps
         models = (spec.rate_x, spec.rate_y, spec.rate_z)
         active = [axis for axis in range(3) if not _is_zero_rate(models[axis])] or [2]
         self.rho0, self.coeffs0 = rho0.elements, None
@@ -316,19 +315,22 @@ class _ClassStepper:
         self.classes = len(self.axes[0][1])
         self.factors = np.ones(self.classes, dtype=float)
 
-    def _decay(self, t: float) -> np.ndarray:
-        terms = [neg * float(model.rate(t)) for model, neg in self.axes]
+    def _decay(self, t: np.ndarray) -> np.ndarray:
+        terms = [np.multiply.outer(model.rate(t), neg) for model, neg in self.axes]
         return sum(terms[1:], terms[0])
 
-    def advance(self, k: int) -> None:
+    def advance(self, k0: int, k: int) -> None:
         h = self.h
-        t = (k - 1) * h
-        a1 = self._decay(t)
-        am = self._decay(t + 0.5 * h)
-        a2 = am * (1.0 + 0.5 * h * a1)
-        a3 = am * (1.0 + 0.5 * h * a2)
-        a4 = self._decay(t + h) * (1.0 + h * a3)
-        self.factors *= 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+        for j in range(k0, k):
+            if j % _BLOCK_STEPS == 0:  # RK4 growth rows of the next block, up to t_max
+                t = np.arange(j, min(j + _BLOCK_STEPS, self.n_steps)) * h
+                a1 = self._decay(t)
+                am = self._decay(t + 0.5 * h)
+                a2 = am * (1.0 + 0.5 * h * a1)
+                a3 = am * (1.0 + 0.5 * h * a2)
+                a4 = self._decay(t + h) * (1.0 + h * a3)
+                self.growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+            self.factors *= self.growth[j % _BLOCK_STEPS]
 
     def current(self) -> np.ndarray:
         scaled = self.factors[self.class_idx]
@@ -347,20 +349,20 @@ def _stride(name: str, interval: Optional[float], h: float, default: int) -> int
     return stride
 
 
-def _integrate(rho0, spec, n_steps, options, stats, strides, record):
-    """Select the stepper and run the one RK4 loop of evolve and oracle_deviation.
+def _integrate(rho0, spec, n_steps, options, strides, record):
+    """Select the stepper and run it from one recording point to the next.
 
-    Calls ``record(t, matrix, *due)`` at t = 0 and after each step where one of
-    ``strides`` falls due (all are due at both ends); returns the stepper.
+    The points are steps 0, n_steps and the multiples of each stride; ``advance(k0, k)`` takes
+    steps k0+1..k, then ``record(k * h, matrix, *due)`` gets one flag per stride.  Returns it.
     """
     h = options.step
-    stepper = (_DenseStepper if options.dense else _ClassStepper)(rho0, spec, h, stats)
-    record(0.0, stepper.current(), *[True] * len(strides))
-    for k in range(1, n_steps + 1):
-        stepper.advance(k)
-        due = [k % stride == 0 or k == n_steps for stride in strides]
-        if True in due:
-            record(k * h, stepper.current(), *due)
+    stepper = (
+        _DenseStepper(rho0, spec, h) if options.dense else _ClassStepper(rho0, spec, h, n_steps)
+    )
+    points = sorted({0, n_steps}.union(*(range(stride, n_steps, stride) for stride in strides)))
+    for k0, k in zip([0] + points, points):
+        stepper.advance(k0, k)
+        record(k * h, stepper.current(), *[k % stride == 0 or k == n_steps for stride in strides])
     return stepper
 
 
@@ -374,14 +376,14 @@ def evolve(
     """Propagate rho0 under the noise spec from t=0 to t_max.
 
     Entanglement observables (log negativity per requested cut) are recorded
-    every ``options.observable_every`` (default: every step); full states
-    every ``options.sample_every``.  Raises IntegrationError when trace or
-    positivity diagnostics exceed their safety bounds, which indicates the
-    step size is too large.
+    every ``options.observable_every`` (default: every step, or only at both
+    ends when there are no cuts); full states every ``options.sample_every``.
+    Raises IntegrationError when trace or positivity diagnostics exceed their
+    safety bounds, which indicates the step size is too large.
     """
     h = options.step
     n_steps = _stride("t_max", t_max, h, None)
-    obs_stride = _stride("observable_every", options.observable_every, h, 1)
+    obs_stride = _stride("observable_every", options.observable_every, h, 1 if cuts else n_steps)
     sample_stride = _stride("sample_every", options.sample_every, h, n_steps)
 
     for cut in cuts:
@@ -390,8 +392,7 @@ def evolve(
     # one entry per label, e.g. highest-cut == 1-Rest at n = 3
     cuts = list({cut.label: cut for cut in cuts}.values())
 
-    stats = _RunStats()
-    times, state_times, states = [], [], []
+    times, state_times, states, min_eigenvalues = [], [], [], []
     observables = {cut.label: [] for cut in cuts}
 
     def record(t: float, mat: np.ndarray, obs_due: bool, state_due: bool) -> None:
@@ -402,20 +403,18 @@ def evolve(
         if not state_due:
             return
         state = DensityMatrix(n=rho0.n, elements=mat.copy(), check_positivity=False)
-        if options.check_positivity:
-            lam_min = state.min_eigenvalue()
-            if stats.min_eigenvalue is None or lam_min < stats.min_eigenvalue:
-                stats.min_eigenvalue = lam_min
-            if lam_min < EIGENVALUE_ERROR_FLOOR:
-                raise IntegrationError(
-                    f"state lost positivity (min eigenvalue {lam_min:.3e}) at "
-                    f"t={t:.4f}; reduce the step size"
-                )
+        lam_min = state.min_eigenvalue()
+        min_eigenvalues.append(lam_min)
+        if lam_min < EIGENVALUE_ERROR_FLOOR:
+            raise IntegrationError(
+                f"state lost positivity (min eigenvalue {lam_min:.3e}) at "
+                f"t={t:.4f}; reduce the step size"
+            )
         if options.record_states:
             state_times.append(t)
             states.append(state)
 
-    stepper = _integrate(rho0, spec, n_steps, options, stats, (obs_stride, sample_stride), record)
+    stepper = _integrate(rho0, spec, n_steps, options, (obs_stride, sample_stride), record)
 
     metadata = {
         "noise": spec.to_dict(),
@@ -426,10 +425,10 @@ def evolve(
         "step": h,
         "t_max": t_max,
         "cuts": list(observables),
-        "max_trace_drift": stats.max_trace_drift,
-        "max_hermiticity_drift": stats.max_herm_drift,
-        "min_eigenvalue": stats.min_eigenvalue,
-        "trace_renormalizations": stats.renormalizations,
+        "max_trace_drift": stepper.max_trace_drift,
+        "max_hermiticity_drift": stepper.max_herm_drift,
+        "min_eigenvalue": min(min_eigenvalues),
+        "trace_renormalizations": stepper.renormalizations,
     }
     return Trajectory(
         times=np.array(times),
@@ -521,5 +520,5 @@ def oracle_deviation(
     def compare(t: float, mat: np.ndarray, due: bool) -> None:
         deviations.append(np.abs(mat - analytic_state_at(rho0, spec, t).elements).max())
 
-    _integrate(rho0, spec, n_steps, options, _RunStats(), (stride,), compare)
+    _integrate(rho0, spec, n_steps, options, (stride,), compare)
     return float(np.max(deviations))  # a NaN from a blown-up run is kept, not skipped

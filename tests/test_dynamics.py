@@ -25,6 +25,7 @@ from qubitbath import (
     oracle_deviation,
     w_state,
 )
+from qubitbath import dynamics
 from qubitbath.states import (
     DensityMatrix,
     PAULI_X,
@@ -220,18 +221,75 @@ class TestEvolve:
         spec = NoiseSpec(kappa=kappa, **spec_kwargs)
         rho0 = density_from_pure(psi)
         cuts = [one_vs_rest(n)] + ([highest_cut(n)] if n >= 3 else [])
-        opts = dict(step=0.02, observable_every=0.1, sample_every=0.5)
+        # 150 steps of 0.02 cross one 128-step rate block; the strides need not
+        # nest (7 and 25 steps) and may be every step
+        obs_every, sample_every = data.draw(
+            st.sampled_from([(0.1, 0.5), (0.14, 0.5), (None, 1.0), (0.5, 0.3), (3.0, 3.0)]),
+            label="intervals",
+        )
+        opts = dict(step=0.02, observable_every=obs_every, sample_every=sample_every)
         fast, dense = (
             evolve(rho0, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=dense, **opts))
             for dense in (False, True)
         )
         assert fast.metadata["integrator"] == "rk4-pauli-classes"
         assert fast.metadata["classes"] == class_count(n)
-        assert len(fast.states) == len(dense.states) == 7
+
+        def grid(every):
+            stride = 1 if every is None else round(every / 0.02)
+            return [0.02 * k for k in sorted({*range(0, 150, stride), 150})]
+
+        for traj in (fast, dense):
+            assert list(traj.times) == grid(obs_every)
+            assert list(traj.state_times) == grid(sample_every)
         for a, b in zip(fast.states, dense.states):
             assert np.abs(a.elements - b.elements).max() <= 1e-13
         for label in fast.observables:
             assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
+
+    def test_interval_crossing_two_rate_blocks(self):
+        # one recording interval of 307 steps: two full 128-step rate blocks
+        # and one that ends mid-block at t_max
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        rho0 = density_from_pure(ghz_state(4))
+        t_max, cuts = 3.07, [one_vs_rest(4), highest_cut(4)]
+        fast, dense = (
+            evolve(
+                rho0,
+                spec,
+                t_max,
+                cuts=cuts,
+                options=IntegratorOptions(
+                    step=0.01, observable_every=t_max, sample_every=t_max, dense=dense
+                ),
+            )
+            for dense in (False, True)
+        )
+        assert list(fast.times) == list(fast.state_times) == [0.0, 307 * 0.01]
+        assert np.abs(fast.final_state().elements - dense.final_state().elements).max() <= 1e-13
+        for label in fast.observables:
+            assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
+        dev = oracle_deviation(
+            rho0, spec, t_max, options=IntegratorOptions(step=0.01), compare_every=t_max
+        )
+        assert dev < 1e-8
+
+    def test_no_cuts_rebuilds_only_at_sample_points(self, monkeypatch):
+        rebuilds = []
+        current = dynamics._ClassStepper.current
+
+        def counted_current(self):
+            rebuilds.append(self)
+            return current(self)
+
+        monkeypatch.setattr(dynamics._ClassStepper, "current", counted_current)
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        traj = evolve(
+            density_from_pure(w_state(3)), spec, 2.0, options=IntegratorOptions(step=0.01)
+        )
+        assert list(traj.times) == [0.0, 2.0]
+        assert list(traj.state_times) == [0.0, 1.0, 2.0]
+        assert len(rebuilds) == 3
 
     def test_fourth_order_convergence(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=1.0)
