@@ -237,83 +237,69 @@ def _points_to_arrays(points) -> tuple:
     e_vals = np.array([p[1] for p in pts])
     if np.unique(n_vals).size != n_vals.size:
         raise ValueError("qubit counts must be distinct")
+    if n_vals.size < 4:
+        raise ValueError("need at least 4 points to fit the three-parameter model")
     return n_vals, e_vals
+
+
+# E_N of each model at parameters (a, b, c), elementwise in N
+_MODELS = {
+    EXP_DECAY_SHIFT: lambda a, b, c, n: a * np.exp(np.clip(-c * (n - 3.0), -700.0, 700.0)) + b * b,
+    RECIPROCAL_EXP: lambda a, b, c, n: 1.0 / (a * np.exp(np.clip(-c * n, -700.0, 700.0)) + b * b),
+}
+
+
+def _fit(model: str, n_vals: np.ndarray, e_vals: np.ndarray, starts) -> FitResult:
+    """Damped Gauss-Newton from each start; the best converged start wins."""
+    formula = _MODELS[model]
+    best = None
+    for p0 in starts:
+        p, rms, ok = _damped_gauss_newton(lambda p: formula(*p, n_vals) - e_vals, np.array(p0))
+        if best is None or (ok, -rms) > (best[2], -best[1]):
+            best = (p, rms, ok)
+    p, rms, ok = best
+    return FitResult(
+        model=model,
+        a=float(p[0]),
+        b=abs(float(p[1])),
+        c=float(p[2]),
+        residual=rms,
+        n_points=n_vals.size,
+        converged=ok,
+    )
 
 
 def fit_exp_decay_shift(points) -> FitResult:
     """Fit E_N = a exp(-c (N - 3)) + b^2 to (N, E_N) pairs.
 
     Multi-start over c in {0.1, 0.5, 1.0} and b in {0, 0.5}, with a seeded
-    from the first data point; the best converged start wins.
+    from the first data point.
     """
     n_vals, e_vals = _points_to_arrays(points)
-    if n_vals.size < 4:
-        raise ValueError("need at least 4 points to fit the three-parameter model")
-
-    def residual(p):
-        a, b, c = p
-        expo = np.clip(-c * (n_vals - 3.0), -700.0, 700.0)
-        return a * np.exp(expo) + b * b - e_vals
-
-    best = None
-    for c0 in (0.1, 0.5, 1.0):
-        for b0 in (0.0, 0.5):
-            p, rms, ok = _damped_gauss_newton(residual, np.array([e_vals[0], b0, c0]))
-            if best is None or (ok, -rms) > (best[2], -best[1]):
-                best = (p, rms, ok)
-    p, rms, ok = best
-    return FitResult(
-        model=EXP_DECAY_SHIFT,
-        a=float(p[0]),
-        b=abs(float(p[1])),
-        c=float(p[2]),
-        residual=rms,
-        n_points=n_vals.size,
-        converged=ok,
-    )
+    starts = [(e_vals[0], b0, c0) for c0 in (0.1, 0.5, 1.0) for b0 in (0.0, 0.5)]
+    return _fit(EXP_DECAY_SHIFT, n_vals, e_vals, starts)
 
 
 def fit_reciprocal_exp(points) -> FitResult:
     """Fit E_N = 1 / (a exp(-c N) + b^2); requires strictly positive E_N."""
     n_vals, e_vals = _points_to_arrays(points)
-    if n_vals.size < 4:
-        raise ValueError("need at least 4 points to fit the three-parameter model")
     if np.any(e_vals <= 0):
         raise ValueError("reciprocal model needs strictly positive values")
-
-    def residual(p):
-        a, b, c = p
-        expo = np.clip(-c * n_vals, -700.0, 700.0)
-        return 1.0 / (a * np.exp(expo) + b * b) - e_vals
-
     # b seeded from the large-N samples (asymptote 1/b^2), a from the first point
     b_seed = 1.0 / math.sqrt(e_vals[-1])
-    best = None
-    for c0 in (0.1, 0.5, 1.0):
-        for b0 in (b_seed, 0.5 * b_seed):
-            a0 = max((1.0 / e_vals[0] - b0 * b0), 1e-3) * math.exp(c0 * n_vals[0])
-            p, rms, ok = _damped_gauss_newton(residual, np.array([a0, b0, c0]))
-            if best is None or (ok, -rms) > (best[2], -best[1]):
-                best = (p, rms, ok)
-    p, rms, ok = best
-    return FitResult(
-        model=RECIPROCAL_EXP,
-        a=float(p[0]),
-        b=abs(float(p[1])),
-        c=float(p[2]),
-        residual=rms,
-        n_points=n_vals.size,
-        converged=ok,
-    )
+    starts = [
+        (max((1.0 / e_vals[0] - b0 * b0), 1e-3) * math.exp(c0 * n_vals[0]), b0, c0)
+        for c0 in (0.1, 0.5, 1.0)
+        for b0 in (b_seed, 0.5 * b_seed)
+    ]
+    return _fit(RECIPROCAL_EXP, n_vals, e_vals, starts)
 
 
 def extrapolate(fit: FitResult, n: float) -> float:
     """Evaluate the fitted model at qubit count n."""
-    if fit.model == EXP_DECAY_SHIFT:
-        return fit.a * math.exp(-fit.c * (n - 3.0)) + fit.b**2
-    if fit.model == RECIPROCAL_EXP:
-        return 1.0 / (fit.a * math.exp(-fit.c * n) + fit.b**2)
-    raise ValueError(f"unknown fit model {fit.model!r}")
+    if fit.model not in _MODELS:
+        raise ValueError(f"unknown fit model {fit.model!r}")
+    return float(_MODELS[fit.model](fit.a, fit.b, fit.c, n))
 
 
 def vanishing_crossing(fit: FitResult, threshold: float = 1e-3) -> Optional[int]:

@@ -172,8 +172,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _estimate_cell_bytes(n: int) -> float:
-    # rho0, each rebuilt matrix and its recorded copy, the partial transposes,
-    # the Hamming tables and scratch copies
+    # rho0, each rebuilt matrix, the partial transposes, the Hamming table and
+    # scratch copies
     return 12.0 * 16.0 * (4.0**n)
 
 
@@ -181,7 +181,7 @@ def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
     payload = config.to_dict()
     payload.pop("sweep", None)
     if "n" in cell:
-        payload["state"]["n"] = int(cell["n"])
+        payload["state"]["n"] = cell["n"]
     if "s" in cell:
         if "s" not in payload["noise"]["rate_z"]:
             raise ConfigError("sweep.axes.s: noise.rate_z has no Ohmicity parameter")
@@ -199,9 +199,8 @@ def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
 
 
 def _run_sweep_cell(args: tuple) -> tuple:
-    cell, payload = args
+    cell, config = args
     try:
-        config = parse_config(payload)
         psi = config.state.build()
         trajectory = evolve(
             density_from_pure(psi),
@@ -254,7 +253,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     # same rule as sweep.workers in the config, so --workers 0 is a usage error
     workers = min(_positive_int(workers, "workers"), len(cells))
 
-    max_n = max((int(c.get("n", config.state.n)) for c in cells), default=config.state.n)
+    max_n = max((c.get("n", config.state.n) for c in cells), default=config.state.n)
     budget = sweep.memory_budget_mb * 1024.0 * 1024.0
     needed = _estimate_cell_bytes(max_n) * workers
     if needed > budget:
@@ -263,7 +262,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
             f"{workers} workers exceeds memory_budget_mb={sweep.memory_budget_mb}"
         )
 
-    jobs = [(cell, _derive_cell(config, cell).to_dict()) for cell in cells]
+    jobs = [(cell, _derive_cell(config, cell)) for cell in cells]
     results = []
     if workers == 1:
         results = [_run_sweep_cell(job) for job in jobs]

@@ -165,15 +165,13 @@ def _parse_state(payload: dict) -> StateConfig:
     family = _need(payload, "family", "state")
     if family not in STATE_FAMILIES:
         raise ConfigError(f"state.family: expected one of {STATE_FAMILIES}, got {family!r}")
-    n = _need(payload, "n", "state")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"state.n: expected a positive integer, got {n!r}")
+    n = _positive_int(_need(payload, "n", "state"), "state.n")
     if family == "w" and n < 2:
         raise ConfigError("state.n: a w state needs at least 2 qubits")
     k = payload.get("k")
     if family == "dicke":
-        k = 1 if k is None else k
-        if not isinstance(k, int) or not 1 <= k <= n - 1:
+        k = 1 if k is None else _positive_int(k, "state.k")
+        if k > n - 1:
             raise ConfigError(f"state.k: expected an integer in 1..{n - 1}, got {k!r}")
     elif k is not None:
         raise ConfigError("state.k: only valid for the dicke family")
@@ -213,6 +211,9 @@ def _parse_sweep(payload: dict) -> SweepConfig:
             raise ConfigError(f"sweep.axes: unsupported axis {key!r} (use n, s or kappa)")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{key}: expected a non-empty list")
+        if key == "n":
+            for value in values:
+                _positive_int(value, "sweep.axes.n")
     workers = payload.get("workers")
     return SweepConfig(
         axes=axes,

@@ -35,7 +35,7 @@ import numpy as np
 from .entanglement import Bipartition, log_negativity
 from .errors import IntegrationError
 from .rates import ZERO_RATE, ConstantRate, DecayRateModel, rate_model_from_dict
-from .states import DensityMatrix, hamming_distance_matrix
+from .states import DensityMatrix, block_eigvalsh, hamming_distance_matrix
 
 __all__ = [
     "DEPHASING",
@@ -159,8 +159,9 @@ class _Workspace:
 
     def __init__(self, n: int):
         self.n = n
-        self.hamming = hamming_distance_matrix(n)
-        self.hamming_idx = self.hamming.astype(np.intp)
+        # one byte per entry, shared by the dense RHS, the dephasing map and
+        # the class stepper's gather
+        self.hamming = hamming_distance_matrix(n).astype(np.uint8)
         self.tshape = (2,) * (2 * n)
         # (1, -1) along one row or column axis of the (2,) * 2n tensor
         sign, shapes = np.array([1.0, -1.0]), 1 + np.eye(2 * n, dtype=int)
@@ -297,7 +298,7 @@ class _ClassStepper:
         active = [axis for axis in range(3) if not _is_zero_rate(models[axis])] or [2]
         self.rho0, self.coeffs0 = rho0.elements, None
         if active == [2]:
-            self.class_idx = _workspace(n).hamming_idx
+            self.class_idx = _workspace(n).hamming
             anti = [np.arange(n + 1, dtype=float)]
         else:
             # per active axis, letters of each string (site order) anticommuting
@@ -402,17 +403,16 @@ def evolve(
                 observables[cut.label].append(log_negativity(mat, cut))
         if not state_due:
             return
-        state = DensityMatrix(n=rho0.n, elements=mat.copy(), check_positivity=False)
-        lam_min = state.min_eigenvalue()
+        lam_min = float(block_eigvalsh(mat)[0])
         min_eigenvalues.append(lam_min)
         if lam_min < EIGENVALUE_ERROR_FLOOR:
             raise IntegrationError(
                 f"state lost positivity (min eigenvalue {lam_min:.3e}) at "
                 f"t={t:.4f}; reduce the step size"
             )
-        if options.record_states:
+        if options.record_states:  # steppers never write to a matrix they returned
             state_times.append(t)
-            states.append(state)
+            states.append(DensityMatrix(n=rho0.n, elements=mat, check_positivity=False))
 
     stepper = _integrate(rho0, spec, n_steps, options, (obs_stride, sample_stride), record)
 
@@ -448,8 +448,8 @@ def analytic_dephasing_map(rho0: DensityMatrix, big_gamma: float, spec: NoiseSpe
     """
     if spec.kind != DEPHASING:
         raise ValueError("analytic_dephasing_map requires a dephasing NoiseSpec")
-    ws = _workspace(rho0.n)
-    factors = np.exp(-2.0 * spec.kappa * big_gamma / spec.omega0 * ws.hamming)
+    log_damping = -2.0 * spec.kappa * big_gamma / spec.omega0
+    factors = np.exp(np.multiply(log_damping, _workspace(rho0.n).hamming, dtype=np.float64))
     return DensityMatrix(n=rho0.n, elements=rho0.elements * factors, check_positivity=False)
 
 

@@ -59,6 +59,25 @@ class TestConfigParsing:
             (lambda p: p["time"].update(sample_every=0.001), "sample_every"),
             (lambda p: p.update(cuts=["5-Rest"]), "cuts"),
             (lambda p: p["noise"]["rate_z"].update(kind="unknown"), "noise"),
+            # bool is an int subclass, and n = 3.5 would run as int(3.5) = 3
+            (lambda p: p["state"].update(n=True), "state.n: expected a positive integer, got True"),
+            (lambda p: p["state"].update(n=3.0), "state.n: expected a positive integer, got 3.0"),
+            (
+                lambda p: p.update(state={"family": "dicke", "n": 4, "k": True}),
+                "state.k: expected a positive integer, got True",
+            ),
+            (
+                lambda p: p.update(state={"family": "dicke", "n": 4, "k": 1.5}),
+                "state.k: expected a positive integer, got 1.5",
+            ),
+            (
+                lambda p: p.update(sweep={"axes": {"n": [3, 3.5]}}),
+                "sweep.axes.n: expected a positive integer, got 3.5",
+            ),
+            (
+                lambda p: p.update(sweep={"axes": {"n": [True]}}),
+                "sweep.axes.n: expected a positive integer, got True",
+            ),
         ],
     )
     def test_invalid_configs_raise_with_field_path(self, mutate, fragment):

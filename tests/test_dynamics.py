@@ -291,6 +291,27 @@ class TestEvolve:
         assert list(traj.state_times) == [0.0, 1.0, 2.0]
         assert len(rebuilds) == 3
 
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_wraps_only_the_states_it_keeps(self, monkeypatch, record_states, dense):
+        rho0 = density_from_pure(w_state(3))
+        built = []
+        post_init = DensityMatrix.__post_init__
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        options = IntegratorOptions(
+            step=0.01, sample_every=0.5, record_states=record_states, dense=dense
+        )
+        traj = evolve(rho0, spec, 2.0, cuts=[one_vs_rest(3)], options=options)
+        assert len(built) == len(traj.states) == (5 if record_states else 0)
+        assert all(not state.elements.flags.writeable for state in traj.states)
+        assert -1e-12 < traj.metadata["min_eigenvalue"] < 1e-12
+
     def test_fourth_order_convergence(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=1.0)
         rho0 = density_from_pure(ghz_state(3))
@@ -366,7 +387,8 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(rho0, spec, 1.0, cuts=[one_vs_rest(3)])
 
-    def test_unstable_step_raises_diagnostic(self):
+    @staticmethod
+    def _unstable_run(**options):
         # |0><0| relaxes on the Bloch z axis at rate 2(gamma_x + gamma_y);
         # with lambda * h = 15 the RK4 update amplifies instead of damping
         rho0 = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
@@ -377,8 +399,16 @@ class TestEvolve:
             rate_y=ConstantRate(0.0),
             kappa=1.0,
         )
+        evolve(rho0, spec, 10.0, options=IntegratorOptions(step=0.5, sample_every=0.5, **options))
+
+    def test_unstable_step_raises_diagnostic(self):
         with pytest.raises(IntegrationError):
-            evolve(rho0, spec, 10.0, options=IntegratorOptions(step=0.5, sample_every=0.5))
+            self._unstable_run()
+
+    def test_unstable_step_raises_without_recorded_states(self):
+        # positivity is checked at every sample point, kept or not
+        with pytest.raises(IntegrationError, match="lost positivity"):
+            self._unstable_run(record_states=False)
 
 
 class TestAnalyticMaps:
