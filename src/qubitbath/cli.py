@@ -185,9 +185,9 @@ def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
     if "s" in cell:
         if "s" not in payload["noise"]["rate_z"]:
             raise ConfigError("sweep.axes.s: noise.rate_z has no Ohmicity parameter")
-        payload["noise"]["rate_z"]["s"] = float(cell["s"])
+        payload["noise"]["rate_z"]["s"] = cell["s"]
     if "kappa" in cell:
-        payload["noise"]["kappa"] = float(cell["kappa"])
+        payload["noise"]["kappa"] = cell["kappa"]
     snapshot = config.sweep.snapshot_t
     payload["time"] = {
         "t_max": snapshot,

@@ -20,7 +20,8 @@ An experiment config is a single JSON document::
     }
 
 Rate models use the tagged records of :mod:`qubitbath.rates`, e.g.
-``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.
+``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.  A field that no section
+above names is an error, so a misspelled one cannot fall back to its default.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import IntegratorOptions, NoiseSpec
+from .dynamics import SUPPORTED_KAPPAS, IntegratorOptions, NoiseSpec
 from .entanglement import parse_cut_label
 from .states import PureState, dicke_state, ghz_state, w_state
 
@@ -42,6 +43,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
 
+def _section(payload, where: str, fields: tuple) -> dict:
+    """Return ``payload`` once it is a mapping that holds no field outside ``fields``."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    for key in payload:
+        if key not in fields:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    return payload
+
+
 def _need(payload: dict, key: str, where: str):
     if key not in payload:
         raise ConfigError(f"{where}: missing required field '{key}'")
@@ -49,10 +60,10 @@ def _need(payload: dict, key: str, where: str):
 
 
 def _positive(value, where: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    # float() takes true/false and numeric strings, but neither is a number here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    value = float(value)
     if value <= 0:
         raise ConfigError(f"{where}: must be positive, got {value}")
     return value
@@ -162,6 +173,7 @@ class ExperimentConfig:
 
 
 def _parse_state(payload: dict) -> StateConfig:
+    _section(payload, "state", ("family", "n", "k"))
     family = _need(payload, "family", "state")
     if family not in STATE_FAMILIES:
         raise ConfigError(f"state.family: expected one of {STATE_FAMILIES}, got {family!r}")
@@ -179,6 +191,7 @@ def _parse_state(payload: dict) -> StateConfig:
 
 
 def _parse_noise(payload: dict) -> NoiseSpec:
+    _section(payload, "noise", ("kind", "rate_x", "rate_y", "rate_z", "omega0", "kappa"))
     try:
         spec = NoiseSpec.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -187,6 +200,7 @@ def _parse_noise(payload: dict) -> NoiseSpec:
 
 
 def _parse_time(payload: dict) -> TimeConfig:
+    _section(payload, "time", ("t_max", "step", "sample_every", "observable_every"))
     t_max = _positive(_need(payload, "t_max", "time"), "time.t_max")
     step = _positive(payload.get("step", 0.01), "time.step")
     sample_every = payload.get("sample_every")
@@ -202,21 +216,31 @@ def _parse_time(payload: dict) -> TimeConfig:
     )
 
 
+def _sweep_kappa(value) -> float:
+    if isinstance(value, bool) or value not in SUPPORTED_KAPPAS:
+        raise ConfigError(f"sweep.axes.kappa: expected one of {SUPPORTED_KAPPAS}, got {value!r}")
+    return float(value)
+
+
 def _parse_sweep(payload: dict) -> SweepConfig:
+    _section(payload, "sweep", ("axes", "snapshot_t", "workers", "job_cap", "memory_budget_mb"))
     axes = _need(payload, "axes", "sweep")
     if not isinstance(axes, dict) or not axes:
         raise ConfigError("sweep.axes: expected a non-empty mapping")
+    # each axis value is stored as it runs, so summary rows carry the values that ran
+    checks = {
+        "n": lambda value: _positive_int(value, "sweep.axes.n"),
+        "s": lambda value: _positive(value, "sweep.axes.s"),
+        "kappa": _sweep_kappa,
+    }
     for key, values in axes.items():
-        if key not in ("n", "s", "kappa"):
+        if key not in checks:
             raise ConfigError(f"sweep.axes: unsupported axis {key!r} (use n, s or kappa)")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{key}: expected a non-empty list")
-        if key == "n":
-            for value in values:
-                _positive_int(value, "sweep.axes.n")
     workers = payload.get("workers")
     return SweepConfig(
-        axes=axes,
+        axes={key: [checks[key](v) for v in values] for key, values in axes.items()},
         snapshot_t=_positive(payload.get("snapshot_t", 30.0), "sweep.snapshot_t"),
         workers=None if workers is None else _positive_int(workers, "sweep.workers"),
         job_cap=_positive_int(payload.get("job_cap", 512), "sweep.job_cap"),
@@ -225,8 +249,9 @@ def _parse_sweep(payload: dict) -> SweepConfig:
 
 
 def parse_config(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("top level: expected a JSON object")
+    _section(
+        payload, "top level", ("state", "noise", "time", "cuts", "analysis", "output", "sweep")
+    )
     state = _parse_state(_need(payload, "state", "top level"))
     noise = _parse_noise(_need(payload, "noise", "top level"))
     time = _parse_time(_need(payload, "time", "top level"))
@@ -240,7 +265,11 @@ def parse_config(payload: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"cuts: {exc}") from exc
 
-    analysis_payload = payload.get("analysis", {})
+    analysis_payload = _section(
+        payload.get("analysis", {}),
+        "analysis",
+        ("saturation_window", "saturation_tol", "revival_threshold"),
+    )
     analysis = AnalysisConfig(
         saturation_window=_positive(
             analysis_payload.get("saturation_window", 10.0), "analysis.saturation_window"
@@ -253,7 +282,7 @@ def parse_config(payload: dict) -> ExperimentConfig:
         ),
     )
 
-    output = payload.get("output", {})
+    output = _section(payload.get("output", {}), "output", ("directory", "formats"))
     directory = output.get("directory", "runs")
     formats = tuple(output.get("formats", ["csv", "json"]))
     for fmt in formats:

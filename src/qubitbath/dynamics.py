@@ -16,8 +16,10 @@ obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
 gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing), with rates evaluated a block of steps at a
-time, and rebuilds the matrix only at recording points.  Full-matrix RK4 is
-exactly RK4 on these factors; the dense stepper, which materialises the
+time, and rebuilds the matrix only at recording points.  One flip-and-sign
+transform per site puts the Pauli coefficients where the Hamming table gives
+each entry's class; it is skipped when z is the only active axis.  Full-matrix
+RK4 is exactly RK4 on these factors; the dense stepper, which materialises the
 right-hand side, is the independent reference (``IntegratorOptions(dense=True)``).
 
 Closed-form propagators for both noise kinds serve as independent oracles
@@ -260,18 +262,17 @@ class _DenseStepper:
         return self.mat
 
 
-# Pauli coefficients Tr(P rho), P = I, X, Y, Z, of (rho_00, rho_01, rho_10, rho_11)
-_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
-_FROM_PAULI = 0.5 * _TO_PAULI.conj().T
-# rows sigma_x, sigma_y, sigma_z; 1 where letter I, X, Y, Z anticommutes with it
-_ANTICOMMUTES = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
+def _letter_transform(mat: np.ndarray, ws: _Workspace, sign: float) -> np.ndarray:
+    """Per site, t + sign * s * f(t): f flips the row and column bits, s = (1, -1) on the row bit.
 
-
-def _site_maps(op: np.ndarray, tens: np.ndarray, n: int) -> np.ndarray:
-    """Apply the 4x4 map ``op`` on every site of a 4^n array in site order."""
+    With sign +1 a site's (row, column) bits 00, 01, 10, 11 hold Tr(P rho) for P = I, X, Y, Z
+    times the phase 1, 1, i, -1; sign -1 gives 2^n times the inverse.
+    """
+    n = ws.n
+    tens = mat.reshape(ws.tshape)
     for i in range(n):
-        tens = op @ tens.reshape(4**i, 4, -1)
-    return tens.reshape(-1)
+        tens = tens + (sign * ws.row_signs[i]) * np.flip(tens, axis=(i, n + i))
+    return tens.reshape(mat.shape)
 
 
 # Steps whose growth rows come from one rate call per axis and RK4 stage; capped because
@@ -282,9 +283,11 @@ _BLOCK_STEPS = 128
 class _ClassStepper:
     """One RK4 amplification factor per Pauli-string decay class (module docs).
 
-    Only axes with a rate not identically zero are evaluated.  With z alone
-    the class is the Hamming distance and rho is rebuilt elementwise; else rho0
-    is expanded once in Pauli strings and mapped back at each rebuild.
+    Only axes with a rate not identically zero are evaluated.  rho0 is letter-transformed
+    once and transformed back at each rebuild.  Letters anticommuting with sigma_x, sigma_y,
+    sigma_z sit where the row bit is 1, the column bit is 1 and the bits differ, so each
+    entry's counts are Hamming-table reads.  With z alone the transform is skipped: it keeps
+    every entry's Hamming distance, so rho is rebuilt elementwise.
     """
 
     engine = "rk4-pauli-classes"
@@ -292,25 +295,25 @@ class _ClassStepper:
     renormalizations = 0
 
     def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, n_steps: int):
-        n = self.n = rho0.n
-        self.h, self.n_steps = h, n_steps
+        n = rho0.n
+        self.h, self.n_steps, self.ws = h, n_steps, _workspace(n)
         models = (spec.rate_x, spec.rate_y, spec.rate_z)
         active = [axis for axis in range(3) if not _is_zero_rate(models[axis])] or [2]
-        self.rho0, self.coeffs0 = rho0.elements, None
-        if active == [2]:
-            self.class_idx = _workspace(n).hamming
-            anti = [np.arange(n + 1, dtype=float)]
+        hamming = self.ws.hamming
+        counts = (hamming[:, :1], hamming[:1, :], hamming)  # per entry, for x, y, z
+        if len(active) == 1:
+            self.class_idx = counts[active[0]]
+            anti = [np.arange(n + 1)]
         else:
-            # per active axis, letters of each string (site order) anticommuting
-            # with it; strings with equal counts on every active axis share a class
-            anti = np.zeros((len(active), 1), dtype=np.intp)
-            for _ in range(n):
-                anti = (anti[:, :, None] + _ANTICOMMUTES[active, None, :]).reshape(len(active), -1)
-            anti, self.class_idx = np.unique(anti, axis=1, return_inverse=True)
-            perm = [axis for i in range(n) for axis in (i, n + i)]
-            self.unperm = np.argsort(perm)
-            tens = np.transpose(self.rho0.reshape((2,) * (2 * n)), perm)
-            self.coeffs0 = _site_maps(_TO_PAULI, tens, n).real.copy()
+            # equal counts on every active axis share a class (intp: the code overflows uint8)
+            code = sum((n + 1) ** j * counts[axis].astype(np.intp) for j, axis in enumerate(active))
+            codes, inverse = np.unique(code, return_inverse=True)
+            self.class_idx = inverse.reshape(code.shape)
+            anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(active))]
+        self.transform = active != [2]
+        self.coeffs0 = rho0.elements
+        if self.transform:
+            self.coeffs0 = 0.5**n * _letter_transform(self.coeffs0, self.ws, 1.0)
         scale = 2.0 * spec.kappa / spec.omega0
         self.axes = [(models[axis], -(scale * row)) for axis, row in zip(active, anti)]
         self.classes = len(self.axes[0][1])
@@ -334,11 +337,8 @@ class _ClassStepper:
             self.factors *= self.growth[j % _BLOCK_STEPS]
 
     def current(self) -> np.ndarray:
-        scaled = self.factors[self.class_idx]
-        if self.coeffs0 is None:
-            return self.rho0 * scaled
-        tens = _site_maps(_FROM_PAULI, self.coeffs0 * scaled, self.n)
-        return np.transpose(tens.reshape((2,) * (2 * self.n)), self.unperm).reshape(self.rho0.shape)
+        mat = self.coeffs0 * self.factors[self.class_idx]
+        return _letter_transform(mat, self.ws, -1.0) if self.transform else mat
 
 
 def _stride(name: str, interval: Optional[float], h: float, default: int) -> int:

@@ -78,6 +78,42 @@ class TestConfigParsing:
                 lambda p: p.update(sweep={"axes": {"n": [True]}}),
                 "sweep.axes.n: expected a positive integer, got True",
             ),
+            # a misspelled field must not fall back to its default
+            (lambda p: p.update(sweeps={"axes": {"n": [3]}}), "top level: unknown field 'sweeps'"),
+            (lambda p: p["state"].update(size=4), "state: unknown field 'size'"),
+            (lambda p: p["noise"].update(kapa=1.0), "noise: unknown field 'kapa'"),
+            (
+                lambda p: p["time"].update(observable_evry=0.5),
+                "time: unknown field 'observable_evry'",
+            ),
+            (
+                lambda p: p.update(analysis={"revival_treshold": 1e-3}),
+                "analysis: unknown field 'revival_treshold'",
+            ),
+            (lambda p: p["output"].update(format=["csv"]), "output: unknown field 'format'"),
+            (
+                lambda p: p.update(sweep={"axes": {"n": [3]}, "worker": 2}),
+                "sweep: unknown field 'worker'",
+            ),
+            (lambda p: p.update(output=["csv"]), "output: expected a JSON object"),
+            # float(true) is 1.0: the row would read s=True and run s = 1
+            (
+                lambda p: p.update(sweep={"axes": {"s": [True, 1.0]}}),
+                "sweep.axes.s: expected a number, got True",
+            ),
+            (
+                lambda p: p.update(sweep={"axes": {"s": ["2.5"]}}),
+                "sweep.axes.s: expected a number, got '2.5'",
+            ),
+            (lambda p: p.update(sweep={"axes": {"s": [0.0]}}), "sweep.axes.s: must be positive"),
+            (
+                lambda p: p.update(sweep={"axes": {"kappa": [True]}}),
+                r"sweep.axes.kappa: expected one of \(1.0, 0.25\), got True",
+            ),
+            (
+                lambda p: p.update(sweep={"axes": {"kappa": [0.5]}}),
+                r"sweep.axes.kappa: expected one of \(1.0, 0.25\), got 0.5",
+            ),
         ],
     )
     def test_invalid_configs_raise_with_field_path(self, mutate, fragment):
@@ -92,6 +128,11 @@ class TestConfigParsing:
         payload = base_payload(state={"family": "dicke", "n": 4, "k": 4})
         with pytest.raises(ConfigError, match="state.k"):
             parse_config(payload)
+
+    def test_sweep_axes_store_the_values_that_run(self):
+        config = parse_config(base_payload(sweep={"axes": {"s": [2], "kappa": [1, 0.25]}}))
+        assert config.sweep.axes == {"s": [2.0], "kappa": [1.0, 0.25]}
+        assert all(type(v) is float for values in config.sweep.axes.values() for v in values)
 
     def test_sweep_axis_validation(self):
         payload = base_payload(sweep={"axes": {"temperature": [1.0]}})
