@@ -151,17 +151,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         options=config.time.integrator_options(),
     )
     paths = {}
-    if "csv" in config.output_formats:
+    if "csv" in config.output.formats:
         paths["trajectory"] = os.path.join(out_dir, "trajectory.csv")
         _write_trajectory_csv(paths["trajectory"], trajectory)
-    if "json" in config.output_formats:
+    if "json" in config.output.formats:
         paths["metadata"] = os.path.join(out_dir, "metadata.json")
         _write_json(paths["metadata"], _metadata(config, {"trajectory": trajectory.metadata}))
         paths["analysis"] = os.path.join(out_dir, "analysis.json")
         _write_json(
             paths["analysis"], _trajectory_analysis(trajectory, config.analysis)
         )
-    if "states" in config.output_formats:
+    if "states" in config.output.formats:
         paths["states"] = os.path.join(out_dir, "states.json")
         dump = [
             {"t": float(t), "state": json.loads(state.to_json())}
@@ -178,8 +178,7 @@ def _estimate_cell_bytes(n: int) -> float:
 
 
 def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
-    payload = config.to_dict()
-    payload.pop("sweep", None)
+    payload = dataclasses.replace(config, sweep=None).to_dict()
     if "n" in cell:
         payload["state"]["n"] = cell["n"]
     if "s" in cell:
@@ -189,12 +188,7 @@ def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
     if "kappa" in cell:
         payload["noise"]["kappa"] = cell["kappa"]
     snapshot = config.sweep.snapshot_t
-    payload["time"] = {
-        "t_max": snapshot,
-        "step": config.time.step,
-        "sample_every": snapshot,
-        "observable_every": snapshot,
-    }
+    payload["time"].update(t_max=snapshot, sample_every=snapshot, observable_every=snapshot)
     return parse_config(payload)
 
 
@@ -295,7 +289,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row[c]) if c in row else "" for c in columns])
-    if "json" in config.output_formats:
+    if "json" in config.output.formats:
         paths["metadata"] = os.path.join(out_dir, "summary.json")
         _write_json(
             paths["metadata"],
@@ -326,7 +320,7 @@ def _read_summary(path: str) -> list:
 
 def _cmd_run(args) -> int:
     config = _apply_kappa(load_config(args.config), args.kappa)
-    out_dir = args.out or config.output_directory
+    out_dir = args.out or config.output.directory
     paths = run_experiment(config, out_dir)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
@@ -335,7 +329,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _apply_kappa(load_config(args.config), args.kappa)
-    out_dir = args.out or config.output_directory
+    out_dir = args.out or config.output.directory
     paths, failures = _sweep(config, out_dir, args.workers)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")

@@ -20,50 +20,63 @@ An experiment config is a single JSON document::
     }
 
 Rate models use the tagged records of :mod:`qubitbath.rates`, e.g.
-``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.  A field that no section
-above names is an error, so a misspelled one cannot fall back to its default.
+``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.  The dataclasses below and
+``NoiseSpec`` are the schema: a section's keys are its fields, a field without a
+default is required, and a key that is not a field is an error, so a misspelled
+one cannot fall back to its default.  Numbers reject true/false and strings, and
+time values must be positive multiples of ``time.step``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import SUPPORTED_KAPPAS, IntegratorOptions, NoiseSpec
+from .dynamics import SUPPORTED_KAPPAS, IntegratorOptions, NoiseSpec, _stride
 from .entanglement import parse_cut_label
+from .errors import ConfigError
+from .rates import _number
 from .states import PureState, dicke_state, ghz_state, w_state
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 STATE_FAMILIES = ("ghz", "w", "dicke")
+OUTPUT_FORMATS = ("csv", "json", "states")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message carries the field path."""
+def _record(cls, payload, where: str, checks: dict):
+    """Build the dataclass ``cls`` from the JSON object ``payload``; ``where`` is its path.
 
-
-def _section(payload, where: str, fields: tuple) -> dict:
-    """Return ``payload`` once it is a mapping that holds no field outside ``fields``."""
+    The dataclass is the schema.  A key that is not one of its fields is an error, and so
+    is an absent field without a default; any other absent field takes its default.  Each
+    present field goes through ``checks[name](value, path)``, which returns the value to
+    store or raises a ConfigError naming ``path``.
+    """
+    section = where or "top level"
     if not isinstance(payload, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+        raise ConfigError(f"{section}: expected a JSON object")
+    fields = {field.name: field for field in dataclasses.fields(cls)}
     for key in payload:
         if key not in fields:
-            raise ConfigError(f"{where}: unknown field {key!r}")
-    return payload
+            raise ConfigError(f"{section}: unknown field {key!r}")
+    kwargs = {}
+    for name, field in fields.items():
+        if name in payload:
+            kwargs[name] = checks[name](payload[name], f"{where}.{name}" if where else name)
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"{section}: missing required field '{name}'")
+    return cls(**kwargs)
 
 
-def _need(payload: dict, key: str, where: str):
-    if key not in payload:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return payload[key]
+def _optional(check):
+    """``check`` for a field whose default is None: an explicit null stands for it."""
+    return lambda value, where: None if value is None else check(value, where)
 
 
 def _positive(value, where: str) -> float:
-    # float() takes true/false and numeric strings, but neither is a number here
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    value = _number(value, where)
     if value <= 0:
         raise ConfigError(f"{where}: must be positive, got {value}")
     return value
@@ -74,6 +87,26 @@ def _positive_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{where}: expected a positive integer, got {value!r}")
     return value
+
+
+def _strings(value, where: str) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{where}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: expected a non-empty string, got {value!r}")
+    return value
+
+
+def _on_step_grid(value, step: float, where: str) -> None:
+    # the rule evolve applies, so a config that parses has a time grid that runs
+    try:
+        _stride(where, value, step, None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -115,6 +148,12 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
+class OutputConfig:
+    directory: str = "runs"
+    formats: tuple = ("csv", "json")
+
+
+@dataclass(frozen=True)
 class SweepConfig:
     axes: dict
     snapshot_t: float = 30.0
@@ -128,10 +167,9 @@ class ExperimentConfig:
     state: StateConfig
     noise: NoiseSpec
     time: TimeConfig
-    cuts: tuple
+    cuts: tuple = ()
     analysis: AnalysisConfig = AnalysisConfig()
-    output_directory: str = "runs"
-    output_formats: tuple = ("csv", "json")
+    output: OutputConfig = OutputConfig()
     sweep: Optional[SweepConfig] = None
 
     def bipartitions(self, n: Optional[int] = None) -> list:
@@ -139,168 +177,124 @@ class ExperimentConfig:
         return [parse_cut_label(label, n) for label in self.cuts]
 
     def to_dict(self) -> dict:
-        payload = {
-            "state": {"family": self.state.family, "n": self.state.n},
-            "noise": self.noise.to_dict(),
-            "time": {
-                "t_max": self.time.t_max,
-                "step": self.time.step,
-                "sample_every": self.time.sample_every,
-                "observable_every": self.time.observable_every,
-            },
-            "cuts": list(self.cuts),
-            "analysis": {
-                "saturation_window": self.analysis.saturation_window,
-                "saturation_tol": self.analysis.saturation_tol,
-                "revival_threshold": self.analysis.revival_threshold,
-            },
-            "output": {
-                "directory": self.output_directory,
-                "formats": list(self.output_formats),
-            },
-        }
-        if self.state.k is not None:
-            payload["state"]["k"] = self.state.k
-        if self.sweep is not None:
-            payload["sweep"] = {
-                "axes": self.sweep.axes,
-                "snapshot_t": self.sweep.snapshot_t,
-                "workers": self.sweep.workers,
-                "job_cap": self.sweep.job_cap,
-                "memory_budget_mb": self.sweep.memory_budget_mb,
-            }
+        """The JSON form, with ``parse_config(config.to_dict()) == config``."""
+        payload = dataclasses.asdict(self)
+        payload["noise"] = self.noise.to_dict()
+        payload["cuts"] = list(self.cuts)
+        payload["output"]["formats"] = list(self.output.formats)
+        if self.state.k is None:
+            del payload["state"]["k"]
+        if self.sweep is None:
+            del payload["sweep"]
         return payload
 
 
-def _parse_state(payload: dict) -> StateConfig:
-    _section(payload, "state", ("family", "n", "k"))
-    family = _need(payload, "family", "state")
-    if family not in STATE_FAMILIES:
-        raise ConfigError(f"state.family: expected one of {STATE_FAMILIES}, got {family!r}")
-    n = _positive_int(_need(payload, "n", "state"), "state.n")
-    if family == "w" and n < 2:
-        raise ConfigError("state.n: a w state needs at least 2 qubits")
-    k = payload.get("k")
-    if family == "dicke":
-        k = 1 if k is None else _positive_int(k, "state.k")
-        if k > n - 1:
-            raise ConfigError(f"state.k: expected an integer in 1..{n - 1}, got {k!r}")
-    elif k is not None:
-        raise ConfigError("state.k: only valid for the dicke family")
-    return StateConfig(family=family, n=n, k=k)
+def _section(cls, checks: dict):
+    """The check of a field that holds the record ``cls``."""
+    return lambda payload, where: _record(cls, payload, where, checks)
 
 
-def _parse_noise(payload: dict) -> NoiseSpec:
-    _section(payload, "noise", ("kind", "rate_x", "rate_y", "rate_z", "omega0", "kappa"))
+def _family(value, where: str) -> str:
+    if value not in STATE_FAMILIES:
+        raise ConfigError(f"{where}: expected one of {STATE_FAMILIES}, got {value!r}")
+    return value
+
+
+def _parse_state(payload, where: str) -> StateConfig:
+    checks = {"family": _family, "n": _positive_int, "k": _optional(_positive_int)}
+    state = _record(StateConfig, payload, where, checks)
+    if state.family == "w" and state.n < 2:
+        raise ConfigError(f"{where}.n: a w state needs at least 2 qubits")
+    if state.family != "dicke":
+        if state.k is not None:
+            raise ConfigError(f"{where}.k: only valid for the dicke family")
+        return state
+    k = 1 if state.k is None else state.k
+    if k > state.n - 1:
+        raise ConfigError(f"{where}.k: expected an integer in 1..{state.n - 1}, got {k!r}")
+    return dataclasses.replace(state, k=k)
+
+
+def _parse_noise(payload, where: str) -> NoiseSpec:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
     try:
-        spec = NoiseSpec.from_dict(payload)
+        return NoiseSpec.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-    return spec
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_time(payload: dict) -> TimeConfig:
-    _section(payload, "time", ("t_max", "step", "sample_every", "observable_every"))
-    t_max = _positive(_need(payload, "t_max", "time"), "time.t_max")
-    step = _positive(payload.get("step", 0.01), "time.step")
-    sample_every = payload.get("sample_every")
-    if sample_every is not None:
-        sample_every = _positive(sample_every, "time.sample_every")
-        if sample_every < step:
-            raise ConfigError("time.sample_every: must be >= time.step")
-    observable_every = payload.get("observable_every")
-    if observable_every is not None:
-        observable_every = _positive(observable_every, "time.observable_every")
-    return TimeConfig(
-        t_max=t_max, step=step, sample_every=sample_every, observable_every=observable_every
-    )
+def _parse_time(payload, where: str) -> TimeConfig:
+    checks = {"t_max": _positive, "step": _positive}
+    checks["sample_every"] = checks["observable_every"] = _optional(_positive)
+    time = _record(TimeConfig, payload, where, checks)
+    for field in dataclasses.fields(time):
+        if field.name != "step":
+            _on_step_grid(getattr(time, field.name), time.step, f"{where}.{field.name}")
+    return time
 
 
-def _sweep_kappa(value) -> float:
+def _formats(value, where: str) -> tuple:
+    formats = _strings(value, where)
+    for fmt in formats:
+        if fmt not in OUTPUT_FORMATS:
+            raise ConfigError(f"{where}: unsupported format {fmt!r}")
+    return formats
+
+
+def _sweep_kappa(value, where: str) -> float:
     if isinstance(value, bool) or value not in SUPPORTED_KAPPAS:
-        raise ConfigError(f"sweep.axes.kappa: expected one of {SUPPORTED_KAPPAS}, got {value!r}")
+        raise ConfigError(f"{where}: expected one of {SUPPORTED_KAPPAS}, got {value!r}")
     return float(value)
 
 
-def _parse_sweep(payload: dict) -> SweepConfig:
-    _section(payload, "sweep", ("axes", "snapshot_t", "workers", "job_cap", "memory_budget_mb"))
-    axes = _need(payload, "axes", "sweep")
-    if not isinstance(axes, dict) or not axes:
-        raise ConfigError("sweep.axes: expected a non-empty mapping")
-    # each axis value is stored as it runs, so summary rows carry the values that ran
-    checks = {
-        "n": lambda value: _positive_int(value, "sweep.axes.n"),
-        "s": lambda value: _positive(value, "sweep.axes.s"),
-        "kappa": _sweep_kappa,
-    }
-    for key, values in axes.items():
-        if key not in checks:
-            raise ConfigError(f"sweep.axes: unsupported axis {key!r} (use n, s or kappa)")
+# each axis value is stored as it runs, so summary rows carry the values that ran
+_AXES = {"n": _positive_int, "s": _positive, "kappa": _sweep_kappa}
+
+
+def _axes(value, where: str) -> dict:
+    if not isinstance(value, dict) or not value:
+        raise ConfigError(f"{where}: expected a non-empty mapping")
+    for key, values in value.items():
+        if key not in _AXES:
+            raise ConfigError(f"{where}: unsupported axis {key!r} (use n, s or kappa)")
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.axes.{key}: expected a non-empty list")
-    workers = payload.get("workers")
-    return SweepConfig(
-        axes={key: [checks[key](v) for v in values] for key, values in axes.items()},
-        snapshot_t=_positive(payload.get("snapshot_t", 30.0), "sweep.snapshot_t"),
-        workers=None if workers is None else _positive_int(workers, "sweep.workers"),
-        job_cap=_positive_int(payload.get("job_cap", 512), "sweep.job_cap"),
-        memory_budget_mb=_positive(payload.get("memory_budget_mb", 4096.0), "sweep.memory_budget_mb"),
-    )
+            raise ConfigError(f"{where}.{key}: expected a non-empty list")
+    return {key: [_AXES[key](v, f"{where}.{key}") for v in values] for key, values in value.items()}
+
+
+_SECTIONS = {
+    "state": _parse_state,
+    "noise": _parse_noise,
+    "time": _parse_time,
+    "cuts": _strings,
+    "analysis": _section(
+        AnalysisConfig, {field.name: _positive for field in dataclasses.fields(AnalysisConfig)}
+    ),
+    "output": _section(OutputConfig, {"directory": _string, "formats": _formats}),
+    "sweep": _section(
+        SweepConfig,
+        {
+            "axes": _axes,
+            "snapshot_t": _positive,
+            "workers": _optional(_positive_int),
+            "job_cap": _positive_int,
+            "memory_budget_mb": _positive,
+        },
+    ),
+}
 
 
 def parse_config(payload: dict) -> ExperimentConfig:
-    _section(
-        payload, "top level", ("state", "noise", "time", "cuts", "analysis", "output", "sweep")
-    )
-    state = _parse_state(_need(payload, "state", "top level"))
-    noise = _parse_noise(_need(payload, "noise", "top level"))
-    time = _parse_time(_need(payload, "time", "top level"))
-
-    cuts = payload.get("cuts", [])
-    if not isinstance(cuts, list):
-        raise ConfigError("cuts: expected a list of bipartition labels")
-    for label in cuts:
+    config = _record(ExperimentConfig, payload, "", _SECTIONS)
+    for label in config.cuts:
         try:
-            parse_cut_label(label, state.n)
+            parse_cut_label(label, config.state.n)
         except ValueError as exc:
             raise ConfigError(f"cuts: {exc}") from exc
-
-    analysis_payload = _section(
-        payload.get("analysis", {}),
-        "analysis",
-        ("saturation_window", "saturation_tol", "revival_threshold"),
-    )
-    analysis = AnalysisConfig(
-        saturation_window=_positive(
-            analysis_payload.get("saturation_window", 10.0), "analysis.saturation_window"
-        ),
-        saturation_tol=_positive(
-            analysis_payload.get("saturation_tol", 1e-4), "analysis.saturation_tol"
-        ),
-        revival_threshold=_positive(
-            analysis_payload.get("revival_threshold", 1e-3), "analysis.revival_threshold"
-        ),
-    )
-
-    output = _section(payload.get("output", {}), "output", ("directory", "formats"))
-    directory = output.get("directory", "runs")
-    formats = tuple(output.get("formats", ["csv", "json"]))
-    for fmt in formats:
-        if fmt not in ("csv", "json", "states"):
-            raise ConfigError(f"output.formats: unsupported format {fmt!r}")
-
-    sweep = _parse_sweep(payload["sweep"]) if "sweep" in payload else None
-
-    return ExperimentConfig(
-        state=state,
-        noise=noise,
-        time=time,
-        cuts=tuple(cuts),
-        analysis=analysis,
-        output_directory=directory,
-        output_formats=formats,
-        sweep=sweep,
-    )
+    if config.sweep is not None:
+        _on_step_grid(config.sweep.snapshot_t, config.time.step, "sweep.snapshot_t")
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -29,14 +29,14 @@ for the integrator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .entanglement import Bipartition, log_negativity
 from .errors import IntegrationError
-from .rates import ZERO_RATE, ConstantRate, DecayRateModel, rate_model_from_dict
+from .rates import ZERO_RATE, ConstantRate, DecayRateModel, _number, rate_model_from_dict
 from .states import DensityMatrix, block_eigvalsh, hamming_distance_matrix
 
 __all__ = [
@@ -92,24 +92,24 @@ class NoiseSpec:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "rate_x": self.rate_x.to_dict(),
-            "rate_y": self.rate_y.to_dict(),
-            "rate_z": self.rate_z.to_dict(),
-            "omega0": self.omega0,
-            "kappa": self.kappa,
+            name: value.to_dict() if name.startswith("rate_") else value
+            for name, value in vars(self).items()
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NoiseSpec":
-        return cls(
-            kind=payload["kind"],
-            rate_x=rate_model_from_dict(payload.get("rate_x", {"kind": "constant", "gamma0": 0.0})),
-            rate_y=rate_model_from_dict(payload.get("rate_y", {"kind": "constant", "gamma0": 0.0})),
-            rate_z=rate_model_from_dict(payload["rate_z"]),
-            omega0=float(payload.get("omega0", 1.0)),
-            kappa=float(payload.get("kappa", 1.0)),
-        )
+        """Inverse of ``to_dict``: an absent field takes its default, a number is a float."""
+        known = {field.name for field in fields(cls)}
+        kwargs = {}
+        for name, value in payload.items():
+            if name not in known:
+                raise ValueError(f"unknown field {name!r}")
+            if name.startswith("rate_"):
+                value = rate_model_from_dict(value, name)
+            elif name != "kind":
+                value = _number(value, name)
+            kwargs[name] = value
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

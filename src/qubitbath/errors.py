@@ -10,3 +10,7 @@ class IntegrationError(RuntimeError):
 
     Usually means the step size is too large for the requested rates.
     """
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration; message carries the field path."""

@@ -21,6 +21,7 @@ sums nonnegative) or not even P-divisible.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "ConstantRate",
@@ -140,8 +141,23 @@ def _integrated_ohmic_t0(t, s: float, omega_c: float):
     return out if out.ndim else float(out)
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a finite float; float() would also take true/false, strings and NaN."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+class _RateRecord:
+    """The tagged-record form shared by the rate models: ``kind`` plus every field."""
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **dataclasses.asdict(self)}
+
+
 @dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(_RateRecord):
     """gamma(t) = gamma0 with gamma0 >= 0."""
 
     gamma0: float
@@ -161,12 +177,9 @@ class ConstantRate:
         out = self.gamma0 * t
         return out if out.ndim else float(out)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "gamma0": self.gamma0}
-
 
 @dataclass(frozen=True)
-class SinusoidalRate:
+class SinusoidalRate(_RateRecord):
     """gamma(t) = alpha * sin(t); sign changes are the point of this model."""
 
     alpha: float
@@ -181,12 +194,9 @@ class SinusoidalRate:
         out = self.alpha * (1.0 - np.cos(t))
         return out if out.ndim else float(out)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
-class OhmicZeroTempRate:
+class OhmicZeroTempRate(_RateRecord):
     """Zero-temperature rate of the exponentially cut-off omega^s bath."""
 
     s: float
@@ -209,12 +219,9 @@ class OhmicZeroTempRate:
             return math.inf
         return math.gamma(self.s - 1.0)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "s": self.s, "omega_c": self.omega_c}
-
 
 @dataclass(frozen=True)
-class OhmicFiniteTempRate:
+class OhmicFiniteTempRate(_RateRecord):
     """Finite-temperature variant; theta = k_B T / (hbar omega_c)."""
 
     s: float
@@ -282,14 +289,6 @@ class OhmicFiniteTempRate:
         )
         return head + tail_flat - tail_osc
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "omega_c": self.omega_c,
-            "theta": self.theta,
-        }
-
 
 DecayRateModel = Union[ConstantRate, SinusoidalRate, OhmicZeroTempRate, OhmicFiniteTempRate]
 
@@ -303,15 +302,18 @@ _MODEL_KINDS = {
 }
 
 
-def rate_model_from_dict(payload: dict) -> DecayRateModel:
-    """Build a rate model from its tagged-record form, e.g. {"kind": "ohmic_t0", ...}."""
+def rate_model_from_dict(payload: dict, where: str = "rate") -> DecayRateModel:
+    """Build a rate model from its tagged-record form, e.g. {"kind": "ohmic_t0", ...}.
+
+    Every field but ``kind`` is a number; ``where`` names the record in errors.
+    """
     payload = dict(payload)
     try:
         kind = payload.pop("kind")
         cls = _MODEL_KINDS[kind]
     except KeyError as exc:
         raise ValueError(f"unknown rate model kind in {payload!r}") from exc
-    return cls(**payload)
+    return cls(**{name: _number(value, f"{where}.{name}") for name, value in payload.items()})
 
 
 def integrated_rate(model: DecayRateModel, t) -> float:

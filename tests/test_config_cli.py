@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from qubitbath.cli import (
     sweep_experiment,
 )
 from qubitbath.config import ConfigError, load_config, parse_config
+
+PAPER_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs" / "paper").glob("*.json"))
 
 
 def base_payload(**overrides):
@@ -44,8 +47,20 @@ class TestConfigParsing:
         assert config.noise.kappa == 0.25
         assert config.cuts == ("1-Rest",)
 
-    def test_round_trip_through_dict(self):
-        config = parse_config(base_payload())
+    @pytest.mark.parametrize(
+        "payload",
+        [json.loads(path.read_text()) for path in PAPER_CONFIGS]
+        + [
+            base_payload(
+                state={"family": "dicke", "n": 4, "k": 2},
+                sweep={"axes": {"n": [4, 5], "kappa": [1.0]}, "snapshot_t": 1.0, "workers": 2},
+            )
+        ],
+        ids=[path.stem for path in PAPER_CONFIGS] + ["dicke-sweep"],
+    )
+    def test_round_trip_through_dict(self, payload):
+        # sweep cells are derived through to_dict, so it must lose nothing
+        config = parse_config(payload)
         assert parse_config(config.to_dict()) == config
 
     @pytest.mark.parametrize(
@@ -114,6 +129,55 @@ class TestConfigParsing:
                 lambda p: p.update(sweep={"axes": {"kappa": [0.5]}}),
                 r"sweep.axes.kappa: expected one of \(1.0, 0.25\), got 0.5",
             ),
+            # float() takes true/false and numeric strings; a noise number takes neither
+            (lambda p: p["noise"].update(kappa=True), "noise: kappa: expected a number, got True"),
+            (lambda p: p["noise"].update(omega0="2"), "noise: omega0: expected a number, got '2'"),
+            (
+                lambda p: p["noise"]["rate_z"].update(s=True),
+                "noise: rate_z.s: expected a number, got True",
+            ),
+            (
+                lambda p: p["noise"].update(
+                    kind="pauli", rate_x={"kind": "constant", "gamma0": True}
+                ),
+                "noise: rate_x.gamma0: expected a number, got True",
+            ),
+            # malformed values must be config errors, not crashes further on
+            (lambda p: p.update(cuts=[1]), r"cuts: expected a list of strings, got \[1\]"),
+            (lambda p: p.update(cuts="1-Rest"), "cuts: expected a list of strings"),
+            (lambda p: p["output"].update(formats=5), "output.formats: expected a list of strings"),
+            (
+                lambda p: p["output"].update(formats="csv"),
+                "output.formats: expected a list of strings, got 'csv'",
+            ),
+            (lambda p: p["output"].update(directory=5), "output.directory: expected a non-empty"),
+            (lambda p: p["output"].update(directory=""), "output.directory: expected a non-empty"),
+            # a null stands only for a default of None
+            (lambda p: p.update(sweep=None), "sweep: expected a JSON object"),
+            (lambda p: p["time"].update(step=None), "time.step: expected a number, got None"),
+            # Python's json reads NaN and Infinity
+            (lambda p: p["time"].update(t_max=math.inf), "time.t_max: expected a number, got inf"),
+            (
+                lambda p: p["noise"]["rate_z"].update(omega_c=math.nan),
+                "noise: rate_z.omega_c: expected a number, got nan",
+            ),
+            # every time value runs on the step grid
+            (
+                lambda p: p["time"].update(t_max=1.005),
+                "time.t_max=1.005 is not a positive multiple of step=0.01",
+            ),
+            (
+                lambda p: p["time"].update(sample_every=1.005),
+                "time.sample_every=1.005 is not a positive multiple of step=0.01",
+            ),
+            (
+                lambda p: p["time"].update(observable_every=0.015),
+                "time.observable_every=0.015 is not a positive multiple of step=0.01",
+            ),
+            (
+                lambda p: p.update(sweep={"axes": {"n": [3]}, "snapshot_t": 1.005}),
+                "sweep.snapshot_t=1.005 is not a positive multiple of step=0.01",
+            ),
         ],
     )
     def test_invalid_configs_raise_with_field_path(self, mutate, fragment):
@@ -156,6 +220,16 @@ class TestConfigParsing:
         payload = base_payload(sweep={"axes": {"n": [3]}, field: value})
         with pytest.raises(ConfigError, match=f"sweep.{field}"):
             parse_config(payload)
+
+    def test_null_stands_for_a_default_of_none(self):
+        payload = base_payload(
+            state={"family": "ghz", "n": 3, "k": None},
+            time={"t_max": 2.0, "sample_every": None, "observable_every": None},
+            sweep={"axes": {"n": [3]}, "workers": None},
+        )
+        config = parse_config(payload)
+        assert config.state.k is None and config.sweep.workers is None
+        assert (config.time.sample_every, config.time.observable_every) == (None, None)
 
     def test_sweep_counts_accept_positive_integers(self):
         config = parse_config(base_payload(sweep={"axes": {"n": [3]}, "workers": 2, "job_cap": 1}))
@@ -232,6 +306,32 @@ class TestRunCommand:
         path = write_config(tmp_path, base_payload(state={"family": "x", "n": 3}))
         assert main(["run", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, mutate, field",
+        [
+            ("run", lambda p: p.update(cuts=[1]), "cuts"),
+            ("run", lambda p: p["output"].update(formats=5), "output.formats"),
+            ("run", lambda p: p["output"].update(directory=5), "output.directory"),
+            ("run", lambda p: p["output"].update(directory=""), "output.directory"),
+            ("run", lambda p: p["time"].update(t_max=math.inf), "time.t_max"),
+            (
+                "sweep",
+                lambda p: p.update(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.005}),
+                "sweep.snapshot_t",
+            ),
+        ],
+    )
+    def test_cli_malformed_values_exit_2(
+        self, tmp_path, monkeypatch, capsys, command, mutate, field
+    ):
+        payload = base_payload()
+        mutate(payload)
+        path = write_config(tmp_path, payload)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", path]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestSweepCommand:
