@@ -38,6 +38,8 @@ RECIPROCAL_EXP = "reciprocal_exp"
 
 MAX_FIT_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
+SETTLE_WINDOW = 10
+SETTLED_COST = 1e-5
 
 
 @dataclass(frozen=True)
@@ -175,16 +177,20 @@ def _damped_gauss_newton(
     """Levenberg-Marquardt iteration with forward-difference Jacobian.
 
     Returns (params, rms, converged).  The iteration terminates when the
-    parameter step falls below STEP_TOLERANCE, when the cost stagnates, or
-    after MAX_FIT_ITERATIONS; all of these count as converged.  The flag is
-    False only when the solver stalls: no damping level yields an improving
-    step even though the proposed step is not yet negligible.
+    parameter step falls below STEP_TOLERANCE, when the cost stagnates, when
+    no damping level yields an improving step, or after MAX_FIT_ITERATIONS.
+    The first two count as converged, and the cap only where the cost had
+    settled: no step of the last SETTLE_WINDOW lowered it by more than
+    SETTLED_COST of itself.  Along a valley with no minimum (a and c of the
+    reciprocal model growing together) the cost keeps falling slowly while
+    the parameters run off, and the cap stops them there.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = residual(p)
     cost = float(r @ r)
     mu = 1e-3
     converged = True
+    gains = []  # relative cost decrease of each accepted step
     for _ in range(MAX_FIT_ITERATIONS):
         jac = np.empty((r.size, p.size))
         for j in range(p.size):
@@ -218,6 +224,7 @@ def _damped_gauss_newton(
                 accepted = True
                 if improvement <= 1e-13 * max(cost, 1e-30):
                     done = True  # cost stagnated along a flat direction
+                gains.append(improvement / max(cost, 1e-30))
                 break
             mu *= 10.0
         if done:
@@ -227,6 +234,8 @@ def _damped_gauss_newton(
             # proposed step was not negligible: the solver is stuck
             converged = False
             break
+    else:
+        converged = max(gains[-SETTLE_WINDOW:]) <= SETTLED_COST
     rms = math.sqrt(cost / r.size)
     return p, rms, converged
 
@@ -250,12 +259,17 @@ _MODELS = {
 
 
 def _fit(model: str, n_vals: np.ndarray, e_vals: np.ndarray, starts) -> FitResult:
-    """Damped Gauss-Newton from each start; the best converged start wins."""
+    """Damped Gauss-Newton from each start; the lowest residual wins and reports its flag.
+
+    It wins even over a start that converged at a higher residual: where the
+    lowest residual is only approached with the parameters running off, the
+    model has no optimum, and the fit says so by being unconverged.
+    """
     formula = _MODELS[model]
     best = None
     for p0 in starts:
         p, rms, ok = _damped_gauss_newton(lambda p: formula(*p, n_vals) - e_vals, np.array(p0))
-        if best is None or (ok, -rms) > (best[2], -best[1]):
+        if best is None or rms < best[1]:
             best = (p, rms, ok)
     p, rms, ok = best
     return FitResult(

@@ -343,9 +343,13 @@ def _cmd_divisibility(args) -> int:
     print(f"min margin: {payload['min_margin']:.6g}")
     for window in payload["violation_windows"]:
         print(f"violation window: t in [{window[0]:.4f}, {window[1]:.4f}]")
-    if args.out:
-        _ensure_dir(args.out)
-        _write_json(os.path.join(args.out, "divisibility.json"), payload)
+    # like run: --out always writes, the config's directory when it asks for json
+    if args.out or "json" in config.output.formats:
+        out_dir = args.out or config.output.directory
+        _ensure_dir(out_dir)
+        path = os.path.join(out_dir, "divisibility.json")
+        _write_json(path, payload)
+        print(f"divisibility: {path}")
     return 0
 
 
@@ -444,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_div = sub.add_parser("divisibility", help="classify channel divisibility")
     p_div.add_argument("--config", required=True)
-    p_div.add_argument("--out", help="directory for divisibility.json")
+    p_div.add_argument(
+        "--out", help="directory for divisibility.json (default: config output.directory)"
+    )
     p_div.set_defaults(func=_cmd_divisibility)
 
     p_oracle = sub.add_parser(

@@ -16,11 +16,20 @@ obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
 gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing), with rates evaluated a block of steps at a
-time, and rebuilds the matrix only at recording points.  One flip-and-sign
-transform per site puts the Pauli coefficients where the Hamming table gives
-each entry's class; it is skipped when z is the only active axis.  Full-matrix
-RK4 is exactly RK4 on these factors; the dense stepper, which materialises the
-right-hand side, is the independent reference (``IntegratorOptions(dense=True)``).
+time.  One flip-and-sign transform per site puts the Pauli coefficients where
+the Hamming table gives each entry's class; it is skipped when z is the only
+active axis.  Full-matrix RK4 is exactly RK4 on these factors; the dense
+stepper, which materialises the right-hand side, is the independent reference
+(``IntegratorOptions(dense=True)``).
+
+rho(t) of the class stepper is nonzero only on a pattern fixed by rho0, where
+its values are linear in the class factors.  ``evolve`` therefore builds, once
+per run, one ``states.BlockPlan`` per cut (on the partial-transposed pattern)
+and one for rho itself (positivity): the components, grouped by size, and
+where each value goes in its group's stack.  A record costs one evaluation of
+rho(t) on the pattern plus one stacked ``eigvalsh`` per size group; the full
+matrix is rebuilt only for states that ``record_states`` keeps.  The dense
+stepper records through the public ``log_negativity`` and ``block_eigvalsh``.
 
 Closed-form propagators for both noise kinds serve as independent oracles
 for the integrator.
@@ -34,10 +43,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entanglement import Bipartition, log_negativity
+from .entanglement import (
+    Bipartition,
+    log2_trace_norm,
+    log_negativity,
+    partial_transpose_indices,
+)
 from .errors import IntegrationError
 from .rates import ZERO_RATE, ConstantRate, DecayRateModel, _number, rate_model_from_dict
-from .states import DensityMatrix, block_eigvalsh, hamming_distance_matrix
+from .states import (
+    BlockPlan,
+    DensityMatrix,
+    block_eigvalsh,
+    component_labels,
+    hamming_distance_matrix,
+)
 
 __all__ = [
     "DEPHASING",
@@ -169,6 +189,8 @@ class _Workspace:
         sign, shapes = np.array([1.0, -1.0]), 1 + np.eye(2 * n, dtype=int)
         self.row_signs = [sign.reshape(shapes[i]) for i in range(n)]
         self.col_signs = [sign.reshape(shapes[n + i]) for i in range(n)]
+        # (1, -1) along site i of an (offsets, 2, ..., 2) stack of 2^n-vectors
+        self.site_signs = [sign.reshape((2,) + (1,) * (n - 1 - i)) for i in range(n)]
 
 
 _workspace = functools.lru_cache(maxsize=None)(_Workspace)
@@ -261,6 +283,11 @@ class _DenseStepper:
     def current(self) -> np.ndarray:
         return self.mat
 
+    def observe(self, cuts, positivity: bool) -> tuple:
+        """E per cut and, if asked, the minimum eigenvalue, by the public one-matrix routes."""
+        lam_min = float(block_eigvalsh(self.mat)[0]) if positivity else None
+        return [log_negativity(self.mat, cut) for cut in cuts], lam_min
+
 
 def _letter_transform(mat: np.ndarray, ws: _Workspace, sign: float) -> np.ndarray:
     """Per site, t + sign * s * f(t): f flips the row and column bits, s = (1, -1) on the row bit.
@@ -284,10 +311,16 @@ class _ClassStepper:
     """One RK4 amplification factor per Pauli-string decay class (module docs).
 
     Only axes with a rate not identically zero are evaluated.  rho0 is letter-transformed
-    once and transformed back at each rebuild.  Letters anticommuting with sigma_x, sigma_y,
-    sigma_z sit where the row bit is 1, the column bit is 1 and the bits differ, so each
-    entry's counts are Hamming-table reads.  With z alone the transform is skipped: it keeps
-    every entry's Hamming distance, so rho is rebuilt elementwise.
+    once.  Letters anticommuting with sigma_x, sigma_y, sigma_z sit where the row bit is 1,
+    the column bit is 1 and the bits differ, so each entry's counts are Hamming-table reads.
+    With z alone the transform is skipped: it keeps every entry's Hamming distance.
+
+    rho(t) is only ever nonzero on a fixed pattern (``rows``, ``cols``), where its values
+    are linear in the class factors.  With z alone that is rho0's pattern.  Otherwise the
+    inverse transform sends a coefficient at (a, b) to (a ^ m, b ^ m) with sign
+    (-1)^|m & a|, for every site mask m; it keeps the offset a ^ b, so the pattern is every
+    entry of each offset rho0 uses, and per offset the inverse is a signed Walsh-Hadamard
+    transform of its 2^n coefficients.
     """
 
     engine = "rk4-pauli-classes"
@@ -311,9 +344,18 @@ class _ClassStepper:
             self.class_idx = inverse.reshape(code.shape)
             anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(active))]
         self.transform = active != [2]
-        self.coeffs0 = rho0.elements
+        coeffs, d = rho0.elements, rho0.dim
         if self.transform:
-            self.coeffs0 = 0.5**n * _letter_transform(self.coeffs0, self.ws, 1.0)
+            offsets = np.unique(np.bitwise_xor(*np.nonzero(coeffs)))
+            self.rows = np.tile(np.arange(d), len(offsets))
+            self.cols = self.rows ^ np.repeat(offsets, d)
+            coeffs = 0.5**n * _letter_transform(coeffs, self.ws, 1.0)
+        else:
+            self.rows, self.cols = np.nonzero(coeffs)
+        # pattern-ordered, offset by offset with the transform
+        self.coeffs = coeffs[self.rows, self.cols]
+        self.coeff_class = np.broadcast_to(self.class_idx, (d, d))[self.rows, self.cols]
+        self.dim, self.plans = d, {}
         scale = 2.0 * spec.kappa / spec.omega0
         self.axes = [(models[axis], -(scale * row)) for axis, row in zip(active, anti)]
         self.classes = len(self.axes[0][1])
@@ -325,7 +367,8 @@ class _ClassStepper:
 
     def advance(self, k0: int, k: int) -> None:
         h = self.h
-        for j in range(k0, k):
+        j = k0
+        while j < k:
             if j % _BLOCK_STEPS == 0:  # RK4 growth rows of the next block, up to t_max
                 t = np.arange(j, min(j + _BLOCK_STEPS, self.n_steps)) * h
                 a1 = self._decay(t)
@@ -334,11 +377,41 @@ class _ClassStepper:
                 a3 = am * (1.0 + 0.5 * h * a2)
                 a4 = self._decay(t + h) * (1.0 + h * a3)
                 self.growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
-            self.factors *= self.growth[j % _BLOCK_STEPS]
+            stop = min(k, j - j % _BLOCK_STEPS + _BLOCK_STEPS)
+            rows = self.growth[j % _BLOCK_STEPS : j % _BLOCK_STEPS + stop - j]
+            # a reduction down axis 0 multiplies row by row, as one step at a time does
+            self.factors = np.multiply.reduce(np.vstack((self.factors, rows)), axis=0)
+            j = stop
+
+    def values(self) -> np.ndarray:
+        """rho(t) at (rows, cols)."""
+        coeffs = self.coeffs * self.factors[self.coeff_class]
+        if not self.transform:
+            return coeffs
+        tens = coeffs.reshape((-1,) + self.ws.tshape[: self.ws.n])
+        for i, sign in enumerate(self.ws.site_signs):  # _letter_transform with sign -1
+            tens = tens - sign * np.flip(tens, axis=i + 1)
+        return tens.ravel()
 
     def current(self) -> np.ndarray:
-        mat = self.coeffs0 * self.factors[self.class_idx]
-        return _letter_transform(mat, self.ws, -1.0) if self.transform else mat
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[self.rows, self.cols] = self.values()
+        return mat
+
+    def observe(self, cuts, positivity: bool) -> tuple:
+        """E per cut and, if asked, the minimum eigenvalue of rho, from one block plan each."""
+        values = self.values()
+        lam_min = float(self._plan(None).eigvalsh(values)[0]) if positivity else None
+        return [log2_trace_norm(self._plan(cut).eigvalsh(values)) for cut in cuts], lam_min
+
+    def _plan(self, cut: Optional[Bipartition]) -> BlockPlan:
+        """Block plan of rho (cut None) or of its partial transpose, built on first use."""
+        if cut not in self.plans:
+            rows, cols = self.rows, self.cols
+            if cut is not None:
+                rows, cols = partial_transpose_indices(rows, cols, cut)
+            self.plans[cut] = BlockPlan(rows, cols, component_labels(rows, cols, self.dim))
+        return self.plans[cut]
 
 
 def _stride(name: str, interval: Optional[float], h: float, default: int) -> int:
@@ -350,21 +423,21 @@ def _stride(name: str, interval: Optional[float], h: float, default: int) -> int
     return stride
 
 
-def _integrate(rho0, spec, n_steps, options, strides, record):
-    """Select the stepper and run it from one recording point to the next.
-
-    The points are steps 0, n_steps and the multiples of each stride; ``advance(k0, k)`` takes
-    steps k0+1..k, then ``record(k * h, matrix, *due)`` gets one flag per stride.  Returns it.
-    """
+def _stepper(rho0: DensityMatrix, spec: NoiseSpec, n_steps: int, options: IntegratorOptions):
     h = options.step
-    stepper = (
-        _DenseStepper(rho0, spec, h) if options.dense else _ClassStepper(rho0, spec, h, n_steps)
-    )
+    return _DenseStepper(rho0, spec, h) if options.dense else _ClassStepper(rho0, spec, h, n_steps)
+
+
+def _recording_points(stepper, n_steps: int, strides):
+    """Run the stepper from one recording point to the next; yield (t, one flag per stride).
+
+    The points are steps 0, n_steps and the multiples of each stride; ``advance(k0, k)``
+    takes steps k0+1..k.
+    """
     points = sorted({0, n_steps}.union(*(range(stride, n_steps, stride) for stride in strides)))
     for k0, k in zip([0] + points, points):
         stepper.advance(k0, k)
-        record(k * h, stepper.current(), *[k % stride == 0 or k == n_steps for stride in strides])
-    return stepper
+        yield k * stepper.h, [k % stride == 0 or k == n_steps for stride in strides]
 
 
 def evolve(
@@ -396,14 +469,17 @@ def evolve(
     times, state_times, states, min_eigenvalues = [], [], [], []
     observables = {cut.label: [] for cut in cuts}
 
-    def record(t: float, mat: np.ndarray, obs_due: bool, state_due: bool) -> None:
+    stepper = _stepper(rho0, spec, n_steps, options)
+    for t, (obs_due, state_due) in _recording_points(
+        stepper, n_steps, (obs_stride, sample_stride)
+    ):
+        values, lam_min = stepper.observe(cuts if obs_due else (), state_due)
         if obs_due:
             times.append(t)
-            for cut in cuts:
-                observables[cut.label].append(log_negativity(mat, cut))
+            for series, value in zip(observables.values(), values):
+                series.append(value)
         if not state_due:
-            return
-        lam_min = float(block_eigvalsh(mat)[0])
+            continue
         min_eigenvalues.append(lam_min)
         if lam_min < EIGENVALUE_ERROR_FLOOR:
             raise IntegrationError(
@@ -412,9 +488,9 @@ def evolve(
             )
         if options.record_states:  # steppers never write to a matrix they returned
             state_times.append(t)
-            states.append(DensityMatrix(n=rho0.n, elements=mat, check_positivity=False))
-
-    stepper = _integrate(rho0, spec, n_steps, options, (obs_stride, sample_stride), record)
+            states.append(
+                DensityMatrix(n=rho0.n, elements=stepper.current(), check_positivity=False)
+            )
 
     metadata = {
         "noise": spec.to_dict(),
@@ -515,10 +591,9 @@ def oracle_deviation(
     h = options.step
     n_steps = _stride("t_max", t_max, h, None)
     stride = _stride("compare_every", compare_every, h, 1)
-    deviations = []
-
-    def compare(t: float, mat: np.ndarray, due: bool) -> None:
-        deviations.append(np.abs(mat - analytic_state_at(rho0, spec, t).elements).max())
-
-    _integrate(rho0, spec, n_steps, options, (stride,), compare)
+    stepper = _stepper(rho0, spec, n_steps, options)
+    deviations = [
+        np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
+        for t, _ in _recording_points(stepper, n_steps, (stride,))
+    ]
     return float(np.max(deviations))  # a NaN from a blown-up run is kept, not skipped

@@ -12,7 +12,10 @@ The eigenvalues come from ``states.block_eigvalsh``, which solves the
 connected components of the exact nonzero pattern one block at a time.
 Local dephasing and Pauli noise keep rho(t)^(T_A) block-diagonal up to a
 permutation (e.g. blocks of at most 26 for W at n = 10 under dephasing), so
-this is the dense spectrum at a small fraction of the dense cost.
+this is the dense spectrum at a small fraction of the dense cost.  Along a
+trajectory the pattern is fixed, so ``dynamics.evolve`` maps it through
+``partial_transpose_indices`` once per cut into a ``states.BlockPlan`` and
+then pays only the stacked block solves at each record.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "highest_cut",
     "parse_cut_label",
     "partial_transpose",
+    "partial_transpose_indices",
+    "log2_trace_norm",
     "log_negativity",
     "schmidt_log_negativity",
     "symmetry_check",
@@ -137,15 +142,30 @@ def partial_transpose(rho, cut: Bipartition) -> np.ndarray:
     return tens.reshape(2**n, 2**n)
 
 
-def log_negativity(rho, cut: Bipartition) -> float:
-    """log2 of the trace norm of the partial transpose, clamped to >= 0.
+def partial_transpose_indices(rows, cols, cut: Bipartition) -> tuple:
+    """Where ``partial_transpose`` moves the entries at (rows[i], cols[i]).
+
+    Qubit q is bit n - q of an index; the side_a bits trade places between
+    row and column, so the offset rows ^ cols is kept.
+    """
+    mask = sum(1 << (cut.n - q) for q in cut.side_a)
+    swap = (rows ^ cols) & mask
+    return rows ^ swap, cols ^ swap
+
+
+def log2_trace_norm(eigs) -> float:
+    """log2 of sum |eigs| (the trace norm of a Hermitian matrix), clamped to >= 0.
 
     Values below 1e-12 are reported as exactly 0 so that separable states do
     not show phantom entanglement from eigensolver noise.
     """
-    eigs = block_eigvalsh(partial_transpose(rho, cut))
     value = float(np.log2(np.abs(eigs).sum()))
     return 0.0 if value < CLAMP_TOL else value
+
+
+def log_negativity(rho, cut: Bipartition) -> float:
+    """log2 of the trace norm of the partial transpose, clamped to >= 0 (``log2_trace_norm``)."""
+    return log2_trace_norm(block_eigvalsh(partial_transpose(rho, cut)))
 
 
 def schmidt_log_negativity(psi: PureState, cut: Bipartition) -> float:

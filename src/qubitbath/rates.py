@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, QuadratureError
 
@@ -56,7 +55,13 @@ _SIGN_TOL = -1e-12
 
 
 def _quad_strict(func, a, b, description, **kwargs):
-    """scipy.integrate.quad that raises QuadratureError on non-convergence."""
+    """scipy.integrate.quad that raises QuadratureError on non-convergence.
+
+    scipy is imported here, on first use, so that only the quadrature paths
+    (finite-temperature rates and the cross-check) load it.
+    """
+    from scipy.integrate import quad
+
     out = quad(
         func, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, full_output=1, **kwargs
     )

@@ -5,6 +5,11 @@ outcomes as a bitstring with qubit 1 in the most significant bit, so for
 three qubits index 6 = 0b110 means qubits (1, 2, 3) = (1, 1, 0).  All the
 states built here are symmetric under qubit permutations, but the
 convention matters for I/O and for embedding single-site operators.
+
+Spectra are solved block by block: ``component_labels`` finds the connected
+components of a nonzero pattern with numpy alone, ``BlockPlan`` groups them
+by size once for a pattern that many matrices share (a trajectory), and
+``block_eigvalsh`` plans and solves one matrix from its own nonzeros.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from dataclasses import dataclass, field
 from math import comb, sqrt
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "PureState",
     "DensityMatrix",
+    "BlockPlan",
+    "component_labels",
     "block_eigvalsh",
     "ghz_state",
     "w_state",
@@ -42,7 +47,8 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_FLOOR = -1e-10
-# below this dimension one dense solve (~10-60 us) beats the ~0.3 ms graph step
+# below this dimension one dense solve (10-70 us up to 32, ~0.27 ms at 64) competes
+# with the ~0.15 ms it takes to find the blocks of a one-off matrix
 _BLOCK_MIN_DIM = 128
 
 
@@ -148,6 +154,70 @@ class DensityMatrix:
         return cls(n=int(payload["n"]), elements=mat)
 
 
+def component_labels(rows, cols, dim: int) -> np.ndarray:
+    """Connected component of each of ``dim`` nodes joined by the edges rows[i] -- cols[i].
+
+    Labels run 0, 1, ... in the order of each component's smallest node.  Every
+    round hooks the larger root of each edge onto the smaller one and then
+    points every node at its root, so a component with several roots at least
+    halves their number per round.
+    """
+    parent = np.arange(dim)
+    while True:
+        root_r, root_c = parent[rows], parent[cols]
+        if np.array_equal(root_r, root_c):
+            return np.unique(parent, return_inverse=True)[1]
+        np.minimum.at(parent, np.maximum(root_r, root_c), np.minimum(root_r, root_c))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
+class BlockPlan:
+    """Ascending spectrum of Hermitian matrices that vanish outside one fixed pattern.
+
+    The matrix is given by its values at (rows[i], cols[i]); every entry off
+    the pattern is zero.  The blocks are the pattern's connected components,
+    ``labels = component_labels(rows, cols, dim)``, and blocks of one size
+    are solved in one stacked ``eigvalsh`` call.  The plan (size groups and
+    each value's place in its group's stack) is built once; ``eigvalsh``
+    then costs one scatter of the values plus the stacked solves.
+    """
+
+    def __init__(self, rows, cols, labels: np.ndarray):
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        dim = len(labels)
+        size = np.bincount(labels)[labels]  # per node, its component's size
+        sizes, nodes = np.unique(size, return_counts=True)
+        group = np.searchsorted(sizes, size)
+        # nodes grouped by component, components of one size next to each other
+        rank = np.empty(dim, dtype=np.intp)
+        rank[np.lexsort((labels, size))] = np.arange(dim)
+        slot = rank - np.concatenate(([0], np.cumsum(nodes)[:-1]))[group]
+        block, pos = np.divmod(slot, size)
+        row_start = (block * size + pos) * size  # per node, where its row starts in the stack
+        # values grouped by block size; a stable sort of small integers is a radix sort
+        entry_group = group[rows].astype(np.min_scalar_type(len(sizes)))
+        self.order = np.argsort(entry_group, kind="stable")
+        flat = row_start[rows[self.order]] + pos[cols[self.order]]
+        bounds = np.searchsorted(entry_group[self.order], np.arange(len(sizes) + 1))
+        self.groups = [
+            (int(s), int(c), flat[lo:hi], lo, hi)
+            for s, c, lo, hi in zip(sizes, nodes // sizes, bounds[:-1], bounds[1:])
+        ]
+
+    def eigvalsh(self, values) -> np.ndarray:
+        values = np.asarray(values)[self.order]
+        eigs = []
+        for size, count, flat, lo, hi in self.groups:
+            blocks = np.zeros(count * size * size, dtype=values.dtype)
+            blocks[flat] = values[lo:hi]
+            eigs.append(np.linalg.eigvalsh(blocks.reshape(count, size, size)).ravel())
+        return np.sort(np.concatenate(eigs))
+
+
 def block_eigvalsh(mat) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, solved one block at a time.
 
@@ -155,24 +225,17 @@ def block_eigvalsh(mat) -> np.ndarray:
     the spectrum is the dense one for any input: only exact zeros split
     blocks, and a roundoff-sized entry merely merges two of them.  Local
     dephasing and Pauli noise keep rho(t) and its partial transposes
-    block-diagonal up to a permutation, which makes the blocks small.  Blocks
-    of one size are solved in one stacked call; matrices below dimension
-    128 get one dense call.
+    block-diagonal up to a permutation, which makes the blocks small.
+    Matrices below dimension 128 get one dense call.
     """
     mat = np.asarray(mat)
     if len(mat) < _BLOCK_MIN_DIM:
         return np.linalg.eigvalsh(mat)
-    _, labels = connected_components(csr_array(mat != 0), directed=False)
-    sizes = np.bincount(labels)
-    # nodes grouped by component, components of one size next to each other
-    order = np.lexsort((labels, sizes[labels]))
-    eigs, start = [], 0
-    for size, count in zip(*np.unique(sizes, return_counts=True)):
-        members = order[start : start + size * count].reshape(count, size)
-        start += size * count
-        blocks = mat[members[:, :, None], members[:, None, :]]
-        eigs.append(np.linalg.eigvalsh(blocks).ravel())
-    return np.sort(np.concatenate(eigs))
+    rows, cols = np.nonzero(mat)
+    labels = component_labels(rows, cols, len(mat))
+    if not labels.any():  # one block, already in node order
+        return np.linalg.eigvalsh(mat)
+    return BlockPlan(rows, cols, labels).eigvalsh(mat[rows, cols])
 
 
 def ghz_state(n: int) -> PureState:

@@ -462,7 +462,8 @@ class TestDivisibilityCommand:
         first = payload["violation_windows"][0]
         assert math.pi < first[0] < first[1] < 2 * math.pi
 
-    def test_cli_divisibility(self, tmp_path, capsys):
+    def test_cli_divisibility(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the config's output directory is relative
         path = write_config(
             tmp_path,
             base_payload(
@@ -478,6 +479,24 @@ class TestDivisibilityCommand:
         )
         assert main(["divisibility", "--config", path]) == 0
         assert "CP-divisible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("formats", [["json"], ["csv"]])
+    def test_cli_divisibility_writes_to_config_directory(
+        self, tmp_path, capsys, monkeypatch, formats
+    ):
+        monkeypatch.chdir(tmp_path)
+        payload = json.loads(
+            next(p for p in PAPER_CONFIGS if p.stem == "divisibility_depolarising").read_text()
+        )
+        payload["output"]["formats"] = formats
+        path = write_config(tmp_path, payload)
+        assert main(["divisibility", "--config", path]) == 0
+        written = tmp_path / payload["output"]["directory"] / "divisibility.json"
+        if "json" in formats:
+            assert json.loads(written.read_text())["classification"] == "non-P-divisible"
+            assert f"divisibility: {payload['output']['directory']}" in capsys.readouterr().out
+        else:
+            assert not (tmp_path / payload["output"]["directory"]).exists()
 
 
 class TestOracleCheckCommand:
@@ -542,6 +561,24 @@ class TestFitCommand:
         payload = json.load(open(out))
         assert payload["parity"] == "odd"
         assert payload["asymptote"] == pytest.approx(1.0 / 1.42**2, rel=1e-4)
+
+    def test_fit_without_optimum_is_not_converged(self, tmp_path, capsys):
+        # fig4 W balanced cut at s = 2.47, both parities: E_N has no finite
+        # reciprocal-model optimum, a and c grow together until the iteration cap
+        values = [
+            0.47237568987802286, 0.4966070348948277, 0.48809313613994965, 0.4966070348948284,
+            0.49229120448429275, 0.49660703489482727, 0.4940030911752275, 0.49660703489482794,
+        ]
+        rows = [
+            [n, repr(2.47), repr(0.25), "highest-cut", repr(30.0), repr(value)]
+            for n, value in zip(range(3, 11), values)
+        ]
+        path = self.write_summary(tmp_path, rows)
+        args = ["fit", "--input", path, "--model", "reciprocal_exp", "--cut", "highest-cut"]
+        assert main(args + ["--s", "2.47"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["a"] > 1e6  # where the cap stopped the run-off
 
     def test_fit_requires_unique_s(self, tmp_path, capsys):
         rows = [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitbath import (
+    Bipartition,
     ConstantRate,
     IntegrationError,
     IntegratorOptions,
@@ -23,8 +24,10 @@ from qubitbath import (
     ghz_state,
     highest_cut,
     lindblad_rhs,
+    log_negativity,
     one_vs_rest,
     oracle_deviation,
+    partial_transpose,
     w_state,
 )
 from qubitbath import dynamics
@@ -34,6 +37,7 @@ from qubitbath.states import (
     PAULI_Y,
     PAULI_Z,
     PureState,
+    block_eigvalsh,
     embed_local_operator,
 )
 
@@ -342,6 +346,80 @@ class TestEvolve:
         assert list(traj.times) == [0.0, 2.0]
         assert list(traj.state_times) == [0.0, 1.0, 2.0]
         assert len(rebuilds) == 3
+
+    def test_interval_advance_equals_step_by_step(self):
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        rho0 = density_from_pure(ghz_state(3))
+        whole, stepwise = (dynamics._ClassStepper(rho0, spec, 0.01, 300) for _ in range(2))
+        whole.advance(0, 5)
+        whole.advance(5, 300)  # from mid-block across two 128-step rate blocks
+        for j in range(300):
+            stepwise.advance(j, j + 1)
+        assert np.array_equal(whole.factors, stepwise.factors)
+
+    def test_records_without_rebuilding_unkept_states(self, monkeypatch):
+        def no_rebuild(self):
+            raise AssertionError("current() called for a state that is not kept")
+
+        monkeypatch.setattr(dynamics._ClassStepper, "current", no_rebuild)
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        traj = evolve(
+            density_from_pure(ghz_state(4)),
+            spec,
+            2.0,
+            cuts=[one_vs_rest(4), highest_cut(4)],
+            options=IntegratorOptions(step=0.01, sample_every=0.5, record_states=False),
+        )
+        assert len(traj.times) == 201 and not traj.states
+        assert len(traj.metadata["cuts"]) == 2
+
+    @given(
+        family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
+        n=st.integers(2, 8),
+        noise=st.sampled_from(sorted(AGREEMENT_NOISES)),
+        kappa=st.sampled_from([1.0, 0.25]),
+        steps=st.integers(0, 150),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_plans_match_rebuilt_state(self, family, n, noise, kappa, steps, data):
+        if family == "ghz":
+            psi = ghz_state(n)
+        elif family == "w":
+            psi = w_state(n)
+        elif family == "dicke":
+            psi = dicke_state(n, data.draw(st.integers(1, n - 1), label="k"))
+        else:  # no qubit-permutation symmetry: a wrong transposed qubit shows
+            gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+            psi = PureState(n, amp / np.linalg.norm(amp))
+        side = data.draw(
+            st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True), label="side_a"
+        )
+        cut = Bipartition(n, tuple(side))
+        spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise][0])
+        rho0 = density_from_pure(psi)
+        stepper = dynamics._ClassStepper(rho0, spec, 0.02, 150)
+        stepper.advance(0, steps)
+        mat = stepper.current()
+        # the full-matrix rebuild: the pattern misses no entry, and the per-offset
+        # transform does the same arithmetic
+        ws = dynamics._workspace(n)
+        scaled = stepper.factors[np.broadcast_to(stepper.class_idx, mat.shape)]
+        if stepper.transform:
+            coeffs = 0.5**n * dynamics._letter_transform(rho0.elements, ws, 1.0)
+            assert np.array_equal(mat, dynamics._letter_transform(coeffs * scaled, ws, -1.0))
+        else:
+            assert np.array_equal(mat, rho0.elements * scaled)
+
+        (value,), lam_min = stepper.observe([cut], True)
+        assert abs(value - log_negativity(mat, cut)) <= 1e-13
+        assert abs(lam_min - block_eigvalsh(mat)[0]) <= 1e-13
+        # every block, not only the extremes: a dropped block shortens the spectrum
+        for plan_cut, reference in ((None, mat), (cut, partial_transpose(mat, cut))):
+            spectrum = stepper._plan(plan_cut).eigvalsh(stepper.values())
+            assert spectrum.shape == (2**n,)
+            assert np.abs(spectrum - block_eigvalsh(reference)).max() <= 1e-13
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("record_states", [False, True])

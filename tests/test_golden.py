@@ -4,9 +4,10 @@
 ``configs/paper/``: the fig2a/fig2b plateaus, the fig5 collapse and revival
 windows and peaks (including the second revival of the n=7 cat state near
 t = 12.35), the fig3/fig4 E(t=30) grids for n <= 8, the divisibility verdict,
-and about 20 samples of E(t) per trajectory and cut.  Values are compared at
-an absolute 1e-10, not by hash, so that roundoff-level changes to the
-integrator or the eigensolvers pass and anything larger fails.
+about 20 samples of E(t) per trajectory and cut, and both scaling fits of
+every series of the two grids.  Values are compared at an absolute 1e-10,
+not by hash, so that roundoff-level changes to the integrator or the
+eigensolvers pass and anything larger fails.
 
 After checking that a change of these values is intended, re-record them with
 
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qubitbath.analysis import fit_exp_decay_shift, fit_reciprocal_exp
 from qubitbath.cli import divisibility_report, run_experiment, sweep_experiment
 from qubitbath.config import load_config, parse_config
 
@@ -133,11 +135,34 @@ def test_golden_pins_the_paper_phenomenology():
     assert load("divisibility")["classification"] == "non-P-divisible"
 
 
+def grid_fits():
+    """Both scaling models fitted to each (cut, s) series of the fig3/fig4 golden grids."""
+    fits = {}
+    for name in ("fig3_grid", "fig4_grid"):
+        grid = load(name)["grid"]
+        for cut, s in sorted({(cut, s) for _, s, cut, _ in grid}):
+            points = [(n, e) for n, s_n, cut_n, e in grid if (cut_n, s_n) == (cut, s)]
+            for fit in (fit_exp_decay_shift(points), fit_reciprocal_exp(points)):
+                fits[f"{name} {cut} s={s!r} {fit.model}"] = [fit.a, fit.b, fit.c, fit.converged]
+    return fits
+
+
+def test_grid_fits_match_golden():
+    # the 16 unconverged reciprocal fits (fig3 1-Rest at four s, the fig4
+    # balanced cut at every s) have no finite optimum: their a is wherever
+    # the iteration cap stopped it
+    fits = json.loads(json.dumps(grid_fits()))
+    assert_close(fits, load("grid_fits"), "grid_fits")
+    assert sum(fit[3] for fit in fits.values()) == len(fits) - 16
+
+
 def record() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(CASES):
+    outputs = {name: lambda name=name: compute(name) for name in sorted(CASES)}
+    outputs["grid_fits"] = grid_fits
+    for name, values in outputs.items():
         path = GOLDEN_DIR / f"{name}.json"
-        path.write_text(json.dumps(compute(name), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(values(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}")
 
 

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +224,41 @@ def test_rate_model_serialization_round_trip():
 def test_rate_model_rejects_unknown_kind():
     with pytest.raises(ValueError):
         rate_model_from_dict({"kind": "lorentzian", "width": 1.0})
+
+
+class TestScipyOnlyForQuadrature:
+    """scipy is imported on the first quadrature, not by ``import qubitbath``."""
+
+    @staticmethod
+    def run_fresh(code: str) -> list:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(out.stdout)
+
+    def test_import_loads_no_scipy(self):
+        loaded = self.run_fresh(
+            "import json, sys, qubitbath, qubitbath.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        )
+        assert loaded == []
+
+    def test_quadratures_unchanged_by_the_lazy_import(self):
+        before, values, after = self.run_fresh(
+            "import json, sys\n"
+            "from qubitbath.rates import (OhmicFiniteTempRate, OhmicZeroTempRate,\n"
+            "    integrated_rate_quadrature)\n"
+            "before = 'scipy' in sys.modules\n"
+            "model = OhmicFiniteTempRate(s=2.47, theta=0.5)\n"
+            "values = [model.integrated(3.0), model.rate(3.0),\n"
+            "    integrated_rate_quadrature(OhmicZeroTempRate(2.47), 5.0),\n"
+            "    integrated_rate_quadrature(model, 2.0)]\n"
+            "print(json.dumps([before, values, 'scipy' in sys.modules]))"
+        )
+        assert not before and after
+        # values of the eager scipy import this replaced
+        expected = [1.3264131770115812, 0.13847803857870603, 0.920627110691288, 1.1466393662654872]
+        assert values == pytest.approx(expected, rel=1e-13, abs=0.0)
+

@@ -20,6 +20,7 @@ from qubitbath.states import (
     PAULI_Y,
     PAULI_Z,
     block_eigvalsh,
+    component_labels,
     hamming_distance_matrix,
 )
 
@@ -244,3 +245,38 @@ def test_block_eigvalsh_matches_dense(sizes, seed):
     assert block.shape == dense.shape
     assert np.all(np.diff(block) >= 0.0)
     assert np.abs(block - dense).max() <= 1e-12
+
+
+def first_seen_order(labels) -> list:
+    """Labels renumbered by first appearance: equal lists mean the same partition."""
+    seen = {}
+    return [seen.setdefault(label, len(seen)) for label in labels.tolist()]
+
+
+@st.composite
+def symmetric_patterns(draw):
+    dim = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "empty", "singletons", "full"]))
+    if kind == "random":
+        density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(gen.random((dim, dim)) < density)
+        mask = upper | upper.T
+    elif kind == "empty":
+        mask = np.zeros((dim, dim), dtype=bool)
+    elif kind == "singletons":
+        mask = np.eye(dim, dtype=bool)
+    else:
+        mask = np.ones((dim, dim), dtype=bool)
+    return mask
+
+
+@given(symmetric_patterns())
+@settings(max_examples=200, deadline=None)
+def test_component_labels_partition_matches_scipy(mask):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")  # the reference only
+    _, expected = csgraph.connected_components(mask.astype(np.int8), directed=False)
+    labels = component_labels(*np.nonzero(mask), len(mask))
+    assert first_seen_order(labels) == first_seen_order(expected)
+    assert labels.max(initial=-1) + 1 == len(set(expected.tolist()))
+
