@@ -141,10 +141,8 @@ def _trajectory_analysis(trajectory, analysis_cfg) -> dict:
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """Execute one trajectory and write csv/json artifacts; returns paths."""
     _ensure_dir(out_dir)
-    psi = config.state.build()
-    rho0 = density_from_pure(psi)
     trajectory = evolve(
-        rho0,
+        config.state.build(),
         config.noise,
         config.time.t_max,
         cuts=config.bipartitions(),
@@ -195,9 +193,8 @@ def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
 def _run_sweep_cell(args: tuple) -> tuple:
     cell, config = args
     try:
-        psi = config.state.build()
         trajectory = evolve(
-            density_from_pure(psi),
+            config.state.build(),
             config.noise,
             config.time.t_max,
             cuts=config.bipartitions(),

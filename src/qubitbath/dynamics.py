@@ -17,19 +17,24 @@ gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing), with rates evaluated a block of steps at a
 time.  One flip-and-sign transform per site puts the Pauli coefficients where
-the Hamming table gives each entry's class; it is skipped when z is the only
-active axis.  Full-matrix RK4 is exactly RK4 on these factors; the dense
-stepper, which materialises the right-hand side, is the independent reference
-(``IntegratorOptions(dense=True)``).
+popcounts of each entry's row and column give its class; it is skipped when z
+is the only active axis.  Full-matrix RK4 is exactly RK4 on these factors; the
+dense stepper, which materialises the right-hand side, is the independent
+reference (``IntegratorOptions(dense=True)``).
 
 rho(t) of the class stepper is nonzero only on a pattern fixed by rho0, where
-its values are linear in the class factors.  ``evolve`` therefore builds, once
-per run, one ``states.BlockPlan`` per cut (on the partial-transposed pattern)
-and one for rho itself (positivity): the components, grouped by size, and
-where each value goes in its group's stack.  A record costs one evaluation of
-rho(t) on the pattern plus one stacked ``eigvalsh`` per size group; the full
-matrix is rebuilt only for states that ``record_states`` keeps.  The dense
-stepper records through the public ``log_negativity`` and ``block_eigvalsh``.
+its values are linear in the class factors.  Started from a ``PureState``, the
+stepper reads that pattern and rho0's values on it from psi's support, and the
+transforms run offset by offset on the pattern, so no 4^n array is built.
+``evolve`` builds, once per run, one ``states.BlockPlan`` per cut (on the
+partial-transposed pattern) and one for rho itself (positivity): the
+components, grouped by size, and where each value goes in its group's stack.
+A record costs one evaluation of rho(t) on the pattern plus one stacked
+``eigvalsh`` per size group; the full matrix is rebuilt only for states that
+``record_states`` keeps.  The dense stepper, the dense right-hand side and the
+closed-form dephasing map use a 4^n Hamming table, built on first use; the
+dense stepper records through the public ``log_negativity`` and
+``block_eigvalsh``.
 
 Closed-form propagators for both noise kinds serve as independent oracles
 for the integrator.
@@ -54,8 +59,10 @@ from .rates import ZERO_RATE, ConstantRate, DecayRateModel, _number, rate_model_
 from .states import (
     BlockPlan,
     DensityMatrix,
+    PureState,
     block_eigvalsh,
     component_labels,
+    density_from_pure,
     hamming_distance_matrix,
 )
 
@@ -181,9 +188,6 @@ class _Workspace:
 
     def __init__(self, n: int):
         self.n = n
-        # one byte per entry, shared by the dense RHS, the dephasing map and
-        # the class stepper's gather
-        self.hamming = hamming_distance_matrix(n).astype(np.uint8)
         self.tshape = (2,) * (2 * n)
         # (1, -1) along one row or column axis of the (2,) * 2n tensor
         sign, shapes = np.array([1.0, -1.0]), 1 + np.eye(2 * n, dtype=int)
@@ -191,6 +195,13 @@ class _Workspace:
         self.col_signs = [sign.reshape(shapes[n + i]) for i in range(n)]
         # (1, -1) along site i of an (offsets, 2, ..., 2) stack of 2^n-vectors
         self.site_signs = [sign.reshape((2,) + (1,) * (n - 1 - i)) for i in range(n)]
+        index = np.arange(2**n)
+        self.popcount = sum((index >> bit) & 1 for bit in range(n))
+
+    @functools.cached_property
+    def hamming(self) -> np.ndarray:
+        """4^n one-byte Hamming table, built only for the dense RHS and the dephasing map."""
+        return hamming_distance_matrix(self.n).astype(np.uint8)
 
 
 _workspace = functools.lru_cache(maxsize=None)(_Workspace)
@@ -289,17 +300,20 @@ class _DenseStepper:
         return [log_negativity(self.mat, cut) for cut in cuts], lam_min
 
 
-def _letter_transform(mat: np.ndarray, ws: _Workspace, sign: float) -> np.ndarray:
-    """Per site, t + sign * s * f(t): f flips the row and column bits, s = (1, -1) on the row bit.
+def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.ndarray:
+    """Per site, t + s * f(t), or t - s * f(t) if ``inverse``, on values laid out offset by offset.
 
-    With sign +1 a site's (row, column) bits 00, 01, 10, 11 hold Tr(P rho) for P = I, X, Y, Z
-    times the phase 1, 1, i, -1; sign -1 gives 2^n times the inverse.
+    Value o * 2^n + a stands for the matrix entry (a, a ^ o) of offset o.  f flips the
+    site's bit of a, which flips that entry's row and column bits together, and s = (1, -1)
+    on the row bit.  Forward, a site's (row, column) bits 00, 01, 10, 11 then hold
+    Tr(P rho) for P = I, X, Y, Z times the phase 1, 1, i, -1; the inverse gives 2^n times
+    the inverse map.
     """
-    n = ws.n
-    tens = mat.reshape(ws.tshape)
-    for i in range(n):
-        tens = tens + (sign * ws.row_signs[i]) * np.flip(tens, axis=(i, n + i))
-    return tens.reshape(mat.shape)
+    stack = values.reshape((-1,) + ws.tshape[: ws.n])
+    for i, sign in enumerate(ws.site_signs):
+        flipped = sign * np.flip(stack, axis=i + 1)
+        stack = stack - flipped if inverse else stack + flipped
+    return stack.ravel()
 
 
 # Steps whose growth rows come from one rate call per axis and RK4 stage; capped because
@@ -310,51 +324,59 @@ _BLOCK_STEPS = 128
 class _ClassStepper:
     """One RK4 amplification factor per Pauli-string decay class (module docs).
 
-    Only axes with a rate not identically zero are evaluated.  rho0 is letter-transformed
-    once.  Letters anticommuting with sigma_x, sigma_y, sigma_z sit where the row bit is 1,
-    the column bit is 1 and the bits differ, so each entry's counts are Hamming-table reads.
-    With z alone the transform is skipped: it keeps every entry's Hamming distance.
+    Only axes with a rate not identically zero are evaluated.  Letters anticommuting with
+    sigma_x, sigma_y, sigma_z sit where the row bit is 1, the column bit is 1 and the bits
+    differ, so an entry's counts are popcounts of its row, its column and their XOR.  The
+    class set is that of every letter-count triple (nx, ny, nz) with nx + ny + nz <= n,
+    whichever entries rho0 uses.
 
     rho(t) is only ever nonzero on a fixed pattern (``rows``, ``cols``), where its values
-    are linear in the class factors.  With z alone that is rho0's pattern.  Otherwise the
-    inverse transform sends a coefficient at (a, b) to (a ^ m, b ^ m) with sign
-    (-1)^|m & a|, for every site mask m; it keeps the offset a ^ b, so the pattern is every
-    entry of each offset rho0 uses, and per offset the inverse is a signed Walsh-Hadamard
-    transform of its 2^n coefficients.
+    are linear in the class factors.  With z alone that is rho0's pattern and the letter
+    transform is skipped: it keeps every entry's Hamming distance.  Otherwise the inverse
+    transform sends a coefficient at (a, b) to (a ^ m, b ^ m) with sign (-1)^|m & a|, for
+    every site mask m; it keeps the offset a ^ b, so the pattern is every entry of each
+    offset rho0 uses, and per offset both transforms are signed Walsh-Hadamard transforms
+    of 2^n values.  A ``PureState`` gives rho0's pattern as its support times itself and
+    its values as psi[rows] * conj(psi[cols]), so no 2^n x 2^n array is built; a
+    ``DensityMatrix`` gives them by its nonzeros.
     """
 
     engine = "rk4-pauli-classes"
     max_trace_drift = max_herm_drift = 0.0  # trace and hermiticity are exact
     renormalizations = 0
 
-    def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float, n_steps: int):
-        n = rho0.n
+    def __init__(self, state: PureState | DensityMatrix, spec: NoiseSpec, h: float, n_steps: int):
+        n, d = state.n, state.dim
         self.h, self.n_steps, self.ws = h, n_steps, _workspace(n)
         models = (spec.rate_x, spec.rate_y, spec.rate_z)
         active = [axis for axis in range(3) if not _is_zero_rate(models[axis])] or [2]
-        hamming = self.ws.hamming
-        counts = (hamming[:, :1], hamming[:1, :], hamming)  # per entry, for x, y, z
-        if len(active) == 1:
-            self.class_idx = counts[active[0]]
-            anti = [np.arange(n + 1)]
-        else:
-            # equal counts on every active axis share a class (intp: the code overflows uint8)
-            code = sum((n + 1) ** j * counts[axis].astype(np.intp) for j, axis in enumerate(active))
-            codes, inverse = np.unique(code, return_inverse=True)
-            self.class_idx = inverse.reshape(code.shape)
-            anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(active))]
         self.transform = active != [2]
-        coeffs, d = rho0.elements, rho0.dim
-        if self.transform:
-            offsets = np.unique(np.bitwise_xor(*np.nonzero(coeffs)))
-            self.rows = np.tile(np.arange(d), len(offsets))
-            self.cols = self.rows ^ np.repeat(offsets, d)
-            coeffs = 0.5**n * _letter_transform(coeffs, self.ws, 1.0)
+        pure = isinstance(state, PureState)
+        if pure:
+            psi = state.amplitudes
+            support = np.flatnonzero(psi)
+            rows, cols = np.repeat(support, len(support)), np.tile(support, len(support))
         else:
-            self.rows, self.cols = np.nonzero(coeffs)
-        # pattern-ordered, offset by offset with the transform
-        self.coeffs = coeffs[self.rows, self.cols]
-        self.coeff_class = np.broadcast_to(self.class_idx, (d, d))[self.rows, self.cols]
+            rows, cols = np.nonzero(state.elements)
+        if self.transform:  # pattern-ordered offset by offset
+            offsets = np.unique(rows ^ cols)
+            rows = np.tile(np.arange(d), len(offsets))
+            cols = rows ^ np.repeat(offsets, d)
+        # rho0 on the pattern; the product is np.outer's arithmetic
+        coeffs = psi[rows] * psi[cols].conj() if pure else state.elements[rows, cols]
+        if self.transform:
+            coeffs = 0.5**n * _site_transform(coeffs, self.ws, inverse=False)
+        self.rows, self.cols, self.coeffs = rows, cols, coeffs
+
+        def code(counts):  # equal counts on every active axis share a class
+            return sum((n + 1) ** j * counts[axis] for j, axis in enumerate(active))
+
+        triples = np.indices((n + 1,) * 3).reshape(3, -1)
+        nx, ny, nz = triples[:, triples.sum(axis=0) <= n]
+        codes = np.unique(code((ny + nz, nx + nz, nx + ny)))
+        pop = self.ws.popcount
+        self.coeff_class = np.searchsorted(codes, code((pop[rows], pop[cols], pop[rows ^ cols])))
+        anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(active))]
         self.dim, self.plans = d, {}
         scale = 2.0 * spec.kappa / spec.omega0
         self.axes = [(models[axis], -(scale * row)) for axis, row in zip(active, anti)]
@@ -386,12 +408,7 @@ class _ClassStepper:
     def values(self) -> np.ndarray:
         """rho(t) at (rows, cols)."""
         coeffs = self.coeffs * self.factors[self.coeff_class]
-        if not self.transform:
-            return coeffs
-        tens = coeffs.reshape((-1,) + self.ws.tshape[: self.ws.n])
-        for i, sign in enumerate(self.ws.site_signs):  # _letter_transform with sign -1
-            tens = tens - sign * np.flip(tens, axis=i + 1)
-        return tens.ravel()
+        return _site_transform(coeffs, self.ws, inverse=True) if self.transform else coeffs
 
     def current(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -423,9 +440,14 @@ def _stride(name: str, interval: Optional[float], h: float, default: int) -> int
     return stride
 
 
-def _stepper(rho0: DensityMatrix, spec: NoiseSpec, n_steps: int, options: IntegratorOptions):
+def _stepper(
+    state: PureState | DensityMatrix, spec: NoiseSpec, n_steps: int, options: IntegratorOptions
+):
     h = options.step
-    return _DenseStepper(rho0, spec, h) if options.dense else _ClassStepper(rho0, spec, h, n_steps)
+    if not options.dense:
+        return _ClassStepper(state, spec, h, n_steps)
+    rho0 = density_from_pure(state) if isinstance(state, PureState) else state
+    return _DenseStepper(rho0, spec, h)
 
 
 def _recording_points(stepper, n_steps: int, strides):
@@ -441,14 +463,16 @@ def _recording_points(stepper, n_steps: int, strides):
 
 
 def evolve(
-    rho0: DensityMatrix,
+    state: PureState | DensityMatrix,
     spec: NoiseSpec,
     t_max: float,
     cuts: Sequence[Bipartition] = (),
     options: IntegratorOptions = IntegratorOptions(),
 ) -> Trajectory:
-    """Propagate rho0 under the noise spec from t=0 to t_max.
+    """Propagate |psi><psi| (a ``PureState``) or rho0 under the noise spec from t=0 to t_max.
 
+    From a ``PureState`` the class stepper builds no 2^n x 2^n matrix but the
+    states it keeps; the dense stepper builds rho0 with ``density_from_pure``.
     Entanglement observables (log negativity per requested cut) are recorded
     every ``options.observable_every`` (default: every step, or only at both
     ends when there are no cuts); full states every ``options.sample_every``.
@@ -461,15 +485,15 @@ def evolve(
     sample_stride = _stride("sample_every", options.sample_every, h, n_steps)
 
     for cut in cuts:
-        if cut.n != rho0.n:
-            raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {rho0.n}")
+        if cut.n != state.n:
+            raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {state.n}")
     # one entry per label, e.g. highest-cut == 1-Rest at n = 3
     cuts = list({cut.label: cut for cut in cuts}.values())
 
     times, state_times, states, min_eigenvalues = [], [], [], []
     observables = {cut.label: [] for cut in cuts}
 
-    stepper = _stepper(rho0, spec, n_steps, options)
+    stepper = _stepper(state, spec, n_steps, options)
     for t, (obs_due, state_due) in _recording_points(
         stepper, n_steps, (obs_stride, sample_stride)
     ):
@@ -489,7 +513,7 @@ def evolve(
         if options.record_states:  # steppers never write to a matrix they returned
             state_times.append(t)
             states.append(
-                DensityMatrix(n=rho0.n, elements=stepper.current(), check_positivity=False)
+                DensityMatrix(n=state.n, elements=stepper.current(), check_positivity=False)
             )
 
     metadata = {

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import qubitbath.cli as cli
+from qubitbath import dynamics, evolve, states
 from qubitbath.cli import (
     divisibility_report,
     main,
@@ -629,3 +631,65 @@ class TestAtomicOutputs:
         with pytest.raises(RuntimeError, match="injected write failure"):
             sweep_experiment(config, str(out), workers=1)
         assert list(out.iterdir()) == []
+
+
+def paper_config(stem, **state):
+    payload = json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
+    payload["state"].update(state)
+    return parse_config(payload)
+
+
+class TestNoDenseInitialState:
+    """The class engine starts from psi: run and sweep paths build no 2^n x 2^n rho0."""
+
+    # one 4^10 complex matrix is 16 MiB
+    PEAK_LIMIT = 4 * 2**20
+
+    @staticmethod
+    def _peak(fn, *args):
+        dynamics._workspace.cache_clear()  # rebuilt inside the call, so an eager 4^n table counts
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("stem", ["fig4_w_dephasing_sweep", "fig3_ghz_dephasing_sweep"])
+    def test_sweep_cell_peak_allocation(self, stem):
+        config = paper_config(stem)
+        cell = {"n": 10, "s": 2.47}
+        job = (cell, cli._derive_cell(config, cell))
+        cli._run_sweep_cell(job)  # lazy imports and rate set-up happen once per process
+        (_, rows, failure), peak = self._peak(cli._run_sweep_cell, job)
+        assert failure is None and len(rows) == len(config.cuts)
+        assert peak < self.PEAK_LIMIT
+
+    def test_pauli_run_peak_allocation(self):
+        config = paper_config("fig5_ghz_n7_depolarising", n=10)
+        trajectory, peak = self._peak(
+            evolve,
+            config.state.build(),
+            config.noise,
+            2.0,
+            config.bipartitions(),
+            config.time.integrator_options(record_states=False),
+        )
+        assert trajectory.metadata["classes"] == math.comb(13, 3)
+        assert len(trajectory.times) == 41
+        assert peak < self.PEAK_LIMIT
+
+    def test_run_and_sweep_without_density_from_pure(self, tmp_path, monkeypatch):
+        def refuse(psi):
+            raise AssertionError("density_from_pure called on a run or sweep path")
+
+        for module in (cli, dynamics, states):
+            monkeypatch.setattr(module, "density_from_pure", refuse)
+        config = paper_config("fig5_w_n5_depolarising")
+        assert "states" not in config.output.formats
+        paths = run_experiment(config, str(tmp_path / "run"))
+        assert (tmp_path / "run" / "trajectory.csv").exists() and "states" not in paths
+        sweep = paper_config("fig4_w_dephasing_sweep")
+        cell = {"n": 6, "s": 2.47}
+        _, rows, failure = cli._run_sweep_cell((cell, cli._derive_cell(sweep, cell)))
+        assert failure is None and len(rows) == 2

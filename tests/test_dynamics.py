@@ -39,6 +39,7 @@ from qubitbath.states import (
     PureState,
     block_eigvalsh,
     embed_local_operator,
+    hamming_distance_matrix,
 )
 
 rng = np.random.default_rng(99)
@@ -90,6 +91,64 @@ AGREEMENT_NOISES = {
         lambda n: brute_force_classes(n, (0, 1)),
     ),
 }
+
+
+def active_axes(spec):
+    """Axes (0, 1, 2 for x, y, z) whose rate is not identically zero; z when none is."""
+    models = (spec.rate_x, spec.rate_y, spec.rate_z)
+    zero = [isinstance(m, ConstantRate) and m.gamma0 == 0.0 for m in models]
+    return [a for a in range(3) if not zero[a]] or [2]
+
+
+def full_letter_transform(mat, n, sign):
+    """4^n reference: per site, t + sign * s * f(t) on the whole matrix.
+
+    f flips the site's row and column bits and s = (1, -1) on its row bit; with sign +1
+    a site's (row, column) bits 00, 01, 10, 11 hold Tr(P rho) for P = I, X, Y, Z times
+    the phase 1, 1, i, -1, and sign -1 gives 2^n times the inverse.
+    """
+    tens = np.asarray(mat).reshape((2,) * (2 * n))
+    for i in range(n):
+        row_sign = np.array([1.0, -1.0]).reshape((1,) * i + (2,) + (1,) * (2 * n - 1 - i))
+        tens = tens + (sign * row_sign) * np.flip(tens, axis=(i, n + i))
+    return tens.reshape(mat.shape)
+
+
+def reference_class_map(n, axes):
+    """Class index of every entry of the letter-transformed 4^n matrix, and the class count.
+
+    Letters anticommuting with sigma_x, sigma_y, sigma_z are counted by the Hamming
+    distances of the row, of the column and of the two; equal counts on every axis of
+    ``axes`` share a class, numbered in the order of their codes.
+    """
+    hamming = hamming_distance_matrix(n).astype(np.intp)
+    counts = (hamming[:, :1], hamming[:1, :], hamming)
+    code = sum((n + 1) ** j * counts[axis] for j, axis in enumerate(axes))
+    codes, inverse = np.unique(np.broadcast_to(code, hamming.shape), return_inverse=True)
+    return inverse.reshape(hamming.shape), len(codes)
+
+
+def draw_state(family, n, data):
+    """GHZ, W, Dicke(n, k) with a drawn k, or a random complex state with a drawn seed.
+
+    The complex family has no qubit-permutation symmetry and no real amplitudes, so a
+    wrong transposed qubit or a rebuild that returns rho^T shows.
+    """
+    if family == "ghz":
+        return ghz_state(n)
+    if family == "w":
+        return w_state(n)
+    if family == "dicke":
+        return dicke_state(n, data.draw(st.integers(1, n - 1), label="k"))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    return PureState(n, amp / np.linalg.norm(amp))
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
 
 
 def random_density(n):
@@ -236,17 +295,7 @@ class TestEvolve:
     )
     @settings(max_examples=10, deadline=None)
     def test_class_stepper_matches_dense(self, family, n, kappa, data):
-        if family == "ghz":
-            psi = ghz_state(n)
-        elif family == "w":
-            psi = w_state(n)
-        elif family == "dicke":
-            psi = dicke_state(n, data.draw(st.integers(1, n - 1), label="k"))
-        else:  # complex amplitudes catch a rebuild that returns rho^T
-            gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-            amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-            psi = PureState(n, amp / np.linalg.norm(amp))
-        rho0 = density_from_pure(psi)
+        psi = draw_state(family, n, data)
         cuts = [one_vs_rest(n)] + ([highest_cut(n)] if n >= 3 else [])
         # 150 steps of 0.02 cross one 128-step rate block; the strides need not
         # nest (7 and 25 steps) and may be every step
@@ -262,8 +311,9 @@ class TestEvolve:
 
         for spec_kwargs, class_count in AGREEMENT_NOISES.values():  # every stepper branch
             spec = NoiseSpec(kappa=kappa, **spec_kwargs)
+            # evolve builds rho0 = |psi><psi| for the dense stepper only
             fast, dense = (
-                evolve(rho0, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=dense, **opts))
+                evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=dense, **opts))
                 for dense in (False, True)
             )
             assert fast.metadata["integrator"] == "rk4-pauli-classes"
@@ -285,13 +335,32 @@ class TestEvolve:
         d = 2**n
         gen = np.random.default_rng(n)
         mat = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
-        forward = dynamics._letter_transform(mat, dynamics._workspace(n), 1.0)
+        forward = full_letter_transform(mat, n, 1.0)
+        # the stepper's transform runs offset by offset: value o * d + a is entry (a, a ^ o)
+        rows = np.tile(np.arange(d), d)
+        cols = rows ^ np.repeat(np.arange(d), d)
+        ws = dynamics._workspace(n)
+        stacked = np.zeros((d, d), dtype=complex)
+        stacked[rows, cols] = dynamics._site_transform(mat[rows, cols], ws, inverse=False)
+        assert np.array_equal(stacked, forward)
+        inverse = np.zeros((d, d), dtype=complex)
+        inverse[rows, cols] = dynamics._site_transform(forward[rows, cols], ws, inverse=True)
+        assert np.array_equal(inverse, full_letter_transform(forward, n, -1.0))
 
         rates = [ConstantRate(axis_rates[a] if a in axes else 0.0) for a in range(3)]
         spec = NoiseSpec("pauli", rate_x=rates[0], rate_y=rates[1], rate_z=rates[2], kappa=0.25)
         rho0 = random_density(n)
         stepper = dynamics._ClassStepper(rho0, spec, 0.01, 1)
-        decay = np.broadcast_to(stepper._decay(np.zeros(1))[0][stepper.class_idx], (d, d))
+        # a dense rho0 uses every offset, so the pattern holds every entry
+        assert len(stepper.rows) == d * d
+        class_map, classes = reference_class_map(n, axes)
+        assert stepper.classes == classes
+        assert np.array_equal(stepper.coeff_class, class_map[stepper.rows, stepper.cols])
+        coeffs = 0.5**n * full_letter_transform(rho0.elements, n, 1.0)
+        want_coeffs = coeffs if stepper.transform else rho0.elements
+        assert np.array_equal(stepper.coeffs, want_coeffs[stepper.rows, stepper.cols])
+        decay = np.zeros((d, d))
+        decay[stepper.rows, stepper.cols] = stepper._decay(np.zeros(1))[0][stepper.coeff_class]
         for r, c in itertools.product(range(d), repeat=2):
             word = [2 * (r >> (n - 1 - i) & 1) + (c >> (n - 1 - i) & 1) for i in range(n)]
             op = functools.reduce(np.kron, [letters[p][0] for p in word])
@@ -383,32 +452,22 @@ class TestEvolve:
     )
     @settings(max_examples=60, deadline=None)
     def test_block_plans_match_rebuilt_state(self, family, n, noise, kappa, steps, data):
-        if family == "ghz":
-            psi = ghz_state(n)
-        elif family == "w":
-            psi = w_state(n)
-        elif family == "dicke":
-            psi = dicke_state(n, data.draw(st.integers(1, n - 1), label="k"))
-        else:  # no qubit-permutation symmetry: a wrong transposed qubit shows
-            gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-            amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-            psi = PureState(n, amp / np.linalg.norm(amp))
+        psi = draw_state(family, n, data)
         side = data.draw(
             st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True), label="side_a"
         )
         cut = Bipartition(n, tuple(side))
         spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise][0])
         rho0 = density_from_pure(psi)
-        stepper = dynamics._ClassStepper(rho0, spec, 0.02, 150)
+        stepper = dynamics._ClassStepper(psi, spec, 0.02, 150)
         stepper.advance(0, steps)
         mat = stepper.current()
-        # the full-matrix rebuild: the pattern misses no entry, and the per-offset
-        # transform does the same arithmetic
-        ws = dynamics._workspace(n)
-        scaled = stepper.factors[np.broadcast_to(stepper.class_idx, mat.shape)]
+        # the full-matrix rebuild from rho0: the pattern misses no entry, and the
+        # per-offset transform does the same arithmetic
+        scaled = stepper.factors[reference_class_map(n, active_axes(spec))[0]]
         if stepper.transform:
-            coeffs = 0.5**n * dynamics._letter_transform(rho0.elements, ws, 1.0)
-            assert np.array_equal(mat, dynamics._letter_transform(coeffs * scaled, ws, -1.0))
+            coeffs = 0.5**n * full_letter_transform(rho0.elements, n, 1.0)
+            assert np.array_equal(mat, full_letter_transform(coeffs * scaled, n, -1.0))
         else:
             assert np.array_equal(mat, rho0.elements * scaled)
 
@@ -420,6 +479,30 @@ class TestEvolve:
             spectrum = stepper._plan(plan_cut).eigvalsh(stepper.values())
             assert spectrum.shape == (2**n,)
             assert np.abs(spectrum - block_eigvalsh(reference)).max() <= 1e-13
+
+    @given(
+        family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
+        n=st.integers(2, 8),
+        noise=st.sampled_from(sorted(AGREEMENT_NOISES)),
+        kappa=st.sampled_from([1.0, 0.25]),
+        steps=st.integers(0, 150),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pure_start_matches_density_start(self, family, n, noise, kappa, steps, data):
+        # psi's support gives the pattern and np.outer's products, bit for bit
+        psi = draw_state(family, n, data)
+        spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise][0])
+        pure, dense = (
+            dynamics._ClassStepper(start, spec, 0.02, 150)
+            for start in (psi, density_from_pure(psi))
+        )
+        for stepper in (pure, dense):
+            stepper.advance(0, steps)
+        for name in ("rows", "cols", "coeffs", "coeff_class", "factors"):
+            assert_bitwise_equal(getattr(pure, name), getattr(dense, name))
+        assert pure.classes == dense.classes == AGREEMENT_NOISES[noise][1](n)
+        assert_bitwise_equal(pure.values(), dense.values())
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("record_states", [False, True])
