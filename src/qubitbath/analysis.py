@@ -54,20 +54,6 @@ class FitResult:
     n_points: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        payload = {
-            "model": self.model,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "residual": self.residual,
-            "n_points": self.n_points,
-            "converged": self.converged,
-        }
-        if self.model == RECIPROCAL_EXP:
-            payload["asymptote"] = self.asymptote()
-        return payload
-
     def asymptote(self) -> float:
         """Large-N limit of the fitted model."""
         if self.model == RECIPROCAL_EXP:

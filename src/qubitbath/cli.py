@@ -116,24 +116,9 @@ def _trajectory_analysis(trajectory, analysis_cfg) -> dict:
                 window=analysis_cfg.saturation_window,
                 tol=analysis_cfg.saturation_tol,
             )
-            entry["saturation"] = {
-                "saturated": sat.saturated,
-                "value": sat.value,
-                "window": list(sat.window),
-                "slope_bound": sat.slope_bound,
-            }
+            entry["saturation"] = dataclasses.asdict(sat)
         revivals = detect_revival(times, series, threshold=analysis_cfg.revival_threshold)
-        entry["revivals"] = {
-            "threshold": revivals.threshold,
-            "events": [
-                {
-                    "t_collapse": ev.t_collapse,
-                    "t_revival": ev.t_revival,
-                    "peak_value": ev.peak_value,
-                }
-                for ev in revivals.events
-            ],
-        }
+        entry["revivals"] = dataclasses.asdict(revivals)
         report[label] = entry
     return report
 
@@ -146,7 +131,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         config.noise,
         config.time.t_max,
         cuts=config.bipartitions(),
-        options=config.time.integrator_options(),
+        options=config.time.integrator_options(record_states="states" in config.output.formats),
     )
     paths = {}
     if "csv" in config.output.formats:
@@ -305,7 +290,8 @@ def divisibility_report(config: ExperimentConfig) -> dict:
     verdict = classify_divisibility(
         config.noise.rate_x, config.noise.rate_y, config.noise.rate_z, grid
     )
-    payload = verdict.to_dict()
+    payload = dataclasses.asdict(verdict)
+    payload["classification"] = verdict.classification.value
     payload["grid"] = {"t_max": config.time.t_max, "step": config.time.step}
     return payload
 
@@ -403,7 +389,9 @@ def _cmd_fit(args) -> int:
         fit = fit_exp_decay_shift(points)
     else:
         fit = fit_reciprocal_exp(points)
-    payload = fit.to_dict()
+    payload = dataclasses.asdict(fit)
+    if fit.model == RECIPROCAL_EXP:
+        payload["asymptote"] = fit.asymptote()
     payload["cut"] = cut
     payload["parity"] = args.parity
     if fit.model == EXP_DECAY_SHIFT:

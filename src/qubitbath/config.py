@@ -20,24 +20,27 @@ An experiment config is a single JSON document::
     }
 
 Rate models use the tagged records of :mod:`qubitbath.rates`, e.g.
-``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.  The dataclasses below and
-``NoiseSpec`` are the schema: a section's keys are its fields, a field without a
-default is required, and a key that is not a field is an error, so a misspelled
-one cannot fall back to its default.  Numbers reject true/false and strings, and
-time values must be positive multiples of ``time.step``.
+``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.  The dataclasses below,
+``NoiseSpec`` and the rate models are the schema, with one rule for every record:
+its keys are its fields, a field without a default is required, and a key that is
+not a field is an error, so a misspelled one cannot fall back to its default.
+Numbers reject true/false and strings, time values must be positive multiples of
+``time.step``, and a record's own check (such as the kappa whitelist) fails naming
+the record.  The JSON form is ``dataclasses.asdict``, a rate model's ``kind`` included.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args
 
 from .dynamics import SUPPORTED_KAPPAS, IntegratorOptions, NoiseSpec, _stride
 from .entanglement import parse_cut_label
 from .errors import ConfigError
-from .rates import _number
+from .rates import DecayRateModel
 from .states import PureState, dicke_state, ghz_state, w_state
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
@@ -49,15 +52,16 @@ OUTPUT_FORMATS = ("csv", "json", "states")
 def _record(cls, payload, where: str, checks: dict):
     """Build the dataclass ``cls`` from the JSON object ``payload``; ``where`` is its path.
 
-    The dataclass is the schema.  A key that is not one of its fields is an error, and so
-    is an absent field without a default; any other absent field takes its default.  Each
-    present field goes through ``checks[name](value, path)``, which returns the value to
-    store or raises a ConfigError naming ``path``.
+    The dataclass's init fields are the schema.  A key that is not one of them is an
+    error, and so is an absent field without a default; any other absent field takes its
+    default.  Each present field goes through ``checks[name](value, path)``, which returns
+    the value to store or raises a ConfigError naming ``path``.  A ValueError from the
+    record's ``__post_init__`` becomes a ConfigError naming ``where``.
     """
     section = where or "top level"
     if not isinstance(payload, dict):
         raise ConfigError(f"{section}: expected a JSON object")
-    fields = {field.name: field for field in dataclasses.fields(cls)}
+    fields = {field.name: field for field in dataclasses.fields(cls) if field.init}
     for key in payload:
         if key not in fields:
             raise ConfigError(f"{section}: unknown field {key!r}")
@@ -67,12 +71,23 @@ def _record(cls, payload, where: str, checks: dict):
             kwargs[name] = checks[name](payload[name], f"{where}.{name}" if where else name)
         elif field.default is dataclasses.MISSING:
             raise ConfigError(f"{section}: missing required field '{name}'")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the record's own __post_init__ check
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _optional(check):
     """``check`` for a field whose default is None: an explicit null stands for it."""
     return lambda value, where: None if value is None else check(value, where)
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a finite float; float() would also take true/false, strings and NaN."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _positive(value, where: str) -> float:
@@ -179,7 +194,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The JSON form, with ``parse_config(config.to_dict()) == config``."""
         payload = dataclasses.asdict(self)
-        payload["noise"] = self.noise.to_dict()
         payload["cuts"] = list(self.cuts)
         payload["output"]["formats"] = list(self.output.formats)
         if self.state.k is None:
@@ -215,13 +229,19 @@ def _parse_state(payload, where: str) -> StateConfig:
     return dataclasses.replace(state, k=k)
 
 
-def _parse_noise(payload, where: str) -> NoiseSpec:
-    if not isinstance(payload, dict):
+_RATE_KINDS = {cls.kind: cls for cls in get_args(DecayRateModel)}
+
+
+def _rate(value, where: str) -> DecayRateModel:
+    """A rate model from its tagged record: ``kind`` picks the model, the rest are numbers."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    try:
-        return NoiseSpec.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    kind = value.get("kind")
+    if kind not in tuple(_RATE_KINDS):  # a tuple, so an unhashable kind is just unknown
+        raise ConfigError(f"{where}.kind: expected one of {tuple(_RATE_KINDS)}, got {kind!r}")
+    cls = _RATE_KINDS[kind]
+    record = {key: item for key, item in value.items() if key != "kind"}
+    return _record(cls, record, where, {field.name: _number for field in dataclasses.fields(cls)})
 
 
 def _parse_time(payload, where: str) -> TimeConfig:
@@ -265,7 +285,11 @@ def _axes(value, where: str) -> dict:
 
 _SECTIONS = {
     "state": _parse_state,
-    "noise": _parse_noise,
+    "noise": _section(
+        NoiseSpec,
+        {"kind": _string, "omega0": _number, "kappa": _number}
+        | dict.fromkeys(("rate_z", "rate_x", "rate_y"), _rate),
+    ),
     "time": _parse_time,
     "cuts": _strings,
     "analysis": _section(

@@ -43,7 +43,7 @@ for the integrator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +55,7 @@ from .entanglement import (
     partial_transpose_indices,
 )
 from .errors import IntegrationError
-from .rates import ZERO_RATE, ConstantRate, DecayRateModel, _number, rate_model_from_dict
+from .rates import ZERO_RATE, ConstantRate, DecayRateModel
 from .states import (
     BlockPlan,
     DensityMatrix,
@@ -116,27 +116,6 @@ class NoiseSpec:
             raise ValueError(f"kappa must be one of {SUPPORTED_KAPPAS}, got {self.kappa}")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            name: value.to_dict() if name.startswith("rate_") else value
-            for name, value in vars(self).items()
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NoiseSpec":
-        """Inverse of ``to_dict``: an absent field takes its default, a number is a float."""
-        known = {field.name for field in fields(cls)}
-        kwargs = {}
-        for name, value in payload.items():
-            if name not in known:
-                raise ValueError(f"unknown field {name!r}")
-            if name.startswith("rate_"):
-                value = rate_model_from_dict(value, name)
-            elif name != "kind":
-                value = _number(value, name)
-            kwargs[name] = value
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -517,7 +496,7 @@ def evolve(
             )
 
     metadata = {
-        "noise": spec.to_dict(),
+        "noise": asdict(spec),
         "kappa": spec.kappa,
         "omega0": spec.omega0,
         "integrator": stepper.engine,

@@ -13,6 +13,9 @@ All times are dimensionless (t = omega_0 * t_phys).  The bath rate models:
 * ``SinusoidalRate``: gamma(t) = alpha * sin(t).
 * ``ConstantRate``: gamma(t) = gamma_0 >= 0.
 
+Each model is a frozen dataclass whose ``kind`` field, which is not an argument,
+tags its JSON record ``dataclasses.asdict(model)``.
+
 The divisibility classifier decides, on a sampled time grid, whether the
 three-axis local channel generated by (gamma_x, gamma_y, gamma_z) is
 CP-divisible (all rates nonnegative), only P-divisible (all pairwise rate
@@ -21,15 +24,14 @@ sums nonnegative) or not even P-divisible.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import QuadratureError
 
 __all__ = [
     "ConstantRate",
@@ -46,7 +48,6 @@ __all__ = [
     "DivisibilityClass",
     "DivisibilityVerdict",
     "classify_divisibility",
-    "rate_model_from_dict",
 ]
 
 QUAD_ABS_TOL = 1e-10
@@ -146,27 +147,12 @@ def _integrated_ohmic_t0(t, s: float, omega_c: float):
     return out if out.ndim else float(out)
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a finite float; float() would also take true/false, strings and NaN."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not number or not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-class _RateRecord:
-    """The tagged-record form shared by the rate models: ``kind`` plus every field."""
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **dataclasses.asdict(self)}
-
-
 @dataclass(frozen=True)
-class ConstantRate(_RateRecord):
+class ConstantRate:
     """gamma(t) = gamma0 with gamma0 >= 0."""
 
+    kind: str = field(default="constant", init=False)
     gamma0: float
-    kind = "constant"
 
     def __post_init__(self):
         if self.gamma0 < 0:
@@ -184,11 +170,11 @@ class ConstantRate(_RateRecord):
 
 
 @dataclass(frozen=True)
-class SinusoidalRate(_RateRecord):
+class SinusoidalRate:
     """gamma(t) = alpha * sin(t); sign changes are the point of this model."""
 
+    kind: str = field(default="sinusoidal", init=False)
     alpha: float
-    kind = "sinusoidal"
 
     def rate(self, t):
         out = self.alpha * np.sin(np.asarray(t, dtype=float))
@@ -201,12 +187,12 @@ class SinusoidalRate(_RateRecord):
 
 
 @dataclass(frozen=True)
-class OhmicZeroTempRate(_RateRecord):
+class OhmicZeroTempRate:
     """Zero-temperature rate of the exponentially cut-off omega^s bath."""
 
+    kind: str = field(default="ohmic_t0", init=False)
     s: float
     omega_c: float = 1.0
-    kind = "ohmic_t0"
 
     def __post_init__(self):
         if self.s <= 0 or self.omega_c <= 0:
@@ -226,13 +212,13 @@ class OhmicZeroTempRate(_RateRecord):
 
 
 @dataclass(frozen=True)
-class OhmicFiniteTempRate(_RateRecord):
+class OhmicFiniteTempRate:
     """Finite-temperature variant; theta = k_B T / (hbar omega_c)."""
 
+    kind: str = field(default="ohmic_finite_t", init=False)
     s: float
     omega_c: float = 1.0
     theta: float = 0.0
-    kind = "ohmic_finite_t"
 
     def __post_init__(self):
         if self.s <= 0 or self.omega_c <= 0:
@@ -299,28 +285,6 @@ DecayRateModel = Union[ConstantRate, SinusoidalRate, OhmicZeroTempRate, OhmicFin
 
 ZERO_RATE = ConstantRate(0.0)
 
-_MODEL_KINDS = {
-    "constant": ConstantRate,
-    "sinusoidal": SinusoidalRate,
-    "ohmic_t0": OhmicZeroTempRate,
-    "ohmic_finite_t": OhmicFiniteTempRate,
-}
-
-
-def rate_model_from_dict(payload: dict, where: str = "rate") -> DecayRateModel:
-    """Build a rate model from its tagged-record form, e.g. {"kind": "ohmic_t0", ...}.
-
-    Every field but ``kind`` is a number; ``where`` names the record in errors.
-    """
-    payload = dict(payload)
-    try:
-        kind = payload.pop("kind")
-        cls = _MODEL_KINDS[kind]
-    except KeyError as exc:
-        raise ValueError(f"unknown rate model kind in {payload!r}") from exc
-    return cls(**{name: _number(value, f"{where}.{name}") for name, value in payload.items()})
-
-
 def integrated_rate(model: DecayRateModel, t) -> float:
     """Integral of the rate from 0 to t (closed form where available)."""
     t_arr = np.asarray(t, dtype=float)
@@ -369,13 +333,6 @@ class DivisibilityVerdict:
     classification: DivisibilityClass
     violation_windows: tuple
     min_margin: float
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "violation_windows": [list(w) for w in self.violation_windows],
-            "min_margin": self.min_margin,
-        }
 
 
 def _windows_below(grid: np.ndarray, values: np.ndarray, tol: float) -> tuple:

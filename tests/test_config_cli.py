@@ -36,6 +36,22 @@ def base_payload(**overrides):
     return payload
 
 
+# every rate kind, on every axis, including those no paper config uses
+RATE_RECORDS = [
+    {"kind": "constant", "gamma0": 0.1},
+    {"kind": "sinusoidal", "alpha": -0.7},
+    {"kind": "ohmic_t0", "s": 2.47, "omega_c": 2.0},
+    {"kind": "ohmic_finite_t", "s": 1.0, "omega_c": 2.0, "theta": 0.3},
+]
+RATE_AXES = ["rate_x", "rate_y", "rate_z"]
+
+
+def rate_payload(axis, record):
+    payload = base_payload()
+    payload["noise"].update({"kind": "pauli", axis: record})
+    return payload
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -57,8 +73,11 @@ class TestConfigParsing:
                 state={"family": "dicke", "n": 4, "k": 2},
                 sweep={"axes": {"n": [4, 5], "kappa": [1.0]}, "snapshot_t": 1.0, "workers": 2},
             )
-        ],
-        ids=[path.stem for path in PAPER_CONFIGS] + ["dicke-sweep"],
+        ]
+        + [rate_payload(axis, record) for axis in RATE_AXES for record in RATE_RECORDS],
+        ids=[path.stem for path in PAPER_CONFIGS]
+        + ["dicke-sweep"]
+        + [f"{axis}-{record['kind']}" for axis in RATE_AXES for record in RATE_RECORDS],
     )
     def test_round_trip_through_dict(self, payload):
         # sweep cells are derived through to_dict, so it must lose nothing
@@ -132,17 +151,43 @@ class TestConfigParsing:
                 r"sweep.axes.kappa: expected one of \(1.0, 0.25\), got 0.5",
             ),
             # float() takes true/false and numeric strings; a noise number takes neither
-            (lambda p: p["noise"].update(kappa=True), "noise: kappa: expected a number, got True"),
-            (lambda p: p["noise"].update(omega0="2"), "noise: omega0: expected a number, got '2'"),
+            (lambda p: p["noise"].update(kappa=True), "noise.kappa: expected a number, got True"),
+            (lambda p: p["noise"].update(omega0="2"), "noise.omega0: expected a number, got '2'"),
             (
                 lambda p: p["noise"]["rate_z"].update(s=True),
-                "noise: rate_z.s: expected a number, got True",
+                "noise.rate_z.s: expected a number, got True",
             ),
             (
                 lambda p: p["noise"].update(
                     kind="pauli", rate_x={"kind": "constant", "gamma0": True}
                 ),
-                "noise: rate_x.gamma0: expected a number, got True",
+                "noise.rate_x.gamma0: expected a number, got True",
+            ),
+            # a rate record is a record like any other: its errors name its path
+            (lambda p: p["noise"].update(rate_z=5), "noise.rate_z: expected a JSON object"),
+            (
+                lambda p: p["noise"]["rate_z"].update(gamma=1.0),
+                "noise.rate_z: unknown field 'gamma'",
+            ),
+            (lambda p: p["noise"]["rate_z"].pop("s"), "noise.rate_z: missing required field 's'"),
+            (
+                lambda p: p["noise"]["rate_z"].update(kind="lorentzian"),
+                r"noise.rate_z.kind: expected one of \(.*\), got 'lorentzian'",
+            ),
+            (
+                lambda p: p["noise"]["rate_z"].pop("kind"),
+                r"noise.rate_z.kind: expected one of \(.*\), got None",
+            ),
+            (lambda p: p["noise"].pop("kind"), "noise: missing required field 'kind'"),
+            (
+                lambda p: p["noise"]["rate_z"].update(s=-1.0),
+                "noise.rate_z: OhmicZeroTempRate requires s > 0",
+            ),
+            (
+                lambda p: p["noise"].update(
+                    kind="pauli", rate_y={"kind": "constant", "gamma0": -0.1}
+                ),
+                "noise.rate_y: constant rate must be nonnegative",
             ),
             # malformed values must be config errors, not crashes further on
             (lambda p: p.update(cuts=[1]), r"cuts: expected a list of strings, got \[1\]"),
@@ -161,7 +206,7 @@ class TestConfigParsing:
             (lambda p: p["time"].update(t_max=math.inf), "time.t_max: expected a number, got inf"),
             (
                 lambda p: p["noise"]["rate_z"].update(omega_c=math.nan),
-                "noise: rate_z.omega_c: expected a number, got nan",
+                "noise.rate_z.omega_c: expected a number, got nan",
             ),
             # every time value runs on the step grid
             (
@@ -266,6 +311,26 @@ class TestRunCommand:
         metadata = json.load(open(paths_a["metadata"]))
         assert metadata["trajectory"]["kappa"] == 0.25
         assert metadata["trajectory"]["max_trace_drift"] <= 1e-9
+
+    @pytest.mark.parametrize("formats", [["csv", "json"], ["csv", "states"]])
+    def test_run_keeps_only_the_states_it_writes(self, tmp_path, monkeypatch, formats):
+        built = []
+        post_init = states.DensityMatrix.__post_init__
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted_post_init)
+        config = parse_config(base_payload(output={"directory": "runs", "formats": formats}))
+        paths = run_experiment(config, str(tmp_path))
+        if "states" not in formats:
+            assert built == [] and "states" not in paths
+            return
+        # sample_every 1.0 up to t_max 2.0
+        dump = json.load(open(paths["states"]))["states"]
+        assert [entry["t"] for entry in dump] == [0.0, 1.0, 2.0]
+        assert len(built) == 3
 
     def test_two_cut_run_emits_both_series(self, tmp_path):
         config = parse_config(

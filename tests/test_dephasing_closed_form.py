@@ -15,6 +15,7 @@ bound is the RK4 truncation on the distance-n coherence at step 0.01.
 """
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -23,19 +24,18 @@ import pytest
 from qubitbath.cli import run_experiment, sweep_experiment
 from qubitbath.config import load_config, parse_config
 from qubitbath.entanglement import parse_cut_label
-from qubitbath.rates import rate_model_from_dict
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "paper"
 TOL = 1e-8
 S_SUBSET = [2.0, 2.47, 3.0]  # 3.0 has the largest RK4 error of the fig3 grid
 
 
-def closed_form_log_negativity(family: str, n: int, cut_label: str, noise: dict, t: float):
-    """E(t) for a GHZ or W state under the dephasing noise record ``noise``."""
-    if noise["kind"] != "dephasing" or family not in ("ghz", "w"):
-        raise ValueError(f"no closed form for {family} under {noise['kind']} noise")
-    big_gamma = float(rate_model_from_dict(noise["rate_z"]).integrated(t))
-    rate = noise["kappa"] * big_gamma / noise["omega0"]
+def closed_form_log_negativity(family: str, n: int, cut_label: str, noise, t: float):
+    """E(t) for a GHZ or W state under the dephasing ``NoiseSpec`` ``noise``."""
+    if noise.kind != "dephasing" or family not in ("ghz", "w"):
+        raise ValueError(f"no closed form for {family} under {noise.kind} noise")
+    big_gamma = float(noise.rate_z.integrated(t))
+    rate = noise.kappa * big_gamma / noise.omega0
     if family == "ghz":
         return math.log2(1.0 + math.exp(-2.0 * rate * n))
     k = len(parse_cut_label(cut_label, n).canonical().side_a)
@@ -48,10 +48,10 @@ def _read_csv(path):
 
 
 def test_formulas_reject_other_inputs():
-    noise = load_config(str(CONFIG_DIR / "fig5_ghz_n7_depolarising.json")).noise.to_dict()
+    noise = load_config(str(CONFIG_DIR / "fig5_ghz_n7_depolarising.json")).noise
     with pytest.raises(ValueError):
         closed_form_log_negativity("ghz", 7, "1-Rest", noise, 1.0)
-    noise = load_config(str(CONFIG_DIR / "fig3_ghz_dephasing_sweep.json")).noise.to_dict()
+    noise = load_config(str(CONFIG_DIR / "fig3_ghz_dephasing_sweep.json")).noise
     with pytest.raises(ValueError):
         closed_form_log_negativity("dicke", 4, "1-Rest", noise, 1.0)
 
@@ -65,9 +65,11 @@ def test_sweep_matches_closed_form(stem, tmp_path):
     assert len(rows) == len(config.sweep.axes["n"]) * len(S_SUBSET) * len(config.cuts)
     worst = 0.0
     for row in rows:
-        noise = config.noise.to_dict()
-        noise["rate_z"]["s"] = float(row["s"])
-        noise["kappa"] = float(row["kappa"])
+        noise = dataclasses.replace(
+            config.noise,
+            rate_z=dataclasses.replace(config.noise.rate_z, s=float(row["s"])),
+            kappa=float(row["kappa"]),
+        )
         expected = closed_form_log_negativity(
             config.state.family, int(row["n"]), row["cut"], noise, float(row["t"])
         )
@@ -81,7 +83,7 @@ def test_trajectory_matches_closed_form(stem, tmp_path):
     rows = _read_csv(run_experiment(config, str(tmp_path))["trajectory"])
     samples = round(config.time.t_max / config.time.observable_every) + 1
     assert len(rows) == len(config.cuts) * samples
-    noise, worst = config.noise.to_dict(), 0.0
+    noise, worst = config.noise, 0.0
     for row in rows:
         expected = closed_form_log_negativity(
             config.state.family, config.state.n, row["bipartition_label"], noise, float(row["t"])

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qubitbath import (
     w_state,
 )
 from qubitbath import dynamics
+from qubitbath.config import parse_config
 from qubitbath.states import (
     DensityMatrix,
     PAULI_X,
@@ -197,7 +199,11 @@ class TestNoiseSpec:
 
     def test_dict_round_trip(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        assert NoiseSpec.from_dict(spec.to_dict()) == spec
+        config = parse_config(
+            {"state": {"family": "ghz", "n": 2}, "noise": asdict(spec), "time": {"t_max": 1.0}}
+        )
+        assert config.noise == spec
+        assert parse_config(config.to_dict()) == config
 
 
 class TestLindbladRhs:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,8 @@ from qubitbath import (
     gamma_ohmic_t0,
     integrated_rate,
 )
-from qubitbath.rates import integrated_rate_quadrature, rate_model_from_dict
+from qubitbath.config import ConfigError, parse_config
+from qubitbath.rates import integrated_rate_quadrature
 
 
 class TestOhmicZeroTempRate:
@@ -210,6 +212,17 @@ class TestClassifyDivisibility:
             classify_divisibility(rate, rate, rate, [0.0, 0.0, 1.0])
 
 
+def pauli_config(rate_z: dict):
+    """A config whose noise record has ``rate_z`` as its z-axis rate record."""
+    return parse_config(
+        {
+            "state": {"family": "ghz", "n": 2},
+            "noise": {"kind": "pauli", "rate_z": rate_z},
+            "time": {"t_max": 1.0},
+        }
+    )
+
+
 def test_rate_model_serialization_round_trip():
     models = [
         ConstantRate(0.1),
@@ -218,12 +231,15 @@ def test_rate_model_serialization_round_trip():
         OhmicFiniteTempRate(s=1.0, omega_c=2.0, theta=0.3),
     ]
     for model in models:
-        assert rate_model_from_dict(model.to_dict()) == model
+        # a rate model's JSON form is its dataclasses.asdict record, kind included
+        config = pauli_config(dataclasses.asdict(model))
+        assert config.noise.rate_z == model
+        assert parse_config(config.to_dict()) == config
 
 
 def test_rate_model_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        rate_model_from_dict({"kind": "lorentzian", "width": 1.0})
+    with pytest.raises(ConfigError, match="noise.rate_z.kind: .*got 'lorentzian'"):
+        pauli_config({"kind": "lorentzian", "width": 1.0})
 
 
 class TestScipyOnlyForQuadrature:
