@@ -237,11 +237,39 @@ def _points_to_arrays(points) -> tuple:
     return n_vals, e_vals
 
 
-# E_N of each model at parameters (a, b, c), elementwise in N
+# Per model, the shift of N in its decay term a exp(-c (N - shift)), and E_N as a
+# function of that term and b^2
 _MODELS = {
-    EXP_DECAY_SHIFT: lambda a, b, c, n: a * np.exp(np.clip(-c * (n - 3.0), -700.0, 700.0)) + b * b,
-    RECIPROCAL_EXP: lambda a, b, c, n: 1.0 / (a * np.exp(np.clip(-c * n, -700.0, 700.0)) + b * b),
+    EXP_DECAY_SHIFT: (3.0, lambda term, b2: term + b2),
+    RECIPROCAL_EXP: (0.0, lambda term, b2: 1.0 / (term + b2)),
 }
+# a decay term at most this fraction of b^2 moves E_N by a few ulps at most
+VANISHED_TERM = 1e-15
+
+
+def _decay_term(model: str, a: float, c: float, n) -> np.ndarray:
+    """a exp(-c (N - shift)), elementwise in N; the exponent is clipped, so only a large a
+    overflows it, to the model's limit +-inf."""
+    shift = _MODELS[model][0]
+    with np.errstate(over="ignore"):
+        return a * np.exp(np.clip(-c * (n - shift), -700.0, 700.0))
+
+
+def _evaluate(model: str, a: float, b: float, c: float, n) -> np.ndarray:
+    """E_N of the model at parameters (a, b, c), elementwise in N (1 / inf = 0 exactly)."""
+    return _MODELS[model][1](_decay_term(model, a, c, n), b * b)
+
+
+def _degenerate(model: str, a: float, b: float, c: float, n_vals: np.ndarray) -> bool:
+    """Whether the decay term has vanished against b^2 at every qubit count it can show at.
+
+    Such a fit is a constant (or, for ``exp_decay_shift``, a step at the smallest count,
+    where the term is a itself, so that count is left out): c can grow without bound at
+    the same cost, and the fit has no optimum.
+    """
+    counts = n_vals[1:] if model == EXP_DECAY_SHIFT else n_vals
+    term = _decay_term(model, a, c, counts)
+    return bool(np.all(np.abs(term) <= VANISHED_TERM * b * b))
 
 
 def _fit(model: str, n_vals: np.ndarray, e_vals: np.ndarray, starts) -> FitResult:
@@ -249,12 +277,14 @@ def _fit(model: str, n_vals: np.ndarray, e_vals: np.ndarray, starts) -> FitResul
 
     It wins even over a start that converged at a higher residual: where the
     lowest residual is only approached with the parameters running off, the
-    model has no optimum, and the fit says so by being unconverged.
+    model has no optimum, and the fit says so by being unconverged.  So does
+    a fit whose decay term has vanished (``_degenerate``).
     """
-    formula = _MODELS[model]
     best = None
     for p0 in starts:
-        p, rms, ok = _damped_gauss_newton(lambda p: formula(*p, n_vals) - e_vals, np.array(p0))
+        p, rms, ok = _damped_gauss_newton(
+            lambda p: _evaluate(model, *p, n_vals) - e_vals, np.array(p0)
+        )
         if best is None or rms < best[1]:
             best = (p, rms, ok)
     p, rms, ok = best
@@ -265,7 +295,7 @@ def _fit(model: str, n_vals: np.ndarray, e_vals: np.ndarray, starts) -> FitResul
         c=float(p[2]),
         residual=rms,
         n_points=n_vals.size,
-        converged=ok,
+        converged=ok and not _degenerate(model, *p, n_vals),
     )
 
 
@@ -299,7 +329,7 @@ def extrapolate(fit: FitResult, n: float) -> float:
     """Evaluate the fitted model at qubit count n."""
     if fit.model not in _MODELS:
         raise ValueError(f"unknown fit model {fit.model!r}")
-    return float(_MODELS[fit.model](fit.a, fit.b, fit.c, n))
+    return float(_evaluate(fit.model, fit.a, fit.b, fit.c, n))
 
 
 def vanishing_crossing(fit: FitResult, threshold: float = 1e-3) -> Optional[int]:

@@ -16,11 +16,15 @@ obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
 gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing), with rates evaluated a block of steps at a
-time.  One flip-and-sign transform per site puts the Pauli coefficients where
-popcounts of each entry's row and column give its class; it is skipped when z
-is the only active axis.  Full-matrix RK4 is exactly RK4 on these factors; the
-dense stepper, which materialises the right-hand side, is the independent
-reference (``IntegratorOptions(dense=True)``).
+time.  A block has max(128, 15360 // classes) steps, so its growth table
+(steps x classes) never outgrows the 128 x 120 entries of fig5 GHZ n=7 unless
+a run has more than 120 classes, and a dephasing run with n + 1 classes takes
+one to three blocks for 3000 steps at n <= 10.  One flip-and-sign transform
+per site puts the Pauli coefficients where popcounts of each entry's row and
+column give its class; it is skipped when z is the only active axis.
+Full-matrix RK4 is exactly RK4 on these factors; the dense stepper, which
+materialises the right-hand side, is the independent reference
+(``IntegratorOptions(dense=True)``).
 
 rho(t) of the class stepper is nonzero only on a pattern fixed by rho0, where
 its values are linear in the class factors.  Started from a ``PureState``, the
@@ -230,7 +234,7 @@ class _DenseStepper:
     """RK4 on the full density matrix; hermitise and re-trace each step."""
 
     engine = "rk4-dense"
-    classes = None
+    classes = block_steps = None
 
     def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float):
         self.mat = np.array(rho0.elements, dtype=complex)
@@ -295,8 +299,11 @@ def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.nda
     return stack.ravel()
 
 
-# Steps whose growth rows come from one rate call per axis and RK4 stage; capped because
-# 1024 (1024 x 120 rows at fig5 GHZ n=7) raised that run's peak RSS by 7%, 128 by under 1%.
+# A rate block's growth rows come from one rate call per axis and RK4 stage.  Its table
+# holds up to _BLOCK_ENTRIES entries (steps x classes), the 128 x 120 of fig5 GHZ n=7: 1024
+# steps there raised that run's peak RSS by 7%, 128 by under 1%.  A block never has fewer
+# than _BLOCK_STEPS steps, so runs with more than 120 classes keep 128-step blocks.
+_BLOCK_ENTRIES = 128 * 120
 _BLOCK_STEPS = 128
 
 
@@ -360,6 +367,7 @@ class _ClassStepper:
         scale = 2.0 * spec.kappa / spec.omega0
         self.axes = [(models[axis], -(scale * row)) for axis, row in zip(active, anti)]
         self.classes = len(self.axes[0][1])
+        self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
         self.factors = np.ones(self.classes, dtype=float)
 
     def _decay(self, t: np.ndarray) -> np.ndarray:
@@ -367,19 +375,20 @@ class _ClassStepper:
         return sum(terms[1:], terms[0])
 
     def advance(self, k0: int, k: int) -> None:
-        h = self.h
+        h, block = self.h, self.block_steps
         j = k0
         while j < k:
-            if j % _BLOCK_STEPS == 0:  # RK4 growth rows of the next block, up to t_max
-                t = np.arange(j, min(j + _BLOCK_STEPS, self.n_steps)) * h
+            offset = j % block
+            if offset == 0:  # RK4 growth rows of the next block, up to t_max
+                t = np.arange(j, min(j + block, self.n_steps)) * h
                 a1 = self._decay(t)
                 am = self._decay(t + 0.5 * h)
                 a2 = am * (1.0 + 0.5 * h * a1)
                 a3 = am * (1.0 + 0.5 * h * a2)
                 a4 = self._decay(t + h) * (1.0 + h * a3)
                 self.growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
-            stop = min(k, j - j % _BLOCK_STEPS + _BLOCK_STEPS)
-            rows = self.growth[j % _BLOCK_STEPS : j % _BLOCK_STEPS + stop - j]
+            stop = min(k, j - offset + block)
+            rows = self.growth[offset : offset + stop - j]
             # a reduction down axis 0 multiplies row by row, as one step at a time does
             self.factors = np.multiply.reduce(np.vstack((self.factors, rows)), axis=0)
             j = stop
@@ -501,6 +510,7 @@ def evolve(
         "omega0": spec.omega0,
         "integrator": stepper.engine,
         "classes": stepper.classes,
+        "block_steps": stepper.block_steps,
         "step": h,
         "t_max": t_max,
         "cuts": list(observables),

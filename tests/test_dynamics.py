@@ -1,7 +1,10 @@
 import functools
 import itertools
+import json
 import math
 from dataclasses import asdict
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ from qubitbath.states import (
     hamming_distance_matrix,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "paper"
 rng = np.random.default_rng(99)
 
 REVIVAL_RATES = dict(
@@ -184,6 +188,11 @@ def permute_density(rho: DensityMatrix, perm) -> DensityMatrix:
     return DensityMatrix(n, mat, check_positivity=False)
 
 
+def fixed_blocks(steps):
+    """Every class stepper built inside the context takes rate blocks of ``steps`` steps."""
+    return mock.patch.multiple(dynamics, _BLOCK_STEPS=steps, _BLOCK_ENTRIES=0)
+
+
 class TestNoiseSpec:
     def test_dephasing_requires_zero_transverse_rates(self):
         with pytest.raises(ValueError):
@@ -303,8 +312,9 @@ class TestEvolve:
     def test_class_stepper_matches_dense(self, family, n, kappa, data):
         psi = draw_state(family, n, data)
         cuts = [one_vs_rest(n)] + ([highest_cut(n)] if n >= 3 else [])
-        # 150 steps of 0.02 cross one 128-step rate block; the strides need not
-        # nest (7 and 25 steps) and may be every step
+        # 150 steps of 0.02 cross one block boundary with 128-step blocks, which these
+        # class counts (at most 84) get only from a patch; the strides need not nest
+        # (7 and 25 steps) and may be every step
         obs_every, sample_every = data.draw(
             st.sampled_from([(0.1, 0.5), (0.14, 0.5), (None, 1.0), (0.5, 0.3), (3.0, 3.0)]),
             label="intervals",
@@ -318,12 +328,14 @@ class TestEvolve:
         for spec_kwargs, class_count in AGREEMENT_NOISES.values():  # every stepper branch
             spec = NoiseSpec(kappa=kappa, **spec_kwargs)
             # evolve builds rho0 = |psi><psi| for the dense stepper only
-            fast, dense = (
-                evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=dense, **opts))
-                for dense in (False, True)
-            )
+            with fixed_blocks(128):
+                fast, dense = (
+                    evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=d, **opts))
+                    for d in (False, True)
+                )
             assert fast.metadata["integrator"] == "rk4-pauli-classes"
             assert fast.metadata["classes"] == class_count(n)
+            assert fast.metadata["block_steps"] == 128
             for traj in (fast, dense):
                 assert list(traj.times) == grid(obs_every)
                 assert list(traj.state_times) == grid(sample_every)
@@ -379,11 +391,11 @@ class TestEvolve:
         assert np.abs(stepper.current() - rho0.elements).max() <= 1e-15
 
     def test_interval_crossing_two_rate_blocks(self):
-        # one recording interval of 307 steps: two full 128-step rate blocks
-        # and one that ends mid-block at t_max
+        # one recording interval of 1007 steps: two full 438-step rate blocks (35
+        # classes) and one that ends mid-block at t_max
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         rho0 = density_from_pure(ghz_state(4))
-        t_max, cuts = 3.07, [one_vs_rest(4), highest_cut(4)]
+        t_max, cuts = 10.07, [one_vs_rest(4), highest_cut(4)]
         fast, dense = (
             evolve(
                 rho0,
@@ -396,7 +408,8 @@ class TestEvolve:
             )
             for dense in (False, True)
         )
-        assert list(fast.times) == list(fast.state_times) == [0.0, 307 * 0.01]
+        assert fast.metadata["block_steps"] == 438
+        assert list(fast.times) == list(fast.state_times) == [0.0, 1007 * 0.01]
         assert np.abs(fast.final_state().elements - dense.final_state().elements).max() <= 1e-13
         for label in fast.observables:
             assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
@@ -425,12 +438,70 @@ class TestEvolve:
     def test_interval_advance_equals_step_by_step(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         rho0 = density_from_pure(ghz_state(3))
-        whole, stepwise = (dynamics._ClassStepper(rho0, spec, 0.01, 300) for _ in range(2))
+        whole, stepwise = (dynamics._ClassStepper(rho0, spec, 0.01, 2000) for _ in range(2))
+        assert whole.block_steps == 768  # 20 classes
         whole.advance(0, 5)
-        whole.advance(5, 300)  # from mid-block across two 128-step rate blocks
-        for j in range(300):
+        whole.advance(5, 2000)  # from mid-block across two 768-step rate blocks
+        for j in range(2000):
             stepwise.advance(j, j + 1)
         assert np.array_equal(whole.factors, stepwise.factors)
+
+    @pytest.mark.parametrize(
+        "psi, spec, t_max",
+        [
+            (ghz_state(4), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES), 10.0),
+            (
+                w_state(5),
+                NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25),
+                30.0,
+            ),
+        ],
+        ids=["ghz4-fig5-rates", "w5-fig4-rates"],
+    )
+    def test_block_length_changes_no_bit(self, psi, spec, t_max):
+        # each growth row depends on its own step's t alone, and the factors take
+        # the rows one by one, so where the blocks end changes nothing
+        n = psi.n
+        options = IntegratorOptions(step=0.01, observable_every=0.05, sample_every=0.25)
+        cuts = [one_vs_rest(n), highest_cut(n)]
+        runs = {}
+        for steps in (1, 7):
+            with fixed_blocks(steps):
+                runs[steps] = evolve(psi, spec, t_max, cuts=cuts, options=options)
+        runs[None] = evolve(psi, spec, t_max, cuts=cuts, options=options)
+        assert [runs[steps].metadata["block_steps"] for steps in (1, 7)] == [1, 7]
+        assert runs[None].metadata["block_steps"] < round(t_max / 0.01)  # crosses a block
+        reference = runs[1]
+        for run in runs.values():
+            assert np.array_equal(run.times, reference.times)
+            for label, series in reference.observables.items():
+                assert np.array_equal(run.observables[label], series)
+            assert run.metadata["min_eigenvalue"] == reference.metadata["min_eigenvalue"]
+            assert np.array_equal(run.state_times, reference.state_times)
+            for state, want in zip(run.states, reference.states, strict=True):
+                assert np.array_equal(state.elements, want.elements)
+        # and each row is its own step's: rows one step off in t agree with each
+        # other but not with the closed form
+        with fixed_blocks(1):
+            rho0 = density_from_pure(psi)
+            assert oracle_deviation(rho0, spec, t_max, IntegratorOptions(step=0.01), t_max) < 1e-8
+
+    @pytest.mark.parametrize(
+        "stem, n, classes, block_steps",
+        [
+            ("fig5_ghz_n7_depolarising", 7, 120, 128),
+            ("fig4_w_dephasing_sweep", 10, 11, 1396),  # 15360 // 11
+            ("fig5_w_n5_depolarising", 8, 165, 128),  # over 120 classes: no shorter
+        ],
+    )
+    def test_block_steps_rule(self, stem, n, classes, block_steps):
+        payload = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+        payload["state"]["n"] = n
+        payload.pop("sweep", None)
+        config = parse_config(payload)
+        traj = evolve(config.state.build(), config.noise, 0.01)
+        assert traj.metadata["classes"] == classes
+        assert traj.metadata["block_steps"] == block_steps
 
     def test_records_without_rebuilding_unkept_states(self, monkeypatch):
         def no_rebuild(self):

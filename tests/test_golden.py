@@ -17,6 +17,7 @@ After checking that a change of these values is intended, re-record them with
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,12 +149,27 @@ def grid_fits():
 
 
 def test_grid_fits_match_golden():
-    # the 16 unconverged reciprocal fits (fig3 1-Rest at four s, the fig4
-    # balanced cut at every s) have no finite optimum: their a is wherever
-    # the iteration cap stopped it
+    # 29 fits have no finite optimum and say so. 16 reciprocal fits (fig3 1-Rest
+    # at four s, the fig4 highest cut at every s) have their a wherever the
+    # iteration cap stopped it. In 13 more the decay term has vanished against
+    # b^2: fig3 1-Rest at s=2.8 (reciprocal, a constant) and the fig4 highest
+    # cut at every s (exp_decay_shift, a step at N = 3 with c = 40-628).
     fits = json.loads(json.dumps(grid_fits()))
     assert_close(fits, load("grid_fits"), "grid_fits")
-    assert sum(fit[3] for fit in fits.values()) == len(fits) - 16
+    assert sum(fit[3] for fit in fits.values()) == len(fits) - 29
+
+
+def test_fig4_highest_cut_fits_raise_no_warning():
+    # on the balanced (highest) cut at s=2.2 a trial step of the reciprocal fit
+    # overflows its decay term a exp(-c N) to inf; E = 1 / inf = 0 is the
+    # model's exact limit, so the fit evaluates it without a warning
+    grid = load("fig4_grid")["grid"]
+    for s in sorted({s for _, s, _, _ in grid}):
+        points = [(n, e) for n, s_n, cut, e in grid if (cut, s_n) == ("highest-cut", s)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_reciprocal_exp(points)
+            fit_exp_decay_shift(points)
 
 
 def record() -> None:
