@@ -35,10 +35,9 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, _positive_int, load_config, parse_config
 from .entanglement import parse_cut_label
-from .dynamics import evolve, oracle_deviation
+from .dynamics import class_engine_bytes, evolve, oracle_deviation
 from .errors import IntegrationError, QuadratureError
 from .rates import classify_divisibility
-from .states import density_from_pure
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -154,12 +153,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     return paths
 
 
-def _estimate_cell_bytes(n: int) -> float:
-    # rho0, each rebuilt matrix, the partial transposes, the Hamming table and
-    # scratch copies
-    return 12.0 * 16.0 * (4.0**n)
-
-
 def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
     payload = dataclasses.replace(config, sweep=None).to_dict()
     if "n" in cell:
@@ -229,16 +222,16 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     # same rule as sweep.workers in the config, so --workers 0 is a usage error
     workers = min(_positive_int(workers, "workers"), len(cells))
 
-    max_n = max((c.get("n", config.state.n) for c in cells), default=config.state.n)
-    budget = sweep.memory_budget_mb * 1024.0 * 1024.0
-    needed = _estimate_cell_bytes(max_n) * workers
-    if needed > budget:
+    jobs = [(cell, _derive_cell(config, cell)) for cell in cells]
+    needed = workers * max(
+        class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) for _, job in jobs
+    )
+    if needed > sweep.memory_budget_mb * 2**20:
         raise ConfigError(
-            f"sweep: estimated {needed / 2**20:.0f} MiB for n={max_n} with "
-            f"{workers} workers exceeds memory_budget_mb={sweep.memory_budget_mb}"
+            f"sweep: estimated {needed / 2**20:.0f} MiB for the largest cell on {workers} "
+            f"workers exceeds memory_budget_mb={sweep.memory_budget_mb}"
         )
 
-    jobs = [(cell, _derive_cell(config, cell)) for cell in cells]
     results = []
     if workers == 1:
         results = [_run_sweep_cell(job) for job in jobs]
@@ -338,12 +331,9 @@ def _cmd_divisibility(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     config = _apply_kappa(load_config(args.config), args.kappa)
-    psi = config.state.build()
-    options = config.time.integrator_options(
-        record_states=False, dense=args.dense
-    )
+    options = config.time.integrator_options(record_states=False, dense=args.dense)
     deviation = oracle_deviation(
-        density_from_pure(psi),
+        config.state.build(),
         config.noise,
         config.time.t_max,
         options=options,

@@ -15,30 +15,26 @@ diagonal in the Pauli-string basis: a string with letter counts (nx, ny, nz)
 obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
 gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
-distance under pure dephasing), with rates evaluated a block of steps at a
-time.  A block has max(128, 15360 // classes) steps, so its growth table
-(steps x classes) never outgrows the 128 x 120 entries of fig5 GHZ n=7 unless
-a run has more than 120 classes, and a dephasing run with n + 1 classes takes
-one to three blocks for 3000 steps at n <= 10.  One flip-and-sign transform
-per site puts the Pauli coefficients where popcounts of each entry's row and
-column give its class; it is skipped when z is the only active axis.
-Full-matrix RK4 is exactly RK4 on these factors; the dense stepper, which
-materialises the right-hand side, is the independent reference
+distance under pure dephasing) that rho0's pattern uses, with rates evaluated
+a block of steps at a time (max(128, 15360 // classes) steps: 960 for fig5
+GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  One flip-and-sign
+transform per site puts the Pauli coefficients where popcounts of each
+entry's row and column give its class; it is skipped when z is the only
+active axis.  Full-matrix RK4 is exactly RK4 on these factors; the dense
+stepper, which materialises the right-hand side, is the independent reference
 (``IntegratorOptions(dense=True)``).
 
-rho(t) of the class stepper is nonzero only on a pattern fixed by rho0, where
-its values are linear in the class factors.  Started from a ``PureState``, the
-stepper reads that pattern and rho0's values on it from psi's support, and the
-transforms run offset by offset on the pattern, so no 4^n array is built.
-``evolve`` builds, once per run, one ``states.BlockPlan`` per cut (on the
-partial-transposed pattern) and one for rho itself (positivity): the
-components, grouped by size, and where each value goes in its group's stack.
-A record costs one evaluation of rho(t) on the pattern plus one stacked
-``eigvalsh`` per size group; the full matrix is rebuilt only for states that
-``record_states`` keeps.  The dense stepper, the dense right-hand side and the
-closed-form dephasing map use a 4^n Hamming table, built on first use; the
-dense stepper records through the public ``log_negativity`` and
-``block_eigvalsh``.
+Both steppers start from a ``PureState`` psi, rho0 = |psi><psi|; the class
+stepper reads rho(t)'s fixed pattern and rho0's values on it from psi's
+support, so no 4^n array is built.  ``evolve`` builds, once per run, one
+``states.BlockPlan`` per cut (on the partial-transposed pattern) and one for
+rho itself (positivity): the components, grouped by size, and where each value
+goes in its group's stack.  A record costs one evaluation of rho(t) on the
+pattern plus one stacked ``eigvalsh`` per size group; the full matrix is
+rebuilt only for states that ``record_states`` keeps.  The dense stepper, the
+dense right-hand side and the closed-form dephasing map use a 4^n Hamming
+table, built on first use; the dense stepper records through the public
+``log_negativity`` and ``block_eigvalsh``.
 
 Closed-form propagators for both noise kinds serve as independent oracles
 for the integrator.
@@ -47,6 +43,7 @@ for the integrator.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +51,7 @@ import numpy as np
 
 from .entanglement import (
     Bipartition,
+    _as_matrix,
     log2_trace_norm,
     log_negativity,
     partial_transpose_indices,
@@ -96,6 +94,12 @@ EIGENVALUE_ERROR_FLOOR = -1e-6
 
 def _is_zero_rate(model: DecayRateModel) -> bool:
     return isinstance(model, ConstantRate) and model.gamma0 == 0.0
+
+
+def _active_rates(spec: NoiseSpec) -> dict:
+    """Rate model by axis 0, 1, 2 (x, y, z) if not identically zero; z's when none is."""
+    models = (spec.rate_x, spec.rate_y, spec.rate_z)
+    return {axis: m for axis, m in enumerate(models) if not _is_zero_rate(m)} or {2: models[2]}
 
 
 @dataclass(frozen=True)
@@ -219,28 +223,21 @@ def lindblad_rhs(rho, t: float, spec: NoiseSpec) -> np.ndarray:
     operators: the z part is an elementwise Hamming-distance damping and the
     x/y parts are bit-flips of both indices with the appropriate signs.
     """
-    if isinstance(rho, DensityMatrix):
-        mat = rho.elements
-        n = rho.n
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        n = int(round(np.log2(mat.shape[0])))
-        if mat.shape != (2**n, 2**n):
-            raise ValueError(f"rho has shape {mat.shape}, not 2^n x 2^n")
+    mat, n = _as_matrix(rho)
     return _rhs_matrix(mat, t, spec, _workspace(n))
 
 
 class _DenseStepper:
-    """RK4 on the full density matrix; hermitise and re-trace each step."""
+    """RK4 on the full density matrix |psi><psi|; hermitise and re-trace each step."""
 
     engine = "rk4-dense"
     classes = block_steps = None
 
-    def __init__(self, rho0: DensityMatrix, spec: NoiseSpec, h: float):
-        self.mat = np.array(rho0.elements, dtype=complex)
+    def __init__(self, psi: PureState, spec: NoiseSpec, h: float):
+        self.mat = np.array(density_from_pure(psi).elements, dtype=complex)
         self.spec = spec
         self.h = h
-        self.ws = _workspace(rho0.n)
+        self.ws = _workspace(psi.n)
         self.max_trace_drift = self.max_herm_drift = 0.0
         self.renormalizations = 0
 
@@ -300,11 +297,17 @@ def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.nda
 
 
 # A rate block's growth rows come from one rate call per axis and RK4 stage.  Its table
-# holds up to _BLOCK_ENTRIES entries (steps x classes), the 128 x 120 of fig5 GHZ n=7: 1024
-# steps there raised that run's peak RSS by 7%, 128 by under 1%.  A block never has fewer
+# holds up to _BLOCK_ENTRIES entries (steps x classes), fig5 GHZ n=7's 960 x 16: 1024 x 120
+# entries raised a run's peak RSS by 7%, 128 x 120 by under 1%.  A block never has fewer
 # than _BLOCK_STEPS steps, so runs with more than 120 classes keep 128-step blocks.
 _BLOCK_ENTRIES = 128 * 120
 _BLOCK_STEPS = 128
+
+# Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
+# per pattern entry for the stepper and one plan's build (92 at full support, n = 8), per
+# entry and plan kept (16), per basis index (83, GHZ at n = 13: popcounts and a plan's node
+# arrays) and per growth-table entry (86-94 with three axes).
+_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 96, 128
 
 
 class _ClassStepper:
@@ -313,60 +316,49 @@ class _ClassStepper:
     Only axes with a rate not identically zero are evaluated.  Letters anticommuting with
     sigma_x, sigma_y, sigma_z sit where the row bit is 1, the column bit is 1 and the bits
     differ, so an entry's counts are popcounts of its row, its column and their XOR.  The
-    class set is that of every letter-count triple (nx, ny, nz) with nx + ny + nz <= n,
-    whichever entries rho0 uses.
+    classes are the distinct count codes on the pattern, so a run steps only the classes
+    psi's pattern uses.
 
     rho(t) is only ever nonzero on a fixed pattern (``rows``, ``cols``), where its values
-    are linear in the class factors.  With z alone that is rho0's pattern and the letter
-    transform is skipped: it keeps every entry's Hamming distance.  Otherwise the inverse
-    transform sends a coefficient at (a, b) to (a ^ m, b ^ m) with sign (-1)^|m & a|, for
-    every site mask m; it keeps the offset a ^ b, so the pattern is every entry of each
-    offset rho0 uses, and per offset both transforms are signed Walsh-Hadamard transforms
-    of 2^n values.  A ``PureState`` gives rho0's pattern as its support times itself and
-    its values as psi[rows] * conj(psi[cols]), so no 2^n x 2^n array is built; a
-    ``DensityMatrix`` gives them by its nonzeros.
+    are linear in the class factors.  With z alone that is rho0's, psi's support times
+    itself, and the letter transform is skipped: it keeps every entry's Hamming distance.
+    Otherwise the inverse transform sends a coefficient at (a, b) to (a ^ m, b ^ m) with
+    sign (-1)^|m & a|, for every site mask m; it keeps the offset a ^ b, so the pattern is
+    every entry of each offset rho0 uses, and per offset both transforms are signed
+    Walsh-Hadamard transforms of 2^n values.  rho0 on the pattern is
+    psi[rows] * conj(psi[cols]), so no 2^n x 2^n array is built.
     """
 
     engine = "rk4-pauli-classes"
     max_trace_drift = max_herm_drift = 0.0  # trace and hermiticity are exact
     renormalizations = 0
 
-    def __init__(self, state: PureState | DensityMatrix, spec: NoiseSpec, h: float, n_steps: int):
-        n, d = state.n, state.dim
+    def __init__(self, psi: PureState, spec: NoiseSpec, h: float, n_steps: int):
+        n, d, amplitudes = psi.n, psi.dim, psi.amplitudes
         self.h, self.n_steps, self.ws = h, n_steps, _workspace(n)
-        models = (spec.rate_x, spec.rate_y, spec.rate_z)
-        active = [axis for axis in range(3) if not _is_zero_rate(models[axis])] or [2]
-        self.transform = active != [2]
-        pure = isinstance(state, PureState)
-        if pure:
-            psi = state.amplitudes
-            support = np.flatnonzero(psi)
-            rows, cols = np.repeat(support, len(support)), np.tile(support, len(support))
-        else:
-            rows, cols = np.nonzero(state.elements)
+        active = _active_rates(spec)
+        self.transform = list(active) != [2]
+        support = np.flatnonzero(amplitudes)
+        rows, cols = np.repeat(support, len(support)), np.tile(support, len(support))
         if self.transform:  # pattern-ordered offset by offset
             offsets = np.unique(rows ^ cols)
             rows = np.tile(np.arange(d), len(offsets))
             cols = rows ^ np.repeat(offsets, d)
         # rho0 on the pattern; the product is np.outer's arithmetic
-        coeffs = psi[rows] * psi[cols].conj() if pure else state.elements[rows, cols]
+        coeffs = amplitudes[rows] * amplitudes[cols].conj()
         if self.transform:
             coeffs = 0.5**n * _site_transform(coeffs, self.ws, inverse=False)
         self.rows, self.cols, self.coeffs = rows, cols, coeffs
 
-        def code(counts):  # equal counts on every active axis share a class
-            return sum((n + 1) ** j * counts[axis] for j, axis in enumerate(active))
-
-        triples = np.indices((n + 1,) * 3).reshape(3, -1)
-        nx, ny, nz = triples[:, triples.sum(axis=0) <= n]
-        codes = np.unique(code((ny + nz, nx + nz, nx + ny)))
         pop = self.ws.popcount
-        self.coeff_class = np.searchsorted(codes, code((pop[rows], pop[cols], pop[rows ^ cols])))
+        counts = (pop[rows], pop[cols], pop[rows ^ cols])
+        # equal counts on every active axis share a class
+        code = sum((n + 1) ** j * counts[axis] for j, axis in enumerate(active))
+        codes, self.coeff_class = np.unique(code, return_inverse=True)
         anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(active))]
-        self.dim, self.plans = d, {}
+        self.dim, self.plans, self.classes = d, {}, len(codes)
         scale = 2.0 * spec.kappa / spec.omega0
-        self.axes = [(models[axis], -(scale * row)) for axis, row in zip(active, anti)]
-        self.classes = len(self.axes[0][1])
+        self.axes = [(model, -(scale * row)) for model, row in zip(active.values(), anti)]
         self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
         self.factors = np.ones(self.classes, dtype=float)
 
@@ -419,6 +411,26 @@ class _ClassStepper:
         return self.plans[cut]
 
 
+def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
+    """Upper estimate of the peak bytes of a class-engine run from psi with ``cuts`` cuts.
+
+    With S psi's support, ``_ClassStepper``'s pattern is S x S under z alone, its blocks
+    within the at most min(2^n, |S|^2) indices it touches; otherwise every entry of at most
+    min(|S|^2, 2^n) offsets, each block a coset of their span (at most min(n, |S| - 1)
+    dimensions).  Stacked values count twice: ``eigvalsh`` copies them unseen by tracemalloc.
+    """
+    n, d, support = psi.n, psi.dim, int(np.count_nonzero(psi.amplitudes))
+    active = _active_rates(spec)
+    if list(active) == [2]:
+        entries, stacked = support**2, min(d, support**2) ** 2 + d
+    else:
+        entries, stacked = d * min(support**2, d), d * 2 ** min(n, support - 1)
+    classes = n + 1 if len(active) == 1 else math.comb(n + 3, 3)
+    growth = max(_BLOCK_ENTRIES, _BLOCK_STEPS * classes)
+    per_entry = _ENTRY_BYTES + (cuts + 1) * _PLAN_ENTRY_BYTES
+    return float(entries * per_entry + 32 * stacked + d * _INDEX_BYTES + growth * _GROWTH_BYTES)
+
+
 def _stride(name: str, interval: Optional[float], h: float, default: int) -> int:
     if interval is None:
         return default
@@ -428,14 +440,10 @@ def _stride(name: str, interval: Optional[float], h: float, default: int) -> int
     return stride
 
 
-def _stepper(
-    state: PureState | DensityMatrix, spec: NoiseSpec, n_steps: int, options: IntegratorOptions
-):
-    h = options.step
-    if not options.dense:
-        return _ClassStepper(state, spec, h, n_steps)
-    rho0 = density_from_pure(state) if isinstance(state, PureState) else state
-    return _DenseStepper(rho0, spec, h)
+def _stepper(psi: PureState, spec: NoiseSpec, n_steps: int, options: IntegratorOptions):
+    if options.dense:
+        return _DenseStepper(psi, spec, options.step)
+    return _ClassStepper(psi, spec, options.step, n_steps)
 
 
 def _recording_points(stepper, n_steps: int, strides):
@@ -451,16 +459,16 @@ def _recording_points(stepper, n_steps: int, strides):
 
 
 def evolve(
-    state: PureState | DensityMatrix,
+    psi: PureState,
     spec: NoiseSpec,
     t_max: float,
     cuts: Sequence[Bipartition] = (),
     options: IntegratorOptions = IntegratorOptions(),
 ) -> Trajectory:
-    """Propagate |psi><psi| (a ``PureState``) or rho0 under the noise spec from t=0 to t_max.
+    """Propagate rho0 = |psi><psi| under the noise spec from t=0 to t_max.
 
-    From a ``PureState`` the class stepper builds no 2^n x 2^n matrix but the
-    states it keeps; the dense stepper builds rho0 with ``density_from_pure``.
+    The class stepper builds no 2^n x 2^n matrix but the states it keeps; the
+    dense stepper builds rho0 with ``density_from_pure``.
     Entanglement observables (log negativity per requested cut) are recorded
     every ``options.observable_every`` (default: every step, or only at both
     ends when there are no cuts); full states every ``options.sample_every``.
@@ -473,15 +481,15 @@ def evolve(
     sample_stride = _stride("sample_every", options.sample_every, h, n_steps)
 
     for cut in cuts:
-        if cut.n != state.n:
-            raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {state.n}")
+        if cut.n != psi.n:
+            raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {psi.n}")
     # one entry per label, e.g. highest-cut == 1-Rest at n = 3
     cuts = list({cut.label: cut for cut in cuts}.values())
 
     times, state_times, states, min_eigenvalues = [], [], [], []
     observables = {cut.label: [] for cut in cuts}
 
-    stepper = _stepper(state, spec, n_steps, options)
+    stepper = _stepper(psi, spec, n_steps, options)
     for t, (obs_due, state_due) in _recording_points(
         stepper, n_steps, (obs_stride, sample_stride)
     ):
@@ -501,7 +509,7 @@ def evolve(
         if options.record_states:  # steppers never write to a matrix they returned
             state_times.append(t)
             states.append(
-                DensityMatrix(n=state.n, elements=stepper.current(), check_positivity=False)
+                DensityMatrix(n=psi.n, elements=stepper.current(), check_positivity=False)
             )
 
     metadata = {
@@ -589,7 +597,7 @@ def analytic_state_at(rho0: DensityMatrix, spec: NoiseSpec, t: float) -> Density
 
 
 def oracle_deviation(
-    rho0: DensityMatrix,
+    psi: PureState,
     spec: NoiseSpec,
     t_max: float,
     options: IntegratorOptions = IntegratorOptions(),
@@ -597,14 +605,15 @@ def oracle_deviation(
 ) -> float:
     """Max-abs element deviation between RK4 evolution and the analytic map.
 
-    Steps the integrator across [0, t_max] and compares against the exact
-    propagator every ``compare_every`` time units (default: every step).
+    Steps the integrator from rho0 = |psi><psi| across [0, t_max] and compares against
+    the exact propagator every ``compare_every`` time units (default: every step).
     This is the primary correctness gate for the integrator.
     """
     h = options.step
     n_steps = _stride("t_max", t_max, h, None)
     stride = _stride("compare_every", compare_every, h, 1)
-    stepper = _stepper(rho0, spec, n_steps, options)
+    rho0 = density_from_pure(psi)
+    stepper = _stepper(psi, spec, n_steps, options)
     deviations = [
         np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
         for t, _ in _recording_points(stepper, n_steps, (stride,))

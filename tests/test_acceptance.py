@@ -79,7 +79,7 @@ def ghz_snapshot(n: int, s: float, kappa: float, t: float = 30.0) -> float:
     if key not in _SNAPSHOT_CACHE:
         traj = _track(
             evolve(
-                density_from_pure(ghz_state(n)),
+                ghz_state(n),
                 dephasing_spec(s, kappa),
                 t,
                 cuts=[one_vs_rest(n)],
@@ -98,7 +98,7 @@ def w_observables(n: int, kappa: float):
     if key not in _W_TRAJ_CACHE:
         traj = _track(
             evolve(
-                density_from_pure(w_state(n)),
+                w_state(n),
                 dephasing_spec(OHMICITY_STAR, kappa),
                 30.0,
                 cuts=[one_vs_rest(n), highest_cut(n)],
@@ -122,7 +122,7 @@ def pauli_trajectory(family: str, n: int, kappa: float = 0.25):
             cuts.append(highest_cut(n))
         _PAULI_TRAJ_CACHE[key] = _track(
             evolve(
-                density_from_pure(maker(n)),
+                maker(n),
                 pauli_spec(kappa),
                 20.0,
                 cuts=cuts,
@@ -149,7 +149,7 @@ def test_criterion_01_dephasing_oracle_equivalence():
         for s in (1.0, OHMICITY_STAR, 3.0):
             for maker in (ghz_state, w_state):
                 dev = oracle_deviation(
-                    density_from_pure(maker(n)),
+                    maker(n),
                     dephasing_spec(s, 0.25),
                     30.0,
                     options=IntegratorOptions(step=0.01, record_states=False),
@@ -160,7 +160,7 @@ def test_criterion_01_dephasing_oracle_equivalence():
     for n in (3, 4, 5):
         for s in (1.0, OHMICITY_STAR, 3.0):
             dev = oracle_deviation(
-                density_from_pure(ghz_state(n)),
+                ghz_state(n),
                 dephasing_spec(s, 0.25),
                 30.0,
                 options=IntegratorOptions(step=0.01, record_states=False, dense=True),
@@ -187,7 +187,7 @@ def test_criterion_02_pauli_oracle_equivalence():
     for kappa in (1.0, 0.25):
         worst[kappa] = max(
             oracle_deviation(
-                density_from_pure(ghz_state(n)),
+                ghz_state(n),
                 pauli_spec(kappa),
                 20.0,
                 options=IntegratorOptions(step=0.01, record_states=False),
@@ -211,7 +211,7 @@ def test_criterion_02_pauli_oracle_equivalence():
 def _saturation_ghz3(s: float, kappa: float):
     traj = _track(
         evolve(
-            density_from_pure(ghz_state(3)),
+            ghz_state(3),
             dephasing_spec(s, kappa),
             100.0,
             cuts=[one_vs_rest(3)],
@@ -294,7 +294,7 @@ def test_criterion_05_cat_plateau_law():
         for n in range(3, 9):
             traj = _track(
                 evolve(
-                    density_from_pure(ghz_state(n)),
+                    ghz_state(n),
                     dephasing_spec(OHMICITY_STAR, kappa),
                     400.0,
                     cuts=[one_vs_rest(n)],
@@ -528,7 +528,7 @@ def test_criterion_11_invariant_suite():
     for maker in (ghz_state, w_state):
         traj = _track(
             evolve(
-                density_from_pure(maker(5)),
+                maker(5),
                 dephasing_spec(OHMICITY_STAR, 0.25),
                 30.0,
                 options=IntegratorOptions(step=0.01, sample_every=5.0),
@@ -546,7 +546,7 @@ def test_criterion_11_invariant_suite():
     # (c) fourth-order convergence of the integrator
     devs = [
         oracle_deviation(
-            density_from_pure(ghz_state(3)),
+            ghz_state(3),
             dephasing_spec(OHMICITY_STAR, 1.0),
             10.0,
             options=IntegratorOptions(step=h, record_states=False, dense=True),

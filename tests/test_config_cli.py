@@ -572,9 +572,11 @@ class TestOracleCheckCommand:
             tmp_path,
             base_payload(time={"t_max": 2.0, "step": 0.01}),
         )
-        assert main(["oracle-check", "--config", path]) == 0
-        assert "pass" in capsys.readouterr().out
-        assert main(["oracle-check", "--config", path, "--threshold", "1e-16"]) == 1
+        for engine in ([], ["--dense"]):
+            assert main(["oracle-check", "--config", path, *engine]) == 0
+            assert "pass" in capsys.readouterr().out
+            assert main(["oracle-check", "--config", path, *engine, "--threshold", "1e-16"]) == 1
+            assert "FAIL" in capsys.readouterr().out
 
 
 class TestFitCommand:
@@ -740,7 +742,8 @@ class TestNoDenseInitialState:
             config.bipartitions(),
             config.time.integrator_options(record_states=False),
         )
-        assert trajectory.metadata["classes"] == math.comb(13, 3)
+        # GHZ's two offsets, 0 and all ones, each with row popcounts 0..n
+        assert trajectory.metadata["classes"] == 2 * (10 + 1)
         assert len(trajectory.times) == 41
         assert peak < self.PEAK_LIMIT
 
@@ -748,7 +751,7 @@ class TestNoDenseInitialState:
         def refuse(psi):
             raise AssertionError("density_from_pure called on a run or sweep path")
 
-        for module in (cli, dynamics, states):
+        for module in (dynamics, states):
             monkeypatch.setattr(module, "density_from_pure", refuse)
         config = paper_config("fig5_w_n5_depolarising")
         assert "states" not in config.output.formats
@@ -758,3 +761,39 @@ class TestNoDenseInitialState:
         cell = {"n": 6, "s": 2.47}
         _, rows, failure = cli._run_sweep_cell((cell, cli._derive_cell(sweep, cell)))
         assert failure is None and len(rows) == 2
+
+
+def sweep_config(stem, **sweep):
+    """A paper config with a sweep section; fig5 runs get an n axis and snapshot_t = t_max."""
+    payload = json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
+    payload.setdefault("sweep", {"axes": {"n": [3]}, "snapshot_t": payload["time"]["t_max"]})
+    payload["sweep"].update(sweep)
+    return parse_config(payload)
+
+
+class TestCellMemoryEstimate:
+    """Sweeps are budgeted by the class engine's own estimate, from psi and the active axes."""
+
+    @pytest.mark.parametrize(
+        "stem, n",
+        [(stem, n) for stem in ("fig3_ghz_dephasing_sweep", "fig4_w_dephasing_sweep")
+         for n in range(3, 14)]
+        + [(stem, n) for stem in ("fig5_ghz_n7_depolarising", "fig5_w_n5_depolarising")
+           for n in range(6, 12)],
+    )
+    def test_covers_sweep_cell_peak(self, stem, n):
+        config = sweep_config(stem)
+        cell = {"n": n, **({"s": 2.47} if "s" in config.sweep.axes else {})}
+        warm = dict(cell, n=3)
+        cli._run_sweep_cell((warm, cli._derive_cell(config, warm)))  # lazy set-up, once
+        job = cli._derive_cell(config, cell)
+        (_, rows, failure), peak = TestNoDenseInitialState._peak(cli._run_sweep_cell, (cell, job))
+        assert failure is None and len(rows) == len(config.cuts)
+        assert dynamics.class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) >= peak
+
+    def test_fig4_at_thirteen_qubits_fits_default_budget(self, tmp_path):
+        config = sweep_config("fig4_w_dephasing_sweep", axes={"n": [13], "s": [2.47]})
+        assert config.sweep.memory_budget_mb == 4096
+        paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
+        rows = list(csv.DictReader(Path(paths["summary"]).read_text().splitlines()))
+        assert [(row["n"], row["cut"]) for row in rows] == [("13", "1-Rest"), ("13", "highest-cut")]

@@ -44,7 +44,6 @@ from qubitbath.states import (
     PureState,
     block_eigvalsh,
     embed_local_operator,
-    hamming_distance_matrix,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "paper"
@@ -57,44 +56,19 @@ REVIVAL_RATES = dict(
 # 1 where letter I, X, Y, Z anticommutes with sigma_x, sigma_y, sigma_z (rows)
 ANTICOMMUTES = ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
 
-
-def brute_force_classes(n, axes):
-    """Distinct per-axis anticommuting-letter counts over every n-letter string."""
-    strings = itertools.product(range(4), repeat=n)
-    return len({tuple(sum(ANTICOMMUTES[a][p] for p in s) for a in axes) for s in strings})
-
-
-# noise settings for the class-vs-dense agreement property, with the class
-# count the class stepper uses at n qubits: all three axes active give one
-# class per letter-count triple, one axis alone one per count 0..n of the
-# letters anticommuting with it; the agreement property runs all of them, which
-# reaches every stepper branch (z alone, one other axis, two axes, three axes)
+# noise settings for the class-vs-dense agreement property; it runs all of them,
+# which reaches every stepper branch (z alone, one other axis, two axes, three axes)
 AGREEMENT_NOISES = {
-    "fig5-rates": (dict(kind="pauli", **REVIVAL_RATES), lambda n: math.comb(n + 3, 3)),
-    "ohmic-dephasing": (
-        dict(kind="dephasing", rate_z=OhmicZeroTempRate(2.47)),
-        lambda n: n + 1,
-    ),
-    "x-only": (
-        dict(kind="pauli", rate_z=ConstantRate(0.0), rate_x=SinusoidalRate(0.8)),
-        lambda n: n + 1,
-    ),
-    "y-only": (
-        dict(kind="pauli", rate_z=ConstantRate(0.0), rate_y=ConstantRate(0.3)),
-        lambda n: n + 1,
-    ),
-    "x-and-z": (
-        dict(kind="pauli", rate_z=SinusoidalRate(1.0), rate_x=ConstantRate(0.2)),
-        lambda n: brute_force_classes(n, (0, 2)),
-    ),
-    "x-and-y": (
-        dict(
-            kind="pauli",
-            rate_z=ConstantRate(0.0),
-            rate_x=ConstantRate(0.15),
-            rate_y=SinusoidalRate(0.6),
-        ),
-        lambda n: brute_force_classes(n, (0, 1)),
+    "fig5-rates": dict(kind="pauli", **REVIVAL_RATES),
+    "ohmic-dephasing": dict(kind="dephasing", rate_z=OhmicZeroTempRate(2.47)),
+    "x-only": dict(kind="pauli", rate_z=ConstantRate(0.0), rate_x=SinusoidalRate(0.8)),
+    "y-only": dict(kind="pauli", rate_z=ConstantRate(0.0), rate_y=ConstantRate(0.3)),
+    "x-and-z": dict(kind="pauli", rate_z=SinusoidalRate(1.0), rate_x=ConstantRate(0.2)),
+    "x-and-y": dict(
+        kind="pauli",
+        rate_z=ConstantRate(0.0),
+        rate_x=ConstantRate(0.15),
+        rate_y=SinusoidalRate(0.6),
     ),
 }
 
@@ -120,18 +94,28 @@ def full_letter_transform(mat, n, sign):
     return tens.reshape(mat.shape)
 
 
-def reference_class_map(n, axes):
-    """Class index of every entry of the letter-transformed 4^n matrix, and the class count.
+def reference_class_map(n, rows, cols, axes):
+    """Class index of each entry (rows[i], cols[i]) and the class count, letter by letter.
 
-    Letters anticommuting with sigma_x, sigma_y, sigma_z are counted by the Hamming
-    distances of the row, of the column and of the two; equal counts on every axis of
-    ``axes`` share a class, numbered in the order of their codes.
+    Site i of entry (r, c) holds letter 2 r_i + c_i (I, X, Y, Z, as in
+    ``full_letter_transform``).  Its letters anticommuting with each axis are counted
+    from ``ANTICOMMUTES``; equal counts on every axis of ``axes`` share a class,
+    numbered in the order of their codes.
     """
-    hamming = hamming_distance_matrix(n).astype(np.intp)
-    counts = (hamming[:, :1], hamming[:1, :], hamming)
+    counts = np.zeros((3, len(rows)), dtype=np.intp)
+    for i in range(n):
+        counts += np.array(ANTICOMMUTES)[:, 2 * (rows >> i & 1) + (cols >> i & 1)]
     code = sum((n + 1) ** j * counts[axis] for j, axis in enumerate(axes))
-    codes, inverse = np.unique(np.broadcast_to(code, hamming.shape), return_inverse=True)
-    return inverse.reshape(hamming.shape), len(codes)
+    codes, inverse = np.unique(code, return_inverse=True)
+    return inverse, len(codes)
+
+
+def assert_reference_classes(stepper, n, spec):
+    """The stepper's classes are the distinct letter codes over its own pattern."""
+    class_map, classes = reference_class_map(n, stepper.rows, stepper.cols, active_axes(spec))
+    assert stepper.classes == classes
+    assert np.array_equal(stepper.coeff_class, class_map)
+    return class_map
 
 
 def draw_state(family, n, data):
@@ -146,9 +130,7 @@ def draw_state(family, n, data):
         return w_state(n)
     if family == "dicke":
         return dicke_state(n, data.draw(st.integers(1, n - 1), label="k"))
-    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-    return PureState(n, amp / np.linalg.norm(amp))
+    return random_pure(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")))
 
 
 def assert_bitwise_equal(a, b):
@@ -165,6 +147,12 @@ def random_density(n):
     return DensityMatrix(n, mat, check_positivity=False)
 
 
+def random_pure(n, gen=rng):
+    """Complex state with every amplitude nonzero: its pattern uses every offset."""
+    amp = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    return PureState(n, amp / np.linalg.norm(amp))
+
+
 def reference_rhs(rho, t, spec, n):
     """Direct sum over embedded operators; the production rhs must match."""
     pref = spec.kappa / spec.omega0
@@ -178,6 +166,11 @@ def reference_rhs(rho, t, spec, n):
             op = embed_local_operator(sigma, site, n)
             out += pref * g * (op @ rho @ op - rho)
     return out
+
+
+def permute_pure(psi: PureState, perm) -> PureState:
+    amp = np.transpose(psi.amplitudes.reshape((2,) * psi.n), perm).ravel()
+    return PureState(psi.n, amp)
 
 
 def permute_density(rho: DensityMatrix, perm) -> DensityMatrix:
@@ -259,13 +252,13 @@ class TestLindbladRhs:
 
 class TestEvolve:
     def test_zero_rate_is_identity(self):
-        rho0 = density_from_pure(w_state(3))
+        psi = w_state(3)
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.0))
-        traj = evolve(rho0, spec, 1.0, options=IntegratorOptions(step=0.01))
-        assert np.abs(traj.final_state().elements - rho0.elements).max() < 1e-14
+        traj = evolve(psi, spec, 1.0, options=IntegratorOptions(step=0.01))
+        assert np.abs(traj.final_state().elements - density_from_pure(psi).elements).max() < 1e-14
 
     def test_single_qubit_constant_rate_solution(self):
-        plus = DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
+        plus = PureState(1, np.full(2, math.sqrt(0.5)))
         g = 0.4
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(g), kappa=1.0)
         traj = evolve(plus, spec, 1.0, options=IntegratorOptions(step=0.01, dense=True))
@@ -275,31 +268,28 @@ class TestEvolve:
 
     def test_matches_dephasing_oracle(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
-        rho0 = density_from_pure(ghz_state(3))
         for dense in (False, True):
             dev = oracle_deviation(
-                rho0, spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
+                ghz_state(3), spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
             )
             assert dev < 1e-8
 
     def test_matches_pauli_oracle(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        rho0 = density_from_pure(ghz_state(3))
         for dense in (False, True):
             dev = oracle_deviation(
-                rho0, spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
+                ghz_state(3), spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
             )
             assert dev < 1e-8
 
     def test_fast_and_dense_steppers_agree(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
-        rho0 = density_from_pure(w_state(4))
         opts = dict(step=0.02, sample_every=4.0)
-        fast = evolve(rho0, spec, 4.0, options=IntegratorOptions(**opts))
-        dense = evolve(rho0, spec, 4.0, options=IntegratorOptions(dense=True, **opts))
+        fast = evolve(w_state(4), spec, 4.0, options=IntegratorOptions(**opts))
+        dense = evolve(w_state(4), spec, 4.0, options=IntegratorOptions(dense=True, **opts))
         assert fast.metadata["integrator"] == "rk4-pauli-classes"
         assert dense.metadata["integrator"] == "rk4-dense"
-        assert fast.metadata["classes"] == 5  # Hamming distances 0..4
+        assert fast.metadata["classes"] == 2  # W's Hamming distances 0 and 2
         assert np.abs(fast.final_state().elements - dense.final_state().elements).max() < 1e-13
 
     @given(
@@ -325,7 +315,7 @@ class TestEvolve:
             stride = 1 if every is None else round(every / 0.02)
             return [0.02 * k for k in sorted({*range(0, 150, stride), 150})]
 
-        for spec_kwargs, class_count in AGREEMENT_NOISES.values():  # every stepper branch
+        for spec_kwargs in AGREEMENT_NOISES.values():  # every stepper branch
             spec = NoiseSpec(kappa=kappa, **spec_kwargs)
             # evolve builds rho0 = |psi><psi| for the dense stepper only
             with fixed_blocks(128):
@@ -333,8 +323,10 @@ class TestEvolve:
                     evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=d, **opts))
                     for d in (False, True)
                 )
+                stepper = dynamics._ClassStepper(psi, spec, 0.02, 150)
             assert fast.metadata["integrator"] == "rk4-pauli-classes"
-            assert fast.metadata["classes"] == class_count(n)
+            assert_reference_classes(stepper, n, spec)
+            assert fast.metadata["classes"] == stepper.classes
             assert fast.metadata["block_steps"] == 128
             for traj in (fast, dense):
                 assert list(traj.times) == grid(obs_every)
@@ -367,13 +359,12 @@ class TestEvolve:
 
         rates = [ConstantRate(axis_rates[a] if a in axes else 0.0) for a in range(3)]
         spec = NoiseSpec("pauli", rate_x=rates[0], rate_y=rates[1], rate_z=rates[2], kappa=0.25)
-        rho0 = random_density(n)
-        stepper = dynamics._ClassStepper(rho0, spec, 0.01, 1)
-        # a dense rho0 uses every offset, so the pattern holds every entry
+        psi = random_pure(n, gen)
+        rho0 = density_from_pure(psi)
+        stepper = dynamics._ClassStepper(psi, spec, 0.01, 1)
+        # psi has full support, so the pattern holds every entry
         assert len(stepper.rows) == d * d
-        class_map, classes = reference_class_map(n, axes)
-        assert stepper.classes == classes
-        assert np.array_equal(stepper.coeff_class, class_map[stepper.rows, stepper.cols])
+        assert_reference_classes(stepper, n, spec)
         coeffs = 0.5**n * full_letter_transform(rho0.elements, n, 1.0)
         want_coeffs = coeffs if stepper.transform else rho0.elements
         assert np.array_equal(stepper.coeffs, want_coeffs[stepper.rows, stepper.cols])
@@ -391,14 +382,14 @@ class TestEvolve:
         assert np.abs(stepper.current() - rho0.elements).max() <= 1e-15
 
     def test_interval_crossing_two_rate_blocks(self):
-        # one recording interval of 1007 steps: two full 438-step rate blocks (35
+        # one recording interval of 3307 steps: two full 1536-step rate blocks (10
         # classes) and one that ends mid-block at t_max
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        rho0 = density_from_pure(ghz_state(4))
-        t_max, cuts = 10.07, [one_vs_rest(4), highest_cut(4)]
+        psi = ghz_state(4)
+        t_max, cuts = 33.07, [one_vs_rest(4), highest_cut(4)]
         fast, dense = (
             evolve(
-                rho0,
+                psi,
                 spec,
                 t_max,
                 cuts=cuts,
@@ -408,13 +399,13 @@ class TestEvolve:
             )
             for dense in (False, True)
         )
-        assert fast.metadata["block_steps"] == 438
-        assert list(fast.times) == list(fast.state_times) == [0.0, 1007 * 0.01]
+        assert fast.metadata["block_steps"] == 1536
+        assert list(fast.times) == list(fast.state_times) == [0.0, 3307 * 0.01]
         assert np.abs(fast.final_state().elements - dense.final_state().elements).max() <= 1e-13
         for label in fast.observables:
             assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
         dev = oracle_deviation(
-            rho0, spec, t_max, options=IntegratorOptions(step=0.01), compare_every=t_max
+            psi, spec, t_max, options=IntegratorOptions(step=0.01), compare_every=t_max
         )
         assert dev < 1e-8
 
@@ -429,7 +420,7 @@ class TestEvolve:
         monkeypatch.setattr(dynamics._ClassStepper, "current", counted_current)
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         traj = evolve(
-            density_from_pure(w_state(3)), spec, 2.0, options=IntegratorOptions(step=0.01)
+            w_state(3), spec, 2.0, options=IntegratorOptions(step=0.01)
         )
         assert list(traj.times) == [0.0, 2.0]
         assert list(traj.state_times) == [0.0, 1.0, 2.0]
@@ -437,23 +428,23 @@ class TestEvolve:
 
     def test_interval_advance_equals_step_by_step(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        rho0 = density_from_pure(ghz_state(3))
-        whole, stepwise = (dynamics._ClassStepper(rho0, spec, 0.01, 2000) for _ in range(2))
-        assert whole.block_steps == 768  # 20 classes
+        psi = ghz_state(3)
+        whole, stepwise = (dynamics._ClassStepper(psi, spec, 0.01, 4000) for _ in range(2))
+        assert whole.block_steps == 1920  # 8 classes
         whole.advance(0, 5)
-        whole.advance(5, 2000)  # from mid-block across two 768-step rate blocks
-        for j in range(2000):
+        whole.advance(5, 4000)  # from mid-block across two 1920-step rate blocks
+        for j in range(4000):
             stepwise.advance(j, j + 1)
         assert np.array_equal(whole.factors, stepwise.factors)
 
     @pytest.mark.parametrize(
         "psi, spec, t_max",
         [
-            (ghz_state(4), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES), 10.0),
+            (ghz_state(4), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES), 20.0),
             (
                 w_state(5),
                 NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25),
-                30.0,
+                80.0,
             ),
         ],
         ids=["ghz4-fig5-rates", "w5-fig4-rates"],
@@ -483,23 +474,23 @@ class TestEvolve:
         # and each row is its own step's: rows one step off in t agree with each
         # other but not with the closed form
         with fixed_blocks(1):
-            rho0 = density_from_pure(psi)
-            assert oracle_deviation(rho0, spec, t_max, IntegratorOptions(step=0.01), t_max) < 1e-8
+            assert oracle_deviation(psi, spec, t_max, IntegratorOptions(step=0.01), t_max) < 1e-8
 
     @pytest.mark.parametrize(
-        "stem, n, classes, block_steps",
+        "stem, psi, classes, block_steps",
         [
-            ("fig5_ghz_n7_depolarising", 7, 120, 128),
-            ("fig4_w_dephasing_sweep", 10, 11, 1396),  # 15360 // 11
-            ("fig5_w_n5_depolarising", 8, 165, 128),  # over 120 classes: no shorter
+            ("fig5_ghz_n7_depolarising", ghz_state(7), 16, 960),  # 15360 // 16
+            ("fig4_w_dephasing_sweep", w_state(10), 2, 7680),
+            ("fig5_w_n5_depolarising", w_state(8), 30, 512),
+            # full support uses every letter-count triple: over 120 classes, no shorter
+            ("fig5_w_n5_depolarising", random_pure(8, np.random.default_rng(8)), 165, 128),
         ],
+        ids=["ghz7-fig5", "w10-fig4", "w8-fig5", "complex8-fig5"],
     )
-    def test_block_steps_rule(self, stem, n, classes, block_steps):
+    def test_block_steps_rule(self, stem, psi, classes, block_steps):
         payload = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
-        payload["state"]["n"] = n
         payload.pop("sweep", None)
-        config = parse_config(payload)
-        traj = evolve(config.state.build(), config.noise, 0.01)
+        traj = evolve(psi, parse_config(payload).noise, 0.01)
         assert traj.metadata["classes"] == classes
         assert traj.metadata["block_steps"] == block_steps
 
@@ -510,7 +501,7 @@ class TestEvolve:
         monkeypatch.setattr(dynamics._ClassStepper, "current", no_rebuild)
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         traj = evolve(
-            density_from_pure(ghz_state(4)),
+            ghz_state(4),
             spec,
             2.0,
             cuts=[one_vs_rest(4), highest_cut(4)],
@@ -534,14 +525,17 @@ class TestEvolve:
             st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True), label="side_a"
         )
         cut = Bipartition(n, tuple(side))
-        spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise][0])
+        spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise])
         rho0 = density_from_pure(psi)
         stepper = dynamics._ClassStepper(psi, spec, 0.02, 150)
         stepper.advance(0, steps)
         mat = stepper.current()
         # the full-matrix rebuild from rho0: the pattern misses no entry, and the
-        # per-offset transform does the same arithmetic
-        scaled = stepper.factors[reference_class_map(n, active_axes(spec))[0]]
+        # per-offset transform does the same arithmetic; off the pattern the
+        # coefficients are exact zeros, whatever factor scales them
+        class_map = assert_reference_classes(stepper, n, spec)
+        scaled = np.ones((2**n, 2**n))
+        scaled[stepper.rows, stepper.cols] = stepper.factors[class_map]
         if stepper.transform:
             coeffs = 0.5**n * full_letter_transform(rho0.elements, n, 1.0)
             assert np.array_equal(mat, full_letter_transform(coeffs * scaled, n, -1.0))
@@ -557,34 +551,9 @@ class TestEvolve:
             assert spectrum.shape == (2**n,)
             assert np.abs(spectrum - block_eigvalsh(reference)).max() <= 1e-13
 
-    @given(
-        family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
-        n=st.integers(2, 8),
-        noise=st.sampled_from(sorted(AGREEMENT_NOISES)),
-        kappa=st.sampled_from([1.0, 0.25]),
-        steps=st.integers(0, 150),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pure_start_matches_density_start(self, family, n, noise, kappa, steps, data):
-        # psi's support gives the pattern and np.outer's products, bit for bit
-        psi = draw_state(family, n, data)
-        spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise][0])
-        pure, dense = (
-            dynamics._ClassStepper(start, spec, 0.02, 150)
-            for start in (psi, density_from_pure(psi))
-        )
-        for stepper in (pure, dense):
-            stepper.advance(0, steps)
-        for name in ("rows", "cols", "coeffs", "coeff_class", "factors"):
-            assert_bitwise_equal(getattr(pure, name), getattr(dense, name))
-        assert pure.classes == dense.classes == AGREEMENT_NOISES[noise][1](n)
-        assert_bitwise_equal(pure.values(), dense.values())
-
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("record_states", [False, True])
     def test_wraps_only_the_states_it_keeps(self, monkeypatch, record_states, dense):
-        rho0 = density_from_pure(w_state(3))
         built = []
         post_init = DensityMatrix.__post_init__
 
@@ -597,17 +566,17 @@ class TestEvolve:
         options = IntegratorOptions(
             step=0.01, sample_every=0.5, record_states=record_states, dense=dense
         )
-        traj = evolve(rho0, spec, 2.0, cuts=[one_vs_rest(3)], options=options)
-        assert len(built) == len(traj.states) == (5 if record_states else 0)
+        traj = evolve(w_state(3), spec, 2.0, cuts=[one_vs_rest(3)], options=options)
+        assert len(traj.states) == (5 if record_states else 0)
+        assert len(built) == len(traj.states) + dense  # the dense stepper wraps rho0 once
         assert all(not state.elements.flags.writeable for state in traj.states)
         assert -1e-12 < traj.metadata["min_eigenvalue"] < 1e-12
 
     def test_fourth_order_convergence(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=1.0)
-        rho0 = density_from_pure(ghz_state(3))
         devs = [
             oracle_deviation(
-                rho0, spec, 10.0, options=IntegratorOptions(step=h, dense=True)
+                ghz_state(3), spec, 10.0, options=IntegratorOptions(step=h, dense=True)
             )
             for h in (0.08, 0.04)
         ]
@@ -616,7 +585,7 @@ class TestEvolve:
     def test_observable_recording(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
         traj = evolve(
-            density_from_pure(ghz_state(4)),
+            ghz_state(4),
             spec,
             2.0,
             cuts=[one_vs_rest(4), highest_cut(4)],
@@ -634,7 +603,7 @@ class TestEvolve:
     def test_trajectory_state_invariants(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         traj = evolve(
-            density_from_pure(ghz_state(3)),
+            ghz_state(3),
             spec,
             5.0,
             options=IntegratorOptions(step=0.01, sample_every=1.0),
@@ -648,40 +617,36 @@ class TestEvolve:
 
     def test_permutation_covariance(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi = PureState(3, amp / np.linalg.norm(amp))
-        rho0 = density_from_pure(psi)
+        psi = random_pure(3)
         perm = (2, 0, 1)
         opts = IntegratorOptions(step=0.02, sample_every=2.0)
         evolved_then_permuted = permute_density(
-            evolve(rho0, spec, 2.0, options=opts).final_state(), perm
+            evolve(psi, spec, 2.0, options=opts).final_state(), perm
         )
         permuted_then_evolved = evolve(
-            permute_density(rho0, perm), spec, 2.0, options=opts
+            permute_pure(psi, perm), spec, 2.0, options=opts
         ).final_state()
         assert np.abs(
             evolved_then_permuted.elements - permuted_then_evolved.elements
         ).max() < 1e-12
 
     def test_rejects_misaligned_grid(self):
-        rho0 = density_from_pure(ghz_state(2))
+        psi = ghz_state(2)
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.1))
         with pytest.raises(ValueError):
-            evolve(rho0, spec, 1.005, options=IntegratorOptions(step=0.01))
+            evolve(psi, spec, 1.005, options=IntegratorOptions(step=0.01))
         with pytest.raises(ValueError):
-            evolve(rho0, spec, 1.0, options=IntegratorOptions(step=0.01, sample_every=0.3333))
+            evolve(psi, spec, 1.0, options=IntegratorOptions(step=0.01, sample_every=0.3333))
 
     def test_rejects_mismatched_cut(self):
-        rho0 = density_from_pure(ghz_state(2))
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.1))
         with pytest.raises(ValueError):
-            evolve(rho0, spec, 1.0, cuts=[one_vs_rest(3)])
+            evolve(ghz_state(2), spec, 1.0, cuts=[one_vs_rest(3)])
 
     @staticmethod
     def _unstable_run(**options):
         # |0><0| relaxes on the Bloch z axis at rate 2(gamma_x + gamma_y);
         # with lambda * h = 15 the RK4 update amplifies instead of damping
-        rho0 = DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))
         spec = NoiseSpec(
             "pauli",
             rate_z=ConstantRate(0.0),
@@ -689,7 +654,8 @@ class TestEvolve:
             rate_y=ConstantRate(0.0),
             kappa=1.0,
         )
-        evolve(rho0, spec, 10.0, options=IntegratorOptions(step=0.5, sample_every=0.5, **options))
+        ground = PureState(1, np.array([1.0, 0.0]))
+        evolve(ground, spec, 10.0, options=IntegratorOptions(step=0.5, sample_every=0.5, **options))
 
     def test_unstable_step_raises_diagnostic(self):
         with pytest.raises(IntegrationError):
@@ -792,6 +758,6 @@ def test_pauli_channel_breaks_cat_cut_equivalence():
 def test_oracle_deviation_zero_noise_is_exact():
     spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.0))
     dev = oracle_deviation(
-        density_from_pure(w_state(3)), spec, 1.0, options=IntegratorOptions(step=0.01)
+        w_state(3), spec, 1.0, options=IntegratorOptions(step=0.01)
     )
     assert dev <= 1e-12

@@ -249,10 +249,8 @@ def test_block_path_matches_dense_on_evolved_states(family, noise, n, t, data):
         st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True), label="side_a"
     )
     cut = Bipartition(n, tuple(side))
-    rho0 = density_from_pure(FAMILIES[family](n))
-    trajectory = evolve(
-        rho0, NOISES[noise], t, options=IntegratorOptions(observable_every=t, sample_every=t)
-    )
+    options = IntegratorOptions(observable_every=t, sample_every=t)
+    trajectory = evolve(FAMILIES[family](n), NOISES[noise], t, options=options)
     for state in trajectory.states:
         dense = np.linalg.eigvalsh(state.elements)
         assert np.abs(block_eigvalsh(state.elements) - dense).max() <= 1e-12
