@@ -26,14 +26,17 @@ stepper, which materialises the right-hand side, is the independent reference
 
 Both steppers start from a ``PureState`` psi, rho0 = |psi><psi|; the class
 stepper reads rho(t)'s fixed pattern and rho0's values on it from psi's
-support, so no 4^n array is built.  ``evolve`` builds, once per run, one
-``states.BlockPlan`` per cut (on the partial-transposed pattern) and one for
-rho itself (positivity): the components, grouped by size, and where each value
-goes in its group's stack.  A record costs one evaluation of rho(t) on the
-pattern plus one stacked ``eigvalsh`` per size group; the full matrix is
-rebuilt only for states that ``record_states`` keeps.  The dense stepper, the
-dense right-hand side and the closed-form dephasing map use a 4^n Hamming
-table, built on first use; the dense stepper records through the public
+support, so no 4^n array is built.  The pattern, rho0's values on it, the
+classes and one ``states.BlockPlan`` per cut (on the partial-transposed
+pattern) and for rho itself (positivity) depend on psi and the active axes
+alone, not on the rates: they are built once and reused by the next run with
+the same psi and axes, so a sweep's cells of one n share them.  A plan holds
+the components the pattern touches, grouped by size, and where each value goes
+in its group's stack.  A record costs one evaluation of rho(t) on the pattern
+plus one stacked ``eigvalsh`` per size group; the full matrix is rebuilt only
+for states that ``record_states`` keeps.  The dense stepper, the dense
+right-hand side and the closed-form dephasing map use a 4^n Hamming table,
+built on first use; the dense stepper records through the public
 ``log_negativity`` and ``block_eigvalsh``.
 
 Closed-form propagators for both noise kinds serve as independent oracles
@@ -279,6 +282,10 @@ class _DenseStepper:
         lam_min = float(block_eigvalsh(self.mat)[0]) if positivity else None
         return [log_negativity(self.mat, cut) for cut in cuts], lam_min
 
+    def blocks(self, cuts) -> None:
+        """None: every record plans its own matrix."""
+        return None
+
 
 def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.ndarray:
     """Per site, t + s * f(t), or t - s * f(t) if ``inverse``, on values laid out offset by offset.
@@ -310,6 +317,63 @@ _BLOCK_STEPS = 128
 _ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 96, 128
 
 
+class _ClassPattern:
+    """What a class-engine run needs from psi and the active axes alone (``_ClassStepper``).
+
+    It holds rho(t)'s pattern (``rows``, ``cols``), rho0's coefficients on it, whether the
+    letter transform runs, each coefficient's class, each class's anticommuting-letter
+    counts per active axis, and the block plans by cut, each built on first use.  No rate
+    model enters, so runs that differ only in their rates share one pattern
+    (``_class_pattern``).
+    """
+
+    def __init__(self, psi: PureState, axes: tuple):
+        n, d, amplitudes = psi.n, psi.dim, psi.amplitudes
+        self.ws = _workspace(n)
+        self.transform = axes != (2,)
+        support = np.flatnonzero(amplitudes)
+        rows, cols = np.repeat(support, len(support)), np.tile(support, len(support))
+        if self.transform:  # pattern-ordered offset by offset
+            offsets = np.unique(rows ^ cols)
+            rows = np.tile(np.arange(d), len(offsets))
+            cols = rows ^ np.repeat(offsets, d)
+        # rho0 on the pattern; the product is np.outer's arithmetic
+        coeffs = amplitudes[rows] * amplitudes[cols].conj()
+        if self.transform:
+            coeffs = 0.5**n * _site_transform(coeffs, self.ws, inverse=False)
+        self.rows, self.cols, self.coeffs = rows, cols, coeffs
+
+        pop = self.ws.popcount
+        counts = (pop[rows], pop[cols], pop[rows ^ cols])
+        # equal counts on every active axis share a class
+        code = sum((n + 1) ** j * counts[axis] for j, axis in enumerate(axes))
+        codes, self.coeff_class = np.unique(code, return_inverse=True)
+        self.anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(axes))]
+        self.dim, self.classes, self.plans = d, len(codes), {}
+
+    def plan(self, cut: Optional[Bipartition]) -> BlockPlan:
+        """Block plan of rho (cut None) or of its partial transpose, built on first use."""
+        if cut not in self.plans:
+            rows, cols = self.rows, self.cols
+            if cut is not None:
+                rows, cols = partial_transpose_indices(rows, cols, cut)
+            self.plans[cut] = BlockPlan(rows, cols, component_labels(rows, cols, self.dim))
+        return self.plans[cut]
+
+
+# The previous run's pattern by its key, so at most one pattern is held
+_last_pattern: dict = {}
+
+
+def _class_pattern(psi: PureState, axes: tuple) -> _ClassPattern:
+    """The previous run's pattern if n, psi's amplitude bytes and the axes match, else a new one."""
+    key = (psi.n, psi.amplitudes.tobytes(), axes)
+    if key not in _last_pattern:
+        _last_pattern.clear()  # before the build, so two patterns are never held at once
+        _last_pattern[key] = _ClassPattern(psi, axes)
+    return _last_pattern[key]
+
+
 class _ClassStepper:
     """One RK4 amplification factor per Pauli-string decay class (module docs).
 
@@ -327,6 +391,10 @@ class _ClassStepper:
     every entry of each offset rho0 uses, and per offset both transforms are signed
     Walsh-Hadamard transforms of 2^n values.  rho0 on the pattern is
     psi[rows] * conj(psi[cols]), so no 2^n x 2^n array is built.
+
+    All of that, and the block plans, is the ``_ClassPattern`` of psi and the active axes,
+    reused from the previous run when both match; the stepper holds the run's own part:
+    the rate models with their per-class decay rows, the rate blocks and the factors.
     """
 
     engine = "rk4-pauli-classes"
@@ -334,31 +402,14 @@ class _ClassStepper:
     renormalizations = 0
 
     def __init__(self, psi: PureState, spec: NoiseSpec, h: float, n_steps: int):
-        n, d, amplitudes = psi.n, psi.dim, psi.amplitudes
-        self.h, self.n_steps, self.ws = h, n_steps, _workspace(n)
+        self.h, self.n_steps = h, n_steps
         active = _active_rates(spec)
-        self.transform = list(active) != [2]
-        support = np.flatnonzero(amplitudes)
-        rows, cols = np.repeat(support, len(support)), np.tile(support, len(support))
-        if self.transform:  # pattern-ordered offset by offset
-            offsets = np.unique(rows ^ cols)
-            rows = np.tile(np.arange(d), len(offsets))
-            cols = rows ^ np.repeat(offsets, d)
-        # rho0 on the pattern; the product is np.outer's arithmetic
-        coeffs = amplitudes[rows] * amplitudes[cols].conj()
-        if self.transform:
-            coeffs = 0.5**n * _site_transform(coeffs, self.ws, inverse=False)
-        self.rows, self.cols, self.coeffs = rows, cols, coeffs
-
-        pop = self.ws.popcount
-        counts = (pop[rows], pop[cols], pop[rows ^ cols])
-        # equal counts on every active axis share a class
-        code = sum((n + 1) ** j * counts[axis] for j, axis in enumerate(active))
-        codes, self.coeff_class = np.unique(code, return_inverse=True)
-        anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(active))]
-        self.dim, self.plans, self.classes = d, {}, len(codes)
+        self.pattern = _class_pattern(psi, tuple(active))
+        self.classes = self.pattern.classes
         scale = 2.0 * spec.kappa / spec.omega0
-        self.axes = [(model, -(scale * row)) for model, row in zip(active.values(), anti)]
+        self.axes = [
+            (model, -(scale * row)) for model, row in zip(active.values(), self.pattern.anti)
+        ]
         self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
         self.factors = np.ones(self.classes, dtype=float)
 
@@ -386,29 +437,33 @@ class _ClassStepper:
             j = stop
 
     def values(self) -> np.ndarray:
-        """rho(t) at (rows, cols)."""
-        coeffs = self.coeffs * self.factors[self.coeff_class]
-        return _site_transform(coeffs, self.ws, inverse=True) if self.transform else coeffs
+        """rho(t) at the pattern's (rows, cols)."""
+        pattern = self.pattern
+        coeffs = pattern.coeffs * self.factors[pattern.coeff_class]
+        if pattern.transform:
+            return _site_transform(coeffs, pattern.ws, inverse=True)
+        return coeffs
 
     def current(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[self.rows, self.cols] = self.values()
+        pattern = self.pattern
+        mat = np.zeros((pattern.dim, pattern.dim), dtype=complex)
+        mat[pattern.rows, pattern.cols] = self.values()
         return mat
 
     def observe(self, cuts, positivity: bool) -> tuple:
         """E per cut and, if asked, the minimum eigenvalue of rho, from one block plan each."""
-        values = self.values()
-        lam_min = float(self._plan(None).eigvalsh(values)[0]) if positivity else None
-        return [log2_trace_norm(self._plan(cut).eigvalsh(values)) for cut in cuts], lam_min
+        values, plan = self.values(), self.pattern.plan
+        lam_min = float(plan(None).eigvalsh(values)[0]) if positivity else None
+        return [log2_trace_norm(plan(cut).eigvalsh(values)) for cut in cuts], lam_min
 
-    def _plan(self, cut: Optional[Bipartition]) -> BlockPlan:
-        """Block plan of rho (cut None) or of its partial transpose, built on first use."""
-        if cut not in self.plans:
-            rows, cols = self.rows, self.cols
-            if cut is not None:
-                rows, cols = partial_transpose_indices(rows, cols, cut)
-            self.plans[cut] = BlockPlan(rows, cols, component_labels(rows, cols, self.dim))
-        return self.plans[cut]
+    def blocks(self, cuts) -> dict:
+        """[size, count] of each plan's stacked groups, by cut label and "rho" (positivity)."""
+        plans = {cut.label: self.pattern.plan(cut) for cut in cuts}
+        plans["rho"] = self.pattern.plan(None)
+        return {
+            label: [[size, count] for size, count, *_ in plan.groups]
+            for label, plan in plans.items()
+        }
 
 
 def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
@@ -418,6 +473,9 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     within the at most min(2^n, |S|^2) indices it touches; otherwise every entry of at most
     min(|S|^2, 2^n) offsets, each block a coset of their span (at most min(n, |S| - 1)
     dimensions).  Stacked values count twice: ``eigvalsh`` copies them unseen by tracemalloc.
+    This is a cold build; a run that reuses the previous run's pattern (same n, psi and
+    axes) allocates no pattern or plan anew.  At most one pattern is held between runs, and
+    it is dropped before the next one is built.
     """
     n, d, support = psi.n, psi.dim, int(np.count_nonzero(psi.amplitudes))
     active = _active_rates(spec)
@@ -519,6 +577,7 @@ def evolve(
         "integrator": stepper.engine,
         "classes": stepper.classes,
         "block_steps": stepper.block_steps,
+        "blocks": stepper.blocks(cuts),
         "step": h,
         "t_max": t_max,
         "cuts": list(observables),

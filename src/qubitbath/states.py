@@ -183,11 +183,19 @@ class BlockPlan:
     ``labels = component_labels(rows, cols, dim)``, and blocks of one size
     are solved in one stacked ``eigvalsh`` call.  The plan (size groups and
     each value's place in its group's stack) is built once; ``eigvalsh``
-    then costs one scatter of the values plus the stacked solves.
+    then costs one scatter of the values plus the stacked solves.  Nodes that
+    no entry touches get no block: each adds an exact zero to the spectrum,
+    which keeps all ``len(labels)`` eigenvalues.
     """
 
     def __init__(self, rows, cols, labels: np.ndarray):
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        touched = np.zeros(len(labels), dtype=bool)
+        touched[rows] = touched[cols] = True
+        self.untouched = len(labels) - int(np.count_nonzero(touched))
+        if self.untouched:  # renumber the touched nodes 0, 1, ...
+            index = np.cumsum(touched) - 1
+            rows, cols, labels = index[rows], index[cols], labels[touched]
         dim = len(labels)
         size = np.bincount(labels)[labels]  # per node, its component's size
         sizes, nodes = np.unique(size, return_counts=True)
@@ -215,6 +223,8 @@ class BlockPlan:
             blocks = np.zeros(count * size * size, dtype=values.dtype)
             blocks[flat] = values[lo:hi]
             eigs.append(np.linalg.eigvalsh(blocks.reshape(count, size, size)).ravel())
+        if self.untouched:
+            eigs.append(np.zeros(self.untouched))
         return np.sort(np.concatenate(eigs))
 
 

@@ -369,6 +369,15 @@ class TestRunCommand:
         metadata = json.load(open(tmp_path / "o1" / "metadata.json"))
         assert metadata["trajectory"]["kappa"] == 1.0
 
+    def test_metadata_lists_blocks_of_touched_nodes(self, tmp_path):
+        # GHZ n = 5 under dephasing touches basis indices 0 and 31 of rho (one 2-block)
+        # and four of its partial transpose; the other indices get no block
+        paths = run_experiment(paper_config("fig2b_ghz_n5_dephasing"), str(tmp_path / "out"))
+        blocks = json.loads(Path(paths["metadata"]).read_text())["trajectory"]["blocks"]
+        assert blocks == {"1-Rest": [[1, 2], [2, 1]], "rho": [[2, 1]]}
+        header = Path(paths["trajectory"]).read_text().splitlines()[0]
+        assert "block" not in header
+
     def test_cli_bad_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, base_payload(state={"family": "x", "n": 3}))
         assert main(["run", "--config", path]) == 2
@@ -715,6 +724,7 @@ class TestNoDenseInitialState:
     @staticmethod
     def _peak(fn, *args):
         dynamics._workspace.cache_clear()  # rebuilt inside the call, so an eager 4^n table counts
+        dynamics._last_pattern.clear()  # a cold build, not a reuse of the warm-up's pattern
         tracemalloc.start()
         try:
             result = fn(*args)

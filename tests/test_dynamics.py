@@ -112,9 +112,10 @@ def reference_class_map(n, rows, cols, axes):
 
 def assert_reference_classes(stepper, n, spec):
     """The stepper's classes are the distinct letter codes over its own pattern."""
-    class_map, classes = reference_class_map(n, stepper.rows, stepper.cols, active_axes(spec))
+    pattern = stepper.pattern
+    class_map, classes = reference_class_map(n, pattern.rows, pattern.cols, active_axes(spec))
     assert stepper.classes == classes
-    assert np.array_equal(stepper.coeff_class, class_map)
+    assert np.array_equal(pattern.coeff_class, class_map)
     return class_map
 
 
@@ -290,6 +291,8 @@ class TestEvolve:
         assert fast.metadata["integrator"] == "rk4-pauli-classes"
         assert dense.metadata["integrator"] == "rk4-dense"
         assert fast.metadata["classes"] == 2  # W's Hamming distances 0 and 2
+        assert fast.metadata["blocks"] == {"rho": [[4, 1]]}  # W's support, not all 16 indices
+        assert dense.metadata["classes"] is dense.metadata["blocks"] is None
         assert np.abs(fast.final_state().elements - dense.final_state().elements).max() < 1e-13
 
     @given(
@@ -362,14 +365,15 @@ class TestEvolve:
         psi = random_pure(n, gen)
         rho0 = density_from_pure(psi)
         stepper = dynamics._ClassStepper(psi, spec, 0.01, 1)
+        pattern = stepper.pattern
         # psi has full support, so the pattern holds every entry
-        assert len(stepper.rows) == d * d
+        assert len(pattern.rows) == d * d
         assert_reference_classes(stepper, n, spec)
         coeffs = 0.5**n * full_letter_transform(rho0.elements, n, 1.0)
-        want_coeffs = coeffs if stepper.transform else rho0.elements
-        assert np.array_equal(stepper.coeffs, want_coeffs[stepper.rows, stepper.cols])
+        want_coeffs = coeffs if pattern.transform else rho0.elements
+        assert np.array_equal(pattern.coeffs, want_coeffs[pattern.rows, pattern.cols])
         decay = np.zeros((d, d))
-        decay[stepper.rows, stepper.cols] = stepper._decay(np.zeros(1))[0][stepper.coeff_class]
+        decay[pattern.rows, pattern.cols] = stepper._decay(np.zeros(1))[0][pattern.coeff_class]
         for r, c in itertools.product(range(d), repeat=2):
             word = [2 * (r >> (n - 1 - i) & 1) + (c >> (n - 1 - i) & 1) for i in range(n)]
             op = functools.reduce(np.kron, [letters[p][0] for p in word])
@@ -535,8 +539,9 @@ class TestEvolve:
         # coefficients are exact zeros, whatever factor scales them
         class_map = assert_reference_classes(stepper, n, spec)
         scaled = np.ones((2**n, 2**n))
-        scaled[stepper.rows, stepper.cols] = stepper.factors[class_map]
-        if stepper.transform:
+        pattern = stepper.pattern
+        scaled[pattern.rows, pattern.cols] = stepper.factors[class_map]
+        if pattern.transform:
             coeffs = 0.5**n * full_letter_transform(rho0.elements, n, 1.0)
             assert np.array_equal(mat, full_letter_transform(coeffs * scaled, n, -1.0))
         else:
@@ -547,7 +552,7 @@ class TestEvolve:
         assert abs(lam_min - block_eigvalsh(mat)[0]) <= 1e-13
         # every block, not only the extremes: a dropped block shortens the spectrum
         for plan_cut, reference in ((None, mat), (cut, partial_transpose(mat, cut))):
-            spectrum = stepper._plan(plan_cut).eigvalsh(stepper.values())
+            spectrum = pattern.plan(plan_cut).eigvalsh(stepper.values())
             assert spectrum.shape == (2**n,)
             assert np.abs(spectrum - block_eigvalsh(reference)).max() <= 1e-13
 
@@ -665,6 +670,108 @@ class TestEvolve:
         # positivity is checked at every sample point, kept or not
         with pytest.raises(IntegrationError, match="lost positivity"):
             self._unstable_run(record_states=False)
+
+
+def fig4_spec(s=2.47, kappa=0.25):
+    return NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(s), kappa=kappa)
+
+
+def held_pattern():
+    """The one pattern that the last class-engine run left held."""
+    (pattern,) = dynamics._last_pattern.values()
+    return pattern
+
+
+def cold_evolve(*args, **kwargs):
+    dynamics._last_pattern.clear()
+    return evolve(*args, **kwargs)
+
+
+def assert_same_trajectory(a, b):
+    assert_bitwise_equal(a.times, b.times)
+    assert a.observables.keys() == b.observables.keys()
+    for label, series in a.observables.items():
+        assert_bitwise_equal(series, b.observables[label])
+    assert_bitwise_equal(a.state_times, b.state_times)
+    for x, y in zip(a.states, b.states, strict=True):
+        assert_bitwise_equal(x.elements, y.elements)
+    assert a.metadata == b.metadata
+
+
+class TestPatternReuse:
+    """Runs with the same psi and active axes share one pattern and its block plans."""
+
+    OPTIONS = IntegratorOptions(step=0.01, observable_every=0.05, sample_every=0.5)
+
+    def test_cells_of_one_n_share_pattern_and_plans(self):
+        # fig4-style cells in sweep order (s inner), then a kappa change
+        psi, cuts = w_state(6), [one_vs_rest(6), highest_cut(6)]
+        specs = [fig4_spec(s) for s in (2.0, 2.47, 3.0)] + [fig4_spec(3.0, kappa=1.0)]
+        dynamics._last_pattern.clear()
+        runs = []
+        for spec in specs:
+            traj = evolve(psi, spec, 3.0, cuts, self.OPTIONS)
+            runs.append((traj, held_pattern(), dict(held_pattern().plans)))
+        _, first, first_plans = runs[0]
+        assert len(first_plans) == 3  # both cuts and rho
+        for (traj, pattern, plans), spec in zip(runs, specs):
+            assert pattern is first
+            assert plans.keys() == first_plans.keys()
+            assert all(plans[cut] is plan for cut, plan in first_plans.items())
+            assert_same_trajectory(traj, cold_evolve(psi, spec, 3.0, cuts, self.OPTIONS))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((w_state(5), fig4_spec()), (w_state(6), fig4_spec())),
+            # full support both times: only the amplitudes differ
+            (
+                (random_pure(4, np.random.default_rng(1)), NoiseSpec("pauli", **REVIVAL_RATES)),
+                (random_pure(4, np.random.default_rng(2)), NoiseSpec("pauli", **REVIVAL_RATES)),
+            ),
+            (
+                (ghz_state(4), fig4_spec()),
+                (ghz_state(4), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)),
+            ),
+        ],
+        ids=["n", "amplitudes", "axes"],
+    )
+    def test_new_pattern_when_key_changes(self, first, second):
+        dynamics._last_pattern.clear()
+        runs = []
+        for psi, spec in (first, second):
+            traj = evolve(psi, spec, 2.0, [one_vs_rest(psi.n)], self.OPTIONS)
+            runs.append((traj, held_pattern()))
+        assert runs[1][1] is not runs[0][1]
+        psi, spec = second
+        assert_same_trajectory(
+            runs[1][0], cold_evolve(psi, spec, 2.0, [one_vs_rest(psi.n)], self.OPTIONS)
+        )
+
+    def test_plans_stack_only_touched_nodes(self):
+        n = 12
+        stepper = dynamics._ClassStepper(ghz_state(n), fig4_spec(), 0.01, 300)
+        stepper.advance(0, 300)
+        mat = stepper.current()
+        for cut in (None, one_vs_rest(n), highest_cut(n)):
+            reference = mat if cut is None else partial_transpose(mat, cut)
+            touched = np.flatnonzero(np.abs(reference).sum(axis=0))
+            plan = stepper.pattern.plan(cut)
+            assert sum(size * count for size, count, *_ in plan.groups) == len(touched) <= 4
+            assert plan.untouched == 2**n - len(touched)
+            spectrum = plan.eigvalsh(stepper.values())
+            assert spectrum.shape == (2**n,)
+            # every other row and column of the reference is zero, so its dense spectrum
+            # is that of the touched rows and columns plus zeros (a 4096^2 solve takes 18 s)
+            dense = np.sort(
+                np.concatenate(
+                    (
+                        np.linalg.eigvalsh(reference[np.ix_(touched, touched)]),
+                        np.zeros(2**n - len(touched)),
+                    )
+                )
+            )
+            assert np.abs(spectrum - dense).max() <= 1e-13
 
 
 class TestAnalyticMaps:
