@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -153,23 +154,37 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     return paths
 
 
-def _derive_cell(config: ExperimentConfig, cell: dict) -> ExperimentConfig:
-    payload = dataclasses.replace(config, sweep=None).to_dict()
-    if "n" in cell:
-        payload["state"]["n"] = cell["n"]
-    if "s" in cell:
-        if "s" not in payload["noise"]["rate_z"]:
-            raise ConfigError("sweep.axes.s: noise.rate_z has no Ohmicity parameter")
-        payload["noise"]["rate_z"]["s"] = cell["s"]
-    if "kappa" in cell:
-        payload["noise"]["kappa"] = cell["kappa"]
+def _cell_base(config: ExperimentConfig) -> dict:
+    """A sweep's config in JSON form, without its sweep section, timed to its snapshot."""
+    base = dataclasses.replace(config, sweep=None).to_dict()
     snapshot = config.sweep.snapshot_t
-    payload["time"].update(t_max=snapshot, sample_every=snapshot, observable_every=snapshot)
-    return parse_config(payload)
+    base["time"].update(t_max=snapshot, sample_every=snapshot, observable_every=snapshot)
+    return base
+
+
+def _derive_cell(base: dict, cell: dict) -> ExperimentConfig:
+    """The config of one cell from ``_cell_base``, validated by ``parse_config`` like any other.
+
+    Only the sections the cell changes are copied; the rest of ``base`` is shared by every
+    cell and never written.
+    """
+    state, noise = dict(base["state"]), dict(base["noise"])
+    noise["rate_z"] = rate_z = dict(noise["rate_z"])
+    if "n" in cell:
+        state["n"] = cell["n"]
+    if "s" in cell:
+        if "s" not in rate_z:
+            raise ConfigError("sweep.axes.s: noise.rate_z has no Ohmicity parameter")
+        rate_z["s"] = cell["s"]
+    if "kappa" in cell:
+        noise["kappa"] = cell["kappa"]
+    return parse_config({**base, "state": state, "noise": noise})
 
 
 def _run_sweep_cell(args: tuple) -> tuple:
+    """(cell, its summary rows, its failure or None, its wall seconds) for one derived cell."""
     cell, config = args
+    start = time.perf_counter()
     try:
         trajectory = evolve(
             config.state.build(),
@@ -194,10 +209,10 @@ def _run_sweep_cell(args: tuple) -> tuple:
                     "log_negativity": float(series[-1]),
                 }
             )
-        return cell, rows, None
+        return cell, rows, None, time.perf_counter() - start
     except Exception as exc:  # per-cell failures must not kill the sweep
         failure = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
-        return cell, [], failure
+        return cell, [], failure, time.perf_counter() - start
 
 
 def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> dict:
@@ -222,7 +237,8 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     # same rule as sweep.workers in the config, so --workers 0 is a usage error
     workers = min(_positive_int(workers, "workers"), len(cells))
 
-    jobs = [(cell, _derive_cell(config, cell)) for cell in cells]
+    base = _cell_base(config)
+    jobs = [(cell, _derive_cell(base, cell)) for cell in cells]
     needed = workers * max(
         class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) for _, job in jobs
     )
@@ -239,10 +255,10 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_cell, jobs))
 
-    rows = []
-    failures = []
-    for cell, cell_rows, failure in results:
+    rows, failures, cell_seconds = [], [], []
+    for cell, cell_rows, failure, wall_s in results:
         rows.extend(cell_rows)
+        cell_seconds.append({"cell": cell, "wall_s": wall_s})
         if failure is not None:
             failures.append({"cell": cell, **failure})
 
@@ -268,7 +284,15 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
         paths["metadata"] = os.path.join(out_dir, "summary.json")
         _write_json(
             paths["metadata"],
-            _metadata(config, {"cells": len(cells), "failures": failures}),
+            _metadata(
+                config,
+                {
+                    "cells": len(cells),
+                    "workers": workers,
+                    "cell_seconds": cell_seconds,
+                    "failures": failures,
+                },
+            ),
         )
     for failure in failures:
         print(f"sweep: cell {failure['cell']} failed: {failure['error']}", file=sys.stderr)

@@ -17,7 +17,11 @@ gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing) that rho0's pattern uses, with rates evaluated
 a block of steps at a time (max(128, 15360 // classes) steps: 960 for fig5
-GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  One flip-and-sign
+GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  A block's three
+stage-rate rows per axis come from a memo keyed by (rate model, h, first
+step, end step), which holds the 32 most recent blocks' rows read-only (at
+most 360 KiB each, 11.25 MiB in all); a sweep's cells of one s, whatever
+their n or kappa, evaluate the rate only once.  One flip-and-sign
 transform per site puts the Pauli coefficients where popcounts of each
 entry's row and column give its class; it is skipped when z is the only
 active axis.  Full-matrix RK4 is exactly RK4 on these factors; the dense
@@ -310,6 +314,24 @@ def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.nda
 _BLOCK_ENTRIES = 128 * 120
 _BLOCK_STEPS = 128
 
+# Stage-rate rows of the rate blocks that runs have stepped, by (rate model, h, j, stop).
+# The models are frozen dataclasses, so every sweep cell of one s shares its entries,
+# whatever its n or kappa.  An entry holds 3 x block_steps float64s at most, so
+# 3 x _BLOCK_ENTRIES x 8 B = 360 KiB, and 32 entries 11.25 MiB; a paper sweep needs 12
+# (one 3000-step block per s, 72 KiB each).
+_STAGE_RATE_ENTRIES = 32
+
+
+@functools.lru_cache(maxsize=_STAGE_RATE_ENTRIES)
+def _stage_rates(model: DecayRateModel, h: float, j: int, stop: int) -> tuple:
+    """Read-only rates at the RK4 stage times t, t + h/2 and t + h of steps j..stop-1."""
+    t = np.arange(j, stop) * h
+    rows = (model.rate(t), model.rate(t + 0.5 * h), model.rate(t + h))
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
 # Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
 # per pattern entry for the stepper and one plan's build (92 at full support, n = 8), per
 # entry and plan kept (16), per basis index (83, GHZ at n = 13: popcounts and a plan's node
@@ -395,6 +417,9 @@ class _ClassStepper:
     All of that, and the block plans, is the ``_ClassPattern`` of psi and the active axes,
     reused from the previous run when both match; the stepper holds the run's own part:
     the rate models with their per-class decay rows, the rate blocks and the factors.
+    Each block's rates at its RK4 stage times come from ``_stage_rates``, a memo of the
+    32 most recent (model, h, first step, end step) blocks, up to 3 x ``block_steps``
+    x 8 B each, shared by every run with the same rate model and time grid.
     """
 
     engine = "rk4-pauli-classes"
@@ -413,8 +438,9 @@ class _ClassStepper:
         self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
         self.factors = np.ones(self.classes, dtype=float)
 
-    def _decay(self, t: np.ndarray) -> np.ndarray:
-        terms = [np.multiply.outer(model.rate(t), neg) for model, neg in self.axes]
+    def _decay(self, rates: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-class decay rows from one rate row per active axis, in ``axes`` order."""
+        terms = [np.multiply.outer(rate, neg) for rate, (_, neg) in zip(rates, self.axes)]
         return sum(terms[1:], terms[0])
 
     def advance(self, k0: int, k: int) -> None:
@@ -423,12 +449,12 @@ class _ClassStepper:
         while j < k:
             offset = j % block
             if offset == 0:  # RK4 growth rows of the next block, up to t_max
-                t = np.arange(j, min(j + block, self.n_steps)) * h
-                a1 = self._decay(t)
-                am = self._decay(t + 0.5 * h)
+                end = min(j + block, self.n_steps)
+                stages = [_stage_rates(model, h, j, end) for model, _ in self.axes]
+                a1, am, ah = (self._decay(rates) for rates in zip(*stages))
                 a2 = am * (1.0 + 0.5 * h * a1)
                 a3 = am * (1.0 + 0.5 * h * a2)
-                a4 = self._decay(t + h) * (1.0 + h * a3)
+                a4 = ah * (1.0 + h * a3)
                 self.growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
             stop = min(k, j - offset + block)
             rows = self.growth[offset : offset + stop - j]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -275,10 +276,8 @@ def dicke_state(n: int, k: int) -> PureState:
     if not 1 <= k <= n - 1:
         raise ValueError(f"excitation count must satisfy 1 <= k <= n-1, got k={k}")
     amp = np.zeros(2**n, dtype=complex)
-    weight = 1.0 / sqrt(comb(n, k))
-    for i in range(2**n):
-        if i.bit_count() == k:
-            amp[i] = weight
+    support = [sum(1 << bit for bit in bits) for bits in combinations(range(n), k)]
+    amp[support] = 1.0 / sqrt(comb(n, k))
     return PureState(n=n, amplitudes=amp)
 
 

@@ -1,4 +1,7 @@
+import copy
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -725,6 +728,7 @@ class TestNoDenseInitialState:
     def _peak(fn, *args):
         dynamics._workspace.cache_clear()  # rebuilt inside the call, so an eager 4^n table counts
         dynamics._last_pattern.clear()  # a cold build, not a reuse of the warm-up's pattern
+        dynamics._stage_rates.cache_clear()  # and the warm-up's stage rates are evaluated anew
         tracemalloc.start()
         try:
             result = fn(*args)
@@ -736,9 +740,9 @@ class TestNoDenseInitialState:
     def test_sweep_cell_peak_allocation(self, stem):
         config = paper_config(stem)
         cell = {"n": 10, "s": 2.47}
-        job = (cell, cli._derive_cell(config, cell))
+        job = (cell, cli._derive_cell(cli._cell_base(config), cell))
         cli._run_sweep_cell(job)  # lazy imports and rate set-up happen once per process
-        (_, rows, failure), peak = self._peak(cli._run_sweep_cell, job)
+        (_, rows, failure, _), peak = self._peak(cli._run_sweep_cell, job)
         assert failure is None and len(rows) == len(config.cuts)
         assert peak < self.PEAK_LIMIT
 
@@ -769,7 +773,8 @@ class TestNoDenseInitialState:
         assert (tmp_path / "run" / "trajectory.csv").exists() and "states" not in paths
         sweep = paper_config("fig4_w_dephasing_sweep")
         cell = {"n": 6, "s": 2.47}
-        _, rows, failure = cli._run_sweep_cell((cell, cli._derive_cell(sweep, cell)))
+        job = cli._derive_cell(cli._cell_base(sweep), cell)
+        _, rows, failure, _ = cli._run_sweep_cell((cell, job))
         assert failure is None and len(rows) == 2
 
 
@@ -795,9 +800,11 @@ class TestCellMemoryEstimate:
         config = sweep_config(stem)
         cell = {"n": n, **({"s": 2.47} if "s" in config.sweep.axes else {})}
         warm = dict(cell, n=3)
-        cli._run_sweep_cell((warm, cli._derive_cell(config, warm)))  # lazy set-up, once
-        job = cli._derive_cell(config, cell)
-        (_, rows, failure), peak = TestNoDenseInitialState._peak(cli._run_sweep_cell, (cell, job))
+        base = cli._cell_base(config)
+        cli._run_sweep_cell((warm, cli._derive_cell(base, warm)))  # lazy set-up, once
+        job = cli._derive_cell(base, cell)
+        peak_of = TestNoDenseInitialState._peak
+        (_, rows, failure, _), peak = peak_of(cli._run_sweep_cell, (cell, job))
         assert failure is None and len(rows) == len(config.cuts)
         assert dynamics.class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) >= peak
 
@@ -807,3 +814,98 @@ class TestCellMemoryEstimate:
         paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
         rows = list(csv.DictReader(Path(paths["summary"]).read_text().splitlines()))
         assert [(row["n"], row["cut"]) for row in rows] == [("13", "1-Rest"), ("13", "highest-cut")]
+
+
+def sweep_cells(config):
+    """The cells of a sweep in the order ``sweep_experiment`` runs them (axes sorted by name)."""
+    names = sorted(config.sweep.axes)
+    combos = itertools.product(*(config.sweep.axes[name] for name in names))
+    return [dict(zip(names, combo)) for combo in combos]
+
+
+def round_trip_cell(config, cell):
+    """A cell's config by its own to_dict round trip, as each cell was once derived."""
+    payload = dataclasses.replace(config, sweep=None).to_dict()
+    if "n" in cell:
+        payload["state"]["n"] = cell["n"]
+    if "s" in cell:
+        payload["noise"]["rate_z"]["s"] = cell["s"]
+    if "kappa" in cell:
+        payload["noise"]["kappa"] = cell["kappa"]
+    snapshot = config.sweep.snapshot_t
+    payload["time"].update(t_max=snapshot, sample_every=snapshot, observable_every=snapshot)
+    return parse_config(payload)
+
+
+class TestCellDerivation:
+    """Every cell's config comes from one serialised base and is parsed like any config."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            sweep_config("fig3_ghz_dephasing_sweep"),
+            sweep_config("fig4_w_dephasing_sweep"),
+            sweep_config("fig5_w_n5_depolarising", axes={"n": [3, 4, 5], "kappa": [1.0, 0.25]}),
+            sweep_config(
+                "fig4_w_dephasing_sweep", axes={"n": [3, 6], "s": [2.0, 3.0], "kappa": [0.25, 1.0]}
+            ),
+        ],
+        ids=["fig3", "fig4", "kappa-axis", "three-axes"],
+    )
+    def test_matches_per_cell_round_trip(self, config):
+        base = cli._cell_base(config)
+        pristine = copy.deepcopy(base)
+        cells = sweep_cells(config)
+        for cell in cells:
+            assert cli._derive_cell(base, cell) == round_trip_cell(config, cell)
+        assert base == pristine  # cells copy what they change; the base is never written
+
+    def _refused_before_any_cell(self, tmp_path, monkeypatch, payload, match):
+        def no_cell(job):
+            raise AssertionError(f"cell {job[0]} ran")
+
+        monkeypatch.setattr(cli, "_run_sweep_cell", no_cell)
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=match):
+            sweep_experiment(parse_config(payload), str(out), workers=1)
+        assert not out.exists()
+
+    def test_s_axis_without_ohmicity_is_refused(self, tmp_path, monkeypatch):
+        payload = base_payload(sweep={"axes": {"n": [3, 4], "s": [2.0]}, "snapshot_t": 1.0})
+        payload["noise"]["rate_z"] = {"kind": "constant", "gamma0": 0.1}
+        match = r"^sweep\.axes\.s: noise\.rate_z has no Ohmicity parameter$"
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
+
+    def test_cut_invalid_at_smallest_n_is_refused(self, tmp_path, monkeypatch):
+        payload = base_payload(
+            state={"family": "ghz", "n": 5},
+            cuts=["{1,4}|{2,3,5}"],
+            sweep={"axes": {"n": [5, 3]}, "snapshot_t": 1.0},
+        )
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, r"^cuts: ")
+
+
+class TestSweepRecords:
+    """summary.json records the workers and every cell's wall time; summary.csv stays fixed."""
+
+    def test_fig3_summary_identical_across_workers(self, tmp_path):
+        config = paper_config("fig3_ghz_dephasing_sweep")
+        summaries = [
+            Path(sweep_experiment(config, str(tmp_path / f"w{w}"), workers=w)["summary"])
+            for w in (1, 2)
+        ]
+        assert summaries[0].read_bytes() == summaries[1].read_bytes()
+        for workers, summary in zip((1, 2), summaries):
+            assert json.loads(summary.with_name("summary.json").read_text())["workers"] == workers
+
+    def test_one_wall_time_per_cell(self, tmp_path):
+        config = parse_config(
+            base_payload(sweep={"axes": {"n": [3, 4], "s": [2.0, 2.47, 3.0]}, "snapshot_t": 1.0})
+        )
+        paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
+        summary = json.loads(Path(paths["metadata"]).read_text())
+        records = summary["cell_seconds"]
+        assert [record["cell"] for record in records] == sweep_cells(config)
+        assert summary["cells"] == len(records) == 6
+        assert all(isinstance(r["wall_s"], float) and r["wall_s"] > 0 for r in records)
+        assert "wall_s" not in Path(paths["summary"]).read_text()

@@ -35,6 +35,7 @@ from qubitbath import (
     w_state,
 )
 from qubitbath import dynamics
+from qubitbath.cli import sweep_experiment
 from qubitbath.config import parse_config
 from qubitbath.states import (
     DensityMatrix,
@@ -373,7 +374,8 @@ class TestEvolve:
         want_coeffs = coeffs if pattern.transform else rho0.elements
         assert np.array_equal(pattern.coeffs, want_coeffs[pattern.rows, pattern.cols])
         decay = np.zeros((d, d))
-        decay[pattern.rows, pattern.cols] = stepper._decay(np.zeros(1))[0][pattern.coeff_class]
+        rates_at_zero = [model.rate(np.zeros(1)) for model, _ in stepper.axes]
+        decay[pattern.rows, pattern.cols] = stepper._decay(rates_at_zero)[0][pattern.coeff_class]
         for r, c in itertools.product(range(d), repeat=2):
             word = [2 * (r >> (n - 1 - i) & 1) + (c >> (n - 1 - i) & 1) for i in range(n)]
             op = functools.reduce(np.kron, [letters[p][0] for p in word])
@@ -772,6 +774,55 @@ class TestPatternReuse:
                 )
             )
             assert np.abs(spectrum - dense).max() <= 1e-13
+
+
+class TestStageRateMemo:
+    """Runs with the same rate model and time grid share each block's stage-rate rows."""
+
+    def test_sweep_evaluates_each_s_once(self, tmp_path, monkeypatch):
+        payload = json.loads((CONFIG_DIR / "fig4_w_dephasing_sweep.json").read_text())
+        payload["sweep"]["axes"] = {"n": [3, 4, 5, 6], "s": [2.0, 2.47, 3.0]}
+        calls = []
+        real_rate = OhmicZeroTempRate.rate
+
+        def counting_rate(model, t):
+            calls.append(model.s)
+            return real_rate(model, t)
+
+        monkeypatch.setattr(OhmicZeroTempRate, "rate", counting_rate)
+        dynamics._stage_rates.cache_clear()
+        sweep_experiment(parse_config(payload), str(tmp_path), workers=1)
+        # one block of 3000 steps per cell (t = 30), three stage rows per block
+        assert sorted(calls) == [2.0] * 3 + [2.47] * 3 + [3.0] * 3
+
+    def test_memo_cell_matches_cleared_memo(self):
+        options = IntegratorOptions(step=0.01, observable_every=0.5, sample_every=1.5)
+        psi, cuts = w_state(6), [one_vs_rest(6), highest_cut(6)]
+        dynamics._stage_rates.cache_clear()
+        evolve(w_state(5), fig4_spec(), 3.0, [one_vs_rest(5)], options)
+        hits = dynamics._stage_rates.cache_info().hits
+        served = evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, options)
+        assert dynamics._stage_rates.cache_info().hits == hits + 1
+        dynamics._stage_rates.cache_clear()
+        assert_same_trajectory(served, cold_evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, options))
+
+    def test_rows_are_read_only(self):
+        rows = dynamics._stage_rates(OhmicZeroTempRate(2.47), 0.01, 0, 10)
+        assert len(rows) == 3
+        for row in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+
+    def test_models_differing_in_one_parameter_get_own_entries(self):
+        dynamics._stage_rates.cache_clear()
+        models = [OhmicZeroTempRate(2.47), OhmicZeroTempRate(2.0), OhmicZeroTempRate(2.47, 2.0)]
+        rows = [dynamics._stage_rates(model, 0.01, 0, 100) for model in models]
+        info = dynamics._stage_rates.cache_info()
+        assert (info.currsize, info.hits) == (3, 0)
+        for a, b in itertools.combinations(rows, 2):
+            assert not np.array_equal(a[1], b[1])
+        assert dynamics._stage_rates(OhmicZeroTempRate(2.47), 0.01, 0, 100) is rows[0]
+        assert dynamics._stage_rates.cache_info().maxsize == 32
 
 
 class TestAnalyticMaps:

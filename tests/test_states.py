@@ -111,6 +111,14 @@ class TestDicke:
         assert len(support) == math.comb(n, k)
         assert np.allclose(amp[support], amp[support][0])
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_popcount_reference_bitwise(self, n):
+        index = np.arange(2**n)
+        popcount = sum((index >> bit) & 1 for bit in range(n))
+        for k in range(1, n):
+            want = np.where(popcount == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0).astype(complex)
+            assert dicke_state(n, k).amplitudes.tobytes() == want.tobytes()
+
 
 @given(st.integers(2, 6), st.permutations(range(6)))
 @settings(max_examples=40, deadline=None)
