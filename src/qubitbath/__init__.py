@@ -24,11 +24,9 @@ from .dynamics import (
     IntegratorOptions,
     NoiseSpec,
     Trajectory,
-    analytic_dephasing_map,
     analytic_pauli_map,
     analytic_state_at,
     evolve,
-    lindblad_rhs,
     oracle_deviation,
 )
 from .entanglement import (
@@ -60,7 +58,6 @@ from .states import (
     PureState,
     density_from_pure,
     dicke_state,
-    embed_local_operator,
     ghz_state,
     w_state,
 )

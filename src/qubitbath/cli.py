@@ -355,7 +355,7 @@ def _cmd_divisibility(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     config = _apply_kappa(load_config(args.config), args.kappa)
-    options = config.time.integrator_options(record_states=False, dense=args.dense)
+    options = config.time.integrator_options(record_states=False)
     deviation = oracle_deviation(
         config.state.build(),
         config.noise,
@@ -459,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--threshold", type=float, default=1e-7)
     p_oracle.add_argument(
         "--compare-every", type=float, default=None, help="comparison cadence (default: every step)"
-    )
-    p_oracle.add_argument(
-        "--dense", action="store_true", help="force the dense matrix stepper"
     )
     p_oracle.set_defaults(func=_cmd_oracle_check)
 

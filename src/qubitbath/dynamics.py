@@ -13,7 +13,7 @@ Propagation is classic fixed-step fourth-order Runge-Kutta with rates
 evaluated at the stage times.  Both noise kinds have generators that are
 diagonal in the Pauli-string basis: a string with letter counts (nx, ny, nz)
 obeys the scalar ODE y' = -(2 kappa / omega_0) [gamma_x (ny + nz) +
-gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The default stepper therefore
+gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The one stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing) that rho0's pattern uses, with rates evaluated
 a block of steps at a time (max(128, 15360 // classes) steps: 960 for fig5
@@ -24,27 +24,26 @@ most 360 KiB each, 11.25 MiB in all); a sweep's cells of one s, whatever
 their n or kappa, evaluate the rate only once.  One flip-and-sign
 transform per site puts the Pauli coefficients where popcounts of each
 entry's row and column give its class; it is skipped when z is the only
-active axis.  Full-matrix RK4 is exactly RK4 on these factors; the dense
-stepper, which materialises the right-hand side, is the independent reference
-(``IntegratorOptions(dense=True)``).
+active axis.  Full-matrix RK4 is exactly RK4 on these factors; the test
+suite's dense RK4 stepper, which materialises the right-hand side, is the
+independent reference (``tests/reference.py``).
 
-Both steppers start from a ``PureState`` psi, rho0 = |psi><psi|; the class
-stepper reads rho(t)'s fixed pattern and rho0's values on it from psi's
-support, so no 4^n array is built.  The pattern, rho0's values on it, the
-classes and one ``states.BlockPlan`` per cut (on the partial-transposed
-pattern) and for rho itself (positivity) depend on psi and the active axes
-alone, not on the rates: they are built once and reused by the next run with
-the same psi and axes, so a sweep's cells of one n share them.  A plan holds
+The stepper starts from a ``PureState`` psi, rho0 = |psi><psi|, and reads
+rho(t)'s fixed pattern and rho0's values on it from psi's support, so no 4^n
+array is built.  The pattern, rho0's values on it, the classes and one
+``states.BlockPlan`` per cut (on the partial-transposed pattern) and for rho
+itself (positivity) depend on psi and the active axes alone, not on the rates:
+they are built once and reused by the next run with the same psi and axes, so
+a sweep's cells of one n share them.  A plan holds
 the components the pattern touches, grouped by size, and where each value goes
 in its group's stack.  A record costs one evaluation of rho(t) on the pattern
 plus one stacked ``eigvalsh`` per size group; the full matrix is rebuilt only
-for states that ``record_states`` keeps.  The dense stepper, the dense
-right-hand side and the closed-form dephasing map use a 4^n Hamming table,
-built on first use; the dense stepper records through the public
-``log_negativity`` and ``block_eigvalsh``.
+for states that ``record_states`` keeps.
 
-Closed-form propagators for both noise kinds serve as independent oracles
-for the integrator.
+One closed-form propagator, ``analytic_pauli_map``, serves both noise kinds as
+the independent oracle for the integrator (``oracle_deviation``); under
+dephasing it damps each entry by its Hamming distance, read from the 2^n
+popcount table.
 """
 
 from __future__ import annotations
@@ -58,9 +57,8 @@ import numpy as np
 
 from .entanglement import (
     Bipartition,
-    _as_matrix,
     log2_trace_norm,
-    log_negativity,
+    log_negativity,  # unused here; perfbench/tracing.py patches it (its traced selftest needs it)
     partial_transpose_indices,
 )
 from .errors import IntegrationError
@@ -69,10 +67,8 @@ from .states import (
     BlockPlan,
     DensityMatrix,
     PureState,
-    block_eigvalsh,
     component_labels,
     density_from_pure,
-    hamming_distance_matrix,
 )
 
 __all__ = [
@@ -82,9 +78,7 @@ __all__ = [
     "NoiseSpec",
     "IntegratorOptions",
     "Trajectory",
-    "lindblad_rhs",
     "evolve",
-    "analytic_dephasing_map",
     "analytic_pauli_map",
     "analytic_state_at",
     "oracle_deviation",
@@ -94,8 +88,6 @@ DEPHASING = "dephasing"
 PAULI = "pauli"
 SUPPORTED_KAPPAS = (1.0, 0.25)
 
-TRACE_RENORM_TOL = 1e-12
-TRACE_ERROR_TOL = 1e-6
 EIGENVALUE_ERROR_FLOOR = -1e-6
 
 
@@ -139,15 +131,13 @@ class IntegratorOptions:
 
     ``observable_every`` defaults to every step when ``evolve`` has cuts, else
     to t_max; full states are recorded (and positivity is spot-checked) every
-    ``sample_every`` time units.  ``dense`` replaces the Pauli-class stepper by
-    the dense matrix stepper, the independent reference for both noise kinds.
+    ``sample_every`` time units.
     """
 
     step: float = 0.01
     observable_every: Optional[float] = None
     sample_every: float = 1.0
     record_states: bool = True
-    dense: bool = False
 
     def __post_init__(self):
         if self.step <= 0:
@@ -192,103 +182,8 @@ class _Workspace:
         index = np.arange(2**n)
         self.popcount = sum((index >> bit) & 1 for bit in range(n))
 
-    @functools.cached_property
-    def hamming(self) -> np.ndarray:
-        """4^n one-byte Hamming table, built only for the dense RHS and the dephasing map."""
-        return hamming_distance_matrix(self.n).astype(np.uint8)
-
 
 _workspace = functools.lru_cache(maxsize=None)(_Workspace)
-
-
-def _rhs_matrix(mat: np.ndarray, t: float, spec: NoiseSpec, ws: _Workspace) -> np.ndarray:
-    pref = spec.kappa / spec.omega0
-    gz = float(spec.rate_z.rate(t))
-    out = (-2.0 * pref * gz) * (ws.hamming * mat)
-    if spec.kind == PAULI:
-        gx = float(spec.rate_x.rate(t))
-        gy = float(spec.rate_y.rate(t))
-        if gx != 0.0 or gy != 0.0:
-            n = ws.n
-            tens = mat.reshape(ws.tshape)
-            acc = np.zeros(ws.tshape, dtype=complex)
-            for i in range(n):
-                flip = np.flip(tens, axis=(i, n + i))
-                acc += gx * flip
-                if gy != 0.0:
-                    acc += gy * (ws.row_signs[i] * ws.col_signs[i] * flip)
-            out += pref * acc.reshape(mat.shape)
-            out -= (pref * n * (gx + gy)) * mat
-    return out
-
-
-def lindblad_rhs(rho, t: float, spec: NoiseSpec) -> np.ndarray:
-    """Right-hand side of the master equation at time t.
-
-    Equals kappa/omega_0 * sum over sites and active axes of
-    (sigma rho sigma - rho), evaluated without materialising the embedded
-    operators: the z part is an elementwise Hamming-distance damping and the
-    x/y parts are bit-flips of both indices with the appropriate signs.
-    """
-    mat, n = _as_matrix(rho)
-    return _rhs_matrix(mat, t, spec, _workspace(n))
-
-
-class _DenseStepper:
-    """RK4 on the full density matrix |psi><psi|; hermitise and re-trace each step."""
-
-    engine = "rk4-dense"
-    classes = block_steps = None
-
-    def __init__(self, psi: PureState, spec: NoiseSpec, h: float):
-        self.mat = np.array(density_from_pure(psi).elements, dtype=complex)
-        self.spec = spec
-        self.h = h
-        self.ws = _workspace(psi.n)
-        self.max_trace_drift = self.max_herm_drift = 0.0
-        self.renormalizations = 0
-
-    def advance(self, k0: int, k: int) -> None:
-        h = self.h
-        for j in range(k0 + 1, k + 1):
-            t = (j - 1) * h
-            mat = self.mat
-            k1 = _rhs_matrix(mat, t, self.spec, self.ws)
-            k2 = _rhs_matrix(mat + (0.5 * h) * k1, t + 0.5 * h, self.spec, self.ws)
-            k3 = _rhs_matrix(mat + (0.5 * h) * k2, t + 0.5 * h, self.spec, self.ws)
-            k4 = _rhs_matrix(mat + h * k3, t + h, self.spec, self.ws)
-            mat = mat + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-            delta = mat - mat.conj().T
-            herm_drift = float(np.abs(delta).max())
-            if herm_drift > self.max_herm_drift:
-                self.max_herm_drift = herm_drift
-            mat -= 0.5 * delta
-
-            trace = float(np.trace(mat).real)
-            drift = abs(trace - 1.0)
-            if drift > self.max_trace_drift:
-                self.max_trace_drift = drift
-            if drift > TRACE_ERROR_TOL:
-                raise IntegrationError(
-                    f"trace drifted by {drift:.3e} at t={j * h:.4f}; reduce the step size"
-                )
-            if drift > TRACE_RENORM_TOL:
-                mat = mat / trace
-                self.renormalizations += 1
-            self.mat = mat
-
-    def current(self) -> np.ndarray:
-        return self.mat
-
-    def observe(self, cuts, positivity: bool) -> tuple:
-        """E per cut and, if asked, the minimum eigenvalue, by the public one-matrix routes."""
-        lam_min = float(block_eigvalsh(self.mat)[0]) if positivity else None
-        return [log_negativity(self.mat, cut) for cut in cuts], lam_min
-
-    def blocks(self, cuts) -> None:
-        """None: every record plans its own matrix."""
-        return None
 
 
 def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.ndarray:
@@ -524,12 +419,6 @@ def _stride(name: str, interval: Optional[float], h: float, default: int) -> int
     return stride
 
 
-def _stepper(psi: PureState, spec: NoiseSpec, n_steps: int, options: IntegratorOptions):
-    if options.dense:
-        return _DenseStepper(psi, spec, options.step)
-    return _ClassStepper(psi, spec, options.step, n_steps)
-
-
 def _recording_points(stepper, n_steps: int, strides):
     """Run the stepper from one recording point to the next; yield (t, one flag per stride).
 
@@ -551,8 +440,7 @@ def evolve(
 ) -> Trajectory:
     """Propagate rho0 = |psi><psi| under the noise spec from t=0 to t_max.
 
-    The class stepper builds no 2^n x 2^n matrix but the states it keeps; the
-    dense stepper builds rho0 with ``density_from_pure``.
+    The stepper builds no 2^n x 2^n matrix but the states it keeps.
     Entanglement observables (log negativity per requested cut) are recorded
     every ``options.observable_every`` (default: every step, or only at both
     ends when there are no cuts); full states every ``options.sample_every``.
@@ -573,7 +461,7 @@ def evolve(
     times, state_times, states, min_eigenvalues = [], [], [], []
     observables = {cut.label: [] for cut in cuts}
 
-    stepper = _stepper(psi, spec, n_steps, options)
+    stepper = _ClassStepper(psi, spec, h, n_steps)
     for t, (obs_due, state_due) in _recording_points(
         stepper, n_steps, (obs_stride, sample_stride)
     ):
@@ -621,24 +509,10 @@ def evolve(
     )
 
 
-def analytic_dephasing_map(rho0: DensityMatrix, big_gamma: float, spec: NoiseSpec) -> DensityMatrix:
-    """Exact dephasing propagator at integrated rate big_gamma = int_0^t gamma.
-
-    Element (x, y) is damped by exp(-2 kappa big_gamma d / omega_0) with d
-    the Hamming distance between the basis strings x and y; populations are
-    untouched.
-    """
-    if spec.kind != DEPHASING:
-        raise ValueError("analytic_dephasing_map requires a dephasing NoiseSpec")
-    log_damping = -2.0 * spec.kappa * big_gamma / spec.omega0
-    factors = np.exp(np.multiply(log_damping, _workspace(rho0.n).hamming, dtype=np.float64))
-    return DensityMatrix(n=rho0.n, elements=rho0.elements * factors, check_positivity=False)
-
-
 def analytic_pauli_map(
     rho0: DensityMatrix, lam_integrals: Sequence[float], spec: NoiseSpec
 ) -> DensityMatrix:
-    """Exact Pauli-channel propagator at per-axis integrated rates.
+    """Exact propagator of either noise kind at per-axis integrated rates.
 
     ``lam_integrals`` is (Lambda_x, Lambda_y, Lambda_z) with
     Lambda_j = int_0^t gamma_j.  Each qubit is sent through the single-qubit
@@ -647,11 +521,22 @@ def analytic_pauli_map(
         lambda_x = exp(-2 kappa (Lambda_y + Lambda_z) / omega_0)
 
     and cyclic permutations (identity eigenvalue 1), applied by scaling the
-    Pauli expansion of rho0 one site at a time.
+    Pauli expansion of rho0 one site at a time.  Under dephasing, where
+    Lambda_x = Lambda_y = 0, that is entry (a, b) damped by
+    exp(-2 kappa Lambda_z d / omega_0), with d = popcount(a ^ b) the Hamming
+    distance, and populations untouched.
     """
-    if spec.kind != PAULI:
-        raise ValueError("analytic_pauli_map requires a Pauli NoiseSpec")
     lam_x_int, lam_y_int, lam_z_int = (float(v) for v in lam_integrals)
+    n = rho0.n
+    ws = _workspace(n)
+    if spec.kind == DEPHASING:
+        if lam_x_int != 0.0 or lam_y_int != 0.0:
+            raise ValueError("a dephasing NoiseSpec needs Lambda_x = Lambda_y = 0")
+        log_damping = -2.0 * spec.kappa * lam_z_int / spec.omega0
+        damping = np.exp(log_damping * np.arange(n + 1))  # by Hamming distance
+        index = np.arange(rho0.dim)
+        factors = damping[ws.popcount[index[:, None] ^ index]]
+        return DensityMatrix(n=n, elements=rho0.elements * factors, check_positivity=False)
     scale = 2.0 * spec.kappa / spec.omega0
     tx = np.exp(-scale * (lam_y_int + lam_z_int))
     ty = np.exp(-scale * (lam_z_int + lam_x_int))
@@ -663,8 +548,6 @@ def analytic_pauli_map(
     c_y = 0.25 * (1.0 - tx + ty - tz)
     c_z = 0.25 * (1.0 - tx - ty + tz)
 
-    n = rho0.n
-    ws = _workspace(n)
     tens = np.array(rho0.elements, dtype=complex).reshape(ws.tshape)
     for i in range(n):
         flip = np.flip(tens, axis=(i, n + i))
@@ -675,8 +558,6 @@ def analytic_pauli_map(
 
 def analytic_state_at(rho0: DensityMatrix, spec: NoiseSpec, t: float) -> DensityMatrix:
     """Closed-form state at time t for whichever noise kind spec carries."""
-    if spec.kind == DEPHASING:
-        return analytic_dephasing_map(rho0, float(spec.rate_z.integrated(t)), spec)
     lams = [float(m.integrated(t)) for m in (spec.rate_x, spec.rate_y, spec.rate_z)]
     return analytic_pauli_map(rho0, lams, spec)
 
@@ -698,7 +579,7 @@ def oracle_deviation(
     n_steps = _stride("t_max", t_max, h, None)
     stride = _stride("compare_every", compare_every, h, 1)
     rho0 = density_from_pure(psi)
-    stepper = _stepper(psi, spec, n_steps, options)
+    stepper = _ClassStepper(psi, spec, h, n_steps)
     deviations = [
         np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
         for t, _ in _recording_points(stepper, n_steps, (stride,))

@@ -104,16 +104,27 @@ def highest_cut(n: int) -> Bipartition:
 
 
 def parse_cut_label(label: str, n: int) -> Bipartition:
-    """Inverse of ``Bipartition.label`` for the supported string forms."""
+    """Inverse of ``Bipartition.label`` for the supported string forms.
+
+    In an explicit ``{A}|{B}`` label, B must be exactly the qubits of 1..n not in A.
+    """
     label = label.strip()
     if label == "1-Rest":
         return one_vs_rest(n)
     if label == "highest-cut":
         return highest_cut(n)
     if label.startswith("{") and "|" in label:
-        side_a = label.split("|")[0].strip().strip("{}")
-        qubits = tuple(int(tok) for tok in side_a.split(",") if tok.strip())
-        return Bipartition(n, qubits)
+        side_a, side_b = (
+            [int(tok) for tok in side.strip().strip("{}").split(",") if tok.strip()]
+            for side in label.split("|", 1)
+        )
+        cut = Bipartition(n, tuple(side_a))
+        if sorted(side_b) != list(cut.side_b):
+            raise ValueError(
+                f"bipartition label {label!r}: side B must be {set(cut.side_b)}, "
+                f"the qubits of 1..{n} not in side A"
+            )
+        return cut
     raise ValueError(f"unrecognised bipartition label: {label!r}")
 
 

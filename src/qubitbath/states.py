@@ -1,10 +1,10 @@
-"""Multiqubit pure states, density matrices and local-operator embedding.
+"""Multiqubit pure states, density matrices and their block-by-block spectra.
 
 Basis convention: a computational basis index ``i`` encodes the qubit
 outcomes as a bitstring with qubit 1 in the most significant bit, so for
 three qubits index 6 = 0b110 means qubits (1, 2, 3) = (1, 1, 0).  All the
 states built here are symmetric under qubit permutations, but the
-convention matters for I/O and for embedding single-site operators.
+convention matters for I/O and for which bits a cut transposes.
 
 Spectra are solved block by block: ``component_labels`` finds the connected
 components of a nonzero pattern with numpy alone, ``BlockPlan`` groups them
@@ -31,18 +31,7 @@ __all__ = [
     "w_state",
     "dicke_state",
     "density_from_pure",
-    "embed_local_operator",
-    "hamming_distance_matrix",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
 ]
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -286,30 +275,3 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
     mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
     return DensityMatrix(n=psi.n, elements=mat, check_positivity=False)
 
-
-def embed_local_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator at the given site (1-based) of n qubits.
-
-    Returns the 2^n x 2^n matrix acting as ``op`` on ``site`` and as the
-    identity elsewhere.
-    """
-    _require_qubit_count(n)
-    if not 1 <= site <= n:
-        raise ValueError(f"site must lie in 1..{n}, got {site}")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-    left = np.eye(2 ** (site - 1), dtype=complex)
-    right = np.eye(2 ** (n - site), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
-def hamming_distance_matrix(n: int) -> np.ndarray:
-    """Matrix D with D[x, y] = number of differing bits between x and y."""
-    _require_qubit_count(n)
-    idx = np.arange(2**n)
-    xor = idx[:, None] ^ idx[None, :]
-    d = np.zeros(xor.shape, dtype=np.float64)
-    for bit in range(n):
-        d += (xor >> bit) & 1
-    return d

@@ -42,6 +42,7 @@ from qubitbath import (
     w_state,
 )
 from qubitbath.rates import integrated_rate_quadrature
+from reference import dense_engine
 
 OHMICITY_STAR = 2.47
 REVIVAL_RATES = dict(
@@ -159,12 +160,13 @@ def test_criterion_01_dephasing_oracle_equivalence():
     worst_dense = 0.0
     for n in (3, 4, 5):
         for s in (1.0, OHMICITY_STAR, 3.0):
-            dev = oracle_deviation(
-                ghz_state(n),
-                dephasing_spec(s, 0.25),
-                30.0,
-                options=IntegratorOptions(step=0.01, record_states=False, dense=True),
-            )
+            with dense_engine():
+                dev = oracle_deviation(
+                    ghz_state(n),
+                    dephasing_spec(s, 0.25),
+                    30.0,
+                    options=IntegratorOptions(step=0.01, record_states=False),
+                )
             worst_dense = max(worst_dense, dev)
     ok = worst <= bound and worst_dense <= bound
     _report(
@@ -544,15 +546,16 @@ def test_criterion_11_invariant_suite():
                     ok_sym = False
 
     # (c) fourth-order convergence of the integrator
-    devs = [
-        oracle_deviation(
-            ghz_state(3),
-            dephasing_spec(OHMICITY_STAR, 1.0),
-            10.0,
-            options=IntegratorOptions(step=h, record_states=False, dense=True),
-        )
-        for h in (0.08, 0.04)
-    ]
+    with dense_engine():
+        devs = [
+            oracle_deviation(
+                ghz_state(3),
+                dephasing_spec(OHMICITY_STAR, 1.0),
+                10.0,
+                options=IntegratorOptions(step=h, record_states=False),
+            )
+            for h in (0.08, 0.04)
+        ]
     ratio = devs[0] / devs[1]
     ok_order = ratio >= 8.0
 

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -18,6 +19,7 @@ from qubitbath.cli import (
     sweep_experiment,
 )
 from qubitbath.config import ConfigError, load_config, parse_config
+from reference import dense_engine
 
 PAPER_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs" / "paper").glob("*.json"))
 
@@ -97,6 +99,8 @@ class TestConfigParsing:
             (lambda p: p["time"].update(t_max=-1.0), "t_max"),
             (lambda p: p["time"].update(sample_every=0.001), "sample_every"),
             (lambda p: p.update(cuts=["5-Rest"]), "cuts"),
+            # side A is valid at n = 3; side B must be its complement {2,3}
+            (lambda p: p.update(cuts=["{1}|{3}"]), r"cuts: bipartition label '\{1\}\|\{3\}'"),
             (lambda p: p["noise"]["rate_z"].update(kind="unknown"), "noise"),
             # bool is an int subclass, and n = 3.5 would run as int(3.5) = 3
             (lambda p: p["state"].update(n=True), "state.n: expected a positive integer, got True"),
@@ -584,11 +588,12 @@ class TestOracleCheckCommand:
             tmp_path,
             base_payload(time={"t_max": 2.0, "step": 0.01}),
         )
-        for engine in ([], ["--dense"]):
-            assert main(["oracle-check", "--config", path, *engine]) == 0
-            assert "pass" in capsys.readouterr().out
-            assert main(["oracle-check", "--config", path, *engine, "--threshold", "1e-16"]) == 1
-            assert "FAIL" in capsys.readouterr().out
+        for engine in (contextlib.nullcontext, dense_engine):
+            with engine():
+                assert main(["oracle-check", "--config", path]) == 0
+                assert "pass" in capsys.readouterr().out
+                assert main(["oracle-check", "--config", path, "--threshold", "1e-16"]) == 1
+                assert "FAIL" in capsys.readouterr().out
 
 
 class TestFitCommand:
@@ -883,6 +888,15 @@ class TestCellDerivation:
             sweep={"axes": {"n": [5, 3]}, "snapshot_t": 1.0},
         )
         self._refused_before_any_cell(tmp_path, monkeypatch, payload, r"^cuts: ")
+
+    def test_cut_whose_side_b_is_wrong_at_smallest_n_is_refused(self, tmp_path, monkeypatch):
+        # at n = 3 side A {1,2} is a proper subset, but side B is not {3}
+        payload = base_payload(
+            state={"family": "ghz", "n": 5},
+            cuts=["{1,2}|{3,4,5}"],
+            sweep={"axes": {"n": [5, 3]}, "snapshot_t": 1.0},
+        )
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, r"^cuts: .*side B")
 
 
 class TestSweepRecords:

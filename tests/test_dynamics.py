@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qubitbath
 from qubitbath import (
     Bipartition,
     ConstantRate,
@@ -19,7 +21,6 @@ from qubitbath import (
     NoiseSpec,
     OhmicZeroTempRate,
     SinusoidalRate,
-    analytic_dephasing_map,
     analytic_pauli_map,
     analytic_state_at,
     density_from_pure,
@@ -27,7 +28,6 @@ from qubitbath import (
     evolve,
     ghz_state,
     highest_cut,
-    lindblad_rhs,
     log_negativity,
     one_vs_rest,
     oracle_deviation,
@@ -35,16 +35,18 @@ from qubitbath import (
     w_state,
 )
 from qubitbath import dynamics
-from qubitbath.cli import sweep_experiment
+from qubitbath.cli import main, sweep_experiment
 from qubitbath.config import parse_config
-from qubitbath.states import (
-    DensityMatrix,
+from qubitbath.states import DensityMatrix, PureState, block_eigvalsh
+from reference import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PureState,
-    block_eigvalsh,
+    class_and_dense,
+    dense_engine,
     embed_local_operator,
+    hamming_dephasing_map,
+    lindblad_rhs,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "paper"
@@ -263,32 +265,30 @@ class TestEvolve:
         plus = PureState(1, np.full(2, math.sqrt(0.5)))
         g = 0.4
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(g), kappa=1.0)
-        traj = evolve(plus, spec, 1.0, options=IntegratorOptions(step=0.01, dense=True))
+        with dense_engine():
+            traj = evolve(plus, spec, 1.0, options=IntegratorOptions(step=0.01))
         assert traj.final_state().elements[0, 1].real == pytest.approx(
             0.5 * math.exp(-2 * g), abs=1e-8
         )
 
     def test_matches_dephasing_oracle(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
-        for dense in (False, True):
-            dev = oracle_deviation(
-                ghz_state(3), spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
-            )
+        for engine in (contextlib.nullcontext, dense_engine):
+            with engine():
+                dev = oracle_deviation(ghz_state(3), spec, 10.0, IntegratorOptions(step=0.01))
             assert dev < 1e-8
 
     def test_matches_pauli_oracle(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        for dense in (False, True):
-            dev = oracle_deviation(
-                ghz_state(3), spec, 10.0, options=IntegratorOptions(step=0.01, dense=dense)
-            )
+        for engine in (contextlib.nullcontext, dense_engine):
+            with engine():
+                dev = oracle_deviation(ghz_state(3), spec, 10.0, IntegratorOptions(step=0.01))
             assert dev < 1e-8
 
     def test_fast_and_dense_steppers_agree(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
-        opts = dict(step=0.02, sample_every=4.0)
-        fast = evolve(w_state(4), spec, 4.0, options=IntegratorOptions(**opts))
-        dense = evolve(w_state(4), spec, 4.0, options=IntegratorOptions(dense=True, **opts))
+        options = IntegratorOptions(step=0.02, sample_every=4.0)
+        fast, dense = class_and_dense(lambda: evolve(w_state(4), spec, 4.0, options=options))
         assert fast.metadata["integrator"] == "rk4-pauli-classes"
         assert dense.metadata["integrator"] == "rk4-dense"
         assert fast.metadata["classes"] == 2  # W's Hamming distances 0 and 2
@@ -323,9 +323,8 @@ class TestEvolve:
             spec = NoiseSpec(kappa=kappa, **spec_kwargs)
             # evolve builds rho0 = |psi><psi| for the dense stepper only
             with fixed_blocks(128):
-                fast, dense = (
-                    evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(dense=d, **opts))
-                    for d in (False, True)
+                fast, dense = class_and_dense(
+                    lambda: evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(**opts))
                 )
                 stepper = dynamics._ClassStepper(psi, spec, 0.02, 150)
             assert fast.metadata["integrator"] == "rk4-pauli-classes"
@@ -393,18 +392,8 @@ class TestEvolve:
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         psi = ghz_state(4)
         t_max, cuts = 33.07, [one_vs_rest(4), highest_cut(4)]
-        fast, dense = (
-            evolve(
-                psi,
-                spec,
-                t_max,
-                cuts=cuts,
-                options=IntegratorOptions(
-                    step=0.01, observable_every=t_max, sample_every=t_max, dense=dense
-                ),
-            )
-            for dense in (False, True)
-        )
+        options = IntegratorOptions(step=0.01, observable_every=t_max, sample_every=t_max)
+        fast, dense = class_and_dense(lambda: evolve(psi, spec, t_max, cuts, options))
         assert fast.metadata["block_steps"] == 1536
         assert list(fast.times) == list(fast.state_times) == [0.0, 3307 * 0.01]
         assert np.abs(fast.final_state().elements - dense.final_state().elements).max() <= 1e-13
@@ -570,10 +559,9 @@ class TestEvolve:
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        options = IntegratorOptions(
-            step=0.01, sample_every=0.5, record_states=record_states, dense=dense
-        )
-        traj = evolve(w_state(3), spec, 2.0, cuts=[one_vs_rest(3)], options=options)
+        options = IntegratorOptions(step=0.01, sample_every=0.5, record_states=record_states)
+        with dense_engine() if dense else contextlib.nullcontext():
+            traj = evolve(w_state(3), spec, 2.0, cuts=[one_vs_rest(3)], options=options)
         assert len(traj.states) == (5 if record_states else 0)
         assert len(built) == len(traj.states) + dense  # the dense stepper wraps rho0 once
         assert all(not state.elements.flags.writeable for state in traj.states)
@@ -581,12 +569,11 @@ class TestEvolve:
 
     def test_fourth_order_convergence(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=1.0)
-        devs = [
-            oracle_deviation(
-                ghz_state(3), spec, 10.0, options=IntegratorOptions(step=h, dense=True)
-            )
-            for h in (0.08, 0.04)
-        ]
+        with dense_engine():
+            devs = [
+                oracle_deviation(ghz_state(3), spec, 10.0, IntegratorOptions(step=h))
+                for h in (0.08, 0.04)
+            ]
         assert devs[0] / devs[1] >= 8.0
 
     def test_observable_recording(self):
@@ -829,14 +816,14 @@ class TestAnalyticMaps:
     def test_dephasing_identity_at_zero(self):
         rho0 = density_from_pure(w_state(3))
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
-        out = analytic_dephasing_map(rho0, 0.0, spec)
+        out = analytic_state_at(rho0, spec, 0.0)
         assert np.abs(out.elements - rho0.elements).max() == 0.0
 
     def test_ghz_coherence_scaling(self):
         n, kappa, big_gamma = 4, 0.25, 0.8
         rho0 = density_from_pure(ghz_state(n))
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=kappa)
-        out = analytic_dephasing_map(rho0, big_gamma, spec)
+        out = analytic_pauli_map(rho0, (0.0, 0.0, big_gamma), spec)
         factor = math.exp(-2 * kappa * n * big_gamma)
         assert out.elements[0, -1] == pytest.approx(0.5 * factor)
         assert out.elements[0, 0] == pytest.approx(0.5)
@@ -846,7 +833,7 @@ class TestAnalyticMaps:
         kappa, big_gamma = 1.0, 0.3
         rho0 = density_from_pure(w_state(3))
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(1.0), kappa=kappa)
-        out = analytic_dephasing_map(rho0, big_gamma, spec)
+        out = analytic_state_at(rho0, spec, big_gamma)  # Lambda_z(t) = t at unit rate
         factor = math.exp(-4 * kappa * big_gamma)
         assert out.elements[1, 2] == pytest.approx(rho0.elements[1, 2] * factor)
         assert out.elements[1, 1] == pytest.approx(rho0.elements[1, 1])
@@ -886,14 +873,22 @@ class TestAnalyticMaps:
         factor = math.exp(-2 * 0.25 * 3 * 2.0)  # integral of sin over [0, pi] is 2
         assert out.elements[0, 7] == pytest.approx(0.5 * factor)
 
-    def test_kind_mismatch_rejected(self):
+    @pytest.mark.parametrize("lams", [(0.1, 0.0, 0.1), (0.0, 0.1, 0.1), (-0.1, 0.0, 0.0)])
+    def test_dephasing_spec_refuses_transverse_integrals(self, lams):
         rho0 = density_from_pure(ghz_state(2))
-        spec_d = NoiseSpec("dephasing", rate_z=ConstantRate(0.1))
-        spec_p = NoiseSpec("pauli", kappa=1.0, **REVIVAL_RATES)
-        with pytest.raises(ValueError):
-            analytic_dephasing_map(rho0, 0.1, spec_p)
-        with pytest.raises(ValueError):
-            analytic_pauli_map(rho0, (0.1, 0.1, 0.1), spec_d)
+        spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.1))
+        with pytest.raises(ValueError, match="Lambda_x = Lambda_y = 0"):
+            analytic_pauli_map(rho0, lams, spec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kappa", [1.0, 0.25])
+    def test_dephasing_matches_hamming_table(self, n, kappa):
+        spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=kappa)
+        rho0 = random_density(n)
+        for big_gamma in (0.0, 0.37, 2.9):
+            out = analytic_pauli_map(rho0, (0.0, 0.0, big_gamma), spec)
+            want = hamming_dephasing_map(rho0, big_gamma, spec)
+            assert np.abs(out.elements - want.elements).max() <= 1e-15
 
 
 def test_pauli_channel_breaks_cat_cut_equivalence():
@@ -919,3 +914,35 @@ def test_oracle_deviation_zero_noise_is_exact():
         w_state(3), spec, 1.0, options=IntegratorOptions(step=0.01)
     )
     assert dev <= 1e-12
+
+
+class TestRemovedSurface:
+    """The dense stepper, its option and flag, and the second closed-form map are gone."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "lindblad_rhs",
+            "analytic_dephasing_map",
+            "embed_local_operator",
+            "hamming_distance_matrix",
+            "PAULI_I",
+            "PAULI_X",
+            "PAULI_Y",
+            "PAULI_Z",
+        ],
+    )
+    def test_names_not_exported(self, name):
+        for module in (qubitbath, qubitbath.dynamics, qubitbath.states):
+            assert not hasattr(module, name)
+
+    def test_no_dense_option(self):
+        with pytest.raises(TypeError):
+            IntegratorOptions(dense=True)
+
+    def test_no_dense_oracle_flag(self, capsys):
+        path = str(CONFIG_DIR / "fig2a_ghz_n3_dephasing.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle-check", "--config", path, "--dense"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dense" in capsys.readouterr().err

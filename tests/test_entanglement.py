@@ -85,6 +85,20 @@ class TestBipartition:
         with pytest.raises(ValueError):
             parse_cut_label("nonsense", 4)
 
+    @pytest.mark.parametrize(
+        "label, n",
+        [
+            ("{1,2}|{3,4,5}", 3),  # B names qubits beyond n
+            ("{1}|{3}", 3),  # B misses qubit 2
+            ("{1}|{1,2,3}", 3),  # B overlaps A
+            ("{2,4}|{1,3,3,5}", 5),  # B repeats a qubit
+            ("{1}|{}", 3),
+        ],
+    )
+    def test_parse_refuses_side_b_other_than_complement(self, label, n):
+        with pytest.raises(ValueError, match="side B"):
+            parse_cut_label(label, n)
+
     def test_rejects_bad_sides(self):
         with pytest.raises(ValueError):
             Bipartition(3, ())

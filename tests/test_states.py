@@ -10,17 +10,16 @@ from qubitbath import (
     PureState,
     density_from_pure,
     dicke_state,
-    embed_local_operator,
     ghz_state,
     w_state,
 )
-from qubitbath.states import (
+from qubitbath.states import block_eigvalsh, component_labels
+from reference import (
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    block_eigvalsh,
-    component_labels,
+    embed_local_operator,
     hamming_distance_matrix,
 )
 
