@@ -17,11 +17,17 @@ gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The one stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing) that rho0's pattern uses, with rates evaluated
 a block of steps at a time (max(128, 15360 // classes) steps: 960 for fig5
-GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  A block's three
-stage-rate rows per axis come from a memo keyed by (rate model, h, first
-step, end step), which holds the 32 most recent blocks' rows read-only (at
-most 360 KiB each, 11.25 MiB in all); a sweep's cells of one s, whatever
-their n or kappa, evaluate the rate only once.  One flip-and-sign
+GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  A block's RK4
+growth comes from one memo entry per (active rate models, h, first step, end
+step): the block's three stage-rate rows per model, and one growth column per
+class coefficient tuple (-2 kappa anti_a / omega_0 per active axis) computed
+so far.  A stepper asks for its classes' columns, the entry computes only the
+missing ones, with the same element-by-element arithmetic, and the block's
+table is their column stack.  A class's column depends on n only through its
+coefficients, so a sweep's cells of one s evaluate the rate only once, and
+W's d = 0 and d = 2 columns are computed once for every n.  The memo holds
+32 entries, each with at most 61440 floats of columns (48.75 MiB in all at
+worst).  One flip-and-sign
 transform per site puts the Pauli coefficients where popcounts of each
 entry's row and column give its class; it is skipped when z is the only
 active axis.  Full-matrix RK4 is exactly RK4 on these factors; the test
@@ -209,22 +215,77 @@ def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.nda
 _BLOCK_ENTRIES = 128 * 120
 _BLOCK_STEPS = 128
 
-# Stage-rate rows of the rate blocks that runs have stepped, by (rate model, h, j, stop).
-# The models are frozen dataclasses, so every sweep cell of one s shares its entries,
-# whatever its n or kappa.  An entry holds 3 x block_steps float64s at most, so
-# 3 x _BLOCK_ENTRIES x 8 B = 360 KiB, and 32 entries 11.25 MiB; a paper sweep needs 12
-# (one 3000-step block per s, 72 KiB each).
-_STAGE_RATE_ENTRIES = 32
+# RK4 growth of the rate blocks that runs have stepped, by (active rate models in axis
+# order, h, j, stop), the least recently used entry dropped first (``_growth_entry``).
+# The models are frozen dataclasses and a class's growth depends on n only through its
+# coefficients, so every sweep cell of one s shares the block's rates, and cells whose
+# classes have the same coefficients share their columns: W's d = 0 and d = 2 at every n.
+# Worst case: a block has at most 15360 steps (one class), so an entry's stage rows are at
+# most 3 models x 3 x 15360 float64s = 1080 KiB, and its columns at most
+# _GROWTH_COLUMN_FLOATS = 61440 float64s = 480 KiB; 32 entries x (1080 + 480) KiB =
+# 48.75 MiB.  A paper sweep needs 12 entries (one 3000-step block per s): 72 KiB of rows
+# and 2 (fig4) to 9 (fig3) columns of 24 KiB each.
+_GROWTH_ENTRIES = 32
+_GROWTH_COLUMN_FLOATS = 4 * _BLOCK_ENTRIES
 
 
-@functools.lru_cache(maxsize=_STAGE_RATE_ENTRIES)
-def _stage_rates(model: DecayRateModel, h: float, j: int, stop: int) -> tuple:
-    """Read-only rates at the RK4 stage times t, t + h/2 and t + h of steps j..stop-1."""
-    t = np.arange(j, stop) * h
-    rows = (model.rate(t), model.rate(t + 0.5 * h), model.rate(t + h))
-    for row in rows:
-        row.setflags(write=False)
-    return rows
+def _rk4_growth(stages: list, h: float, coeffs: list) -> np.ndarray:
+    """Read-only one-step RK4 growth over a block, one row per coefficient tuple.
+
+    ``stages`` holds each active model's rates at the stage times t, t + h/2 and t + h of
+    the block's steps; a class with coefficients c_a decays at sum_a rate_a * c_a.
+    """
+    neg = np.array(coeffs).T  # the classes' coefficients, one row per active axis
+    a1, am, ah = (
+        sum(terms[1:], terms[0])
+        for terms in (
+            [np.multiply.outer(c, rate) for c, rate in zip(neg, rates)] for rates in zip(*stages)
+        )
+    )
+    a2 = am * (1.0 + 0.5 * h * a1)
+    a3 = am * (1.0 + 0.5 * h * a2)
+    a4 = ah * (1.0 + h * a3)
+    growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+    growth.setflags(write=False)
+    return growth
+
+
+class _GrowthEntry:
+    """One rate block's read-only stage rates per active model and its growth columns so far.
+
+    Columns are computed in batches, one per request with missing coefficients, and kept
+    as rows of their batch; past ``_GROWTH_COLUMN_FLOATS`` the oldest batches are dropped.
+    """
+
+    def __init__(self, models: tuple, h: float, j: int, stop: int):
+        t = np.arange(j, stop) * h
+        rates = {}
+        for model in models:  # axes with equal models share one evaluation
+            if model not in rates:
+                rates[model] = (model.rate(t), model.rate(t + 0.5 * h), model.rate(t + h))
+                for row in rates[model]:
+                    row.setflags(write=False)
+        self.stages = [rates[model] for model in models]
+        self.h = h
+        self.columns = {}  # by coefficient tuple
+        self.batches = []  # (coefficient tuples, floats) per batch, oldest first
+
+    def growth(self, coeffs: list) -> list:
+        """The growth columns of these coefficient tuples; only missing ones are computed."""
+        missing = [c for c in coeffs if c not in self.columns]
+        if missing:
+            batch = _rk4_growth(self.stages, self.h, missing)
+            self.columns.update(zip(missing, batch))
+            self.batches.append((missing, batch.size))
+        served = [self.columns[c] for c in coeffs]
+        while sum(size for _, size in self.batches) > _GROWTH_COLUMN_FLOATS:
+            for c in self.batches.pop(0)[0]:
+                del self.columns[c]
+        return served
+
+
+# The memo's entry of steps j..stop-1 under these models and step h, made on first use
+_growth_entry = functools.lru_cache(maxsize=_GROWTH_ENTRIES)(_GrowthEntry)
 
 
 # Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
@@ -311,10 +372,10 @@ class _ClassStepper:
 
     All of that, and the block plans, is the ``_ClassPattern`` of psi and the active axes,
     reused from the previous run when both match; the stepper holds the run's own part:
-    the rate models with their per-class decay rows, the rate blocks and the factors.
-    Each block's rates at its RK4 stage times come from ``_stage_rates``, a memo of the
-    32 most recent (model, h, first step, end step) blocks, up to 3 x ``block_steps``
-    x 8 B each, shared by every run with the same rate model and time grid.
+    the active rate models, each class's coefficient tuple, the rate blocks and the
+    factors.  Each block's growth table is the column stack of its classes' columns from
+    the growth memo (``_growth_entry``), shared by every run with the same rate models and
+    time grid, and column by column by every class with the same coefficients.
     """
 
     engine = "rk4-pauli-classes"
@@ -326,17 +387,12 @@ class _ClassStepper:
         active = _active_rates(spec)
         self.pattern = _class_pattern(psi, tuple(active))
         self.classes = self.pattern.classes
+        self.models = tuple(active.values())
         scale = 2.0 * spec.kappa / spec.omega0
-        self.axes = [
-            (model, -(scale * row)) for model, row in zip(active.values(), self.pattern.anti)
-        ]
+        # each class's decay coefficients, -2 kappa anti_a / omega0 per active axis
+        self.coeffs = list(zip(*((-(scale * row)).tolist() for row in self.pattern.anti)))
         self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
         self.factors = np.ones(self.classes, dtype=float)
-
-    def _decay(self, rates: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-class decay rows from one rate row per active axis, in ``axes`` order."""
-        terms = [np.multiply.outer(rate, neg) for rate, (_, neg) in zip(rates, self.axes)]
-        return sum(terms[1:], terms[0])
 
     def advance(self, k0: int, k: int) -> None:
         h, block = self.h, self.block_steps
@@ -345,12 +401,8 @@ class _ClassStepper:
             offset = j % block
             if offset == 0:  # RK4 growth rows of the next block, up to t_max
                 end = min(j + block, self.n_steps)
-                stages = [_stage_rates(model, h, j, end) for model, _ in self.axes]
-                a1, am, ah = (self._decay(rates) for rates in zip(*stages))
-                a2 = am * (1.0 + 0.5 * h * a1)
-                a3 = am * (1.0 + 0.5 * h * a2)
-                a4 = ah * (1.0 + h * a3)
-                self.growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+                entry = _growth_entry(self.models, h, j, end)
+                self.growth = np.column_stack(entry.growth(self.coeffs))
             stop = min(k, j - offset + block)
             rows = self.growth[offset : offset + stop - j]
             # a reduction down axis 0 multiplies row by row, as one step at a time does
@@ -395,8 +447,10 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     min(|S|^2, 2^n) offsets, each block a coset of their span (at most min(n, |S| - 1)
     dimensions).  Stacked values count twice: ``eigvalsh`` copies them unseen by tracemalloc.
     This is a cold build; a run that reuses the previous run's pattern (same n, psi and
-    axes) allocates no pattern or plan anew.  At most one pattern is held between runs, and
-    it is dropped before the next one is built.
+    axes) allocates no pattern or plan anew, and one whose growth columns the memo
+    (``_growth_entry``) holds computes none.  At most one pattern is held between runs, and
+    it is dropped before the next one is built; the memo's own bound (at most 48.75 MiB) is
+    not charged here.
     """
     n, d, support = psi.n, psi.dim, int(np.count_nonzero(psi.amplitudes))
     active = _active_rates(spec)
@@ -526,17 +580,23 @@ def analytic_pauli_map(
     exp(-2 kappa Lambda_z d / omega_0), with d = popcount(a ^ b) the Hamming
     distance, and populations untouched.
     """
+    elements = _pauli_map_elements(rho0.elements, rho0.n, lam_integrals, spec)
+    return DensityMatrix(n=rho0.n, elements=elements, check_positivity=False)
+
+
+def _pauli_map_elements(
+    elements: np.ndarray, n: int, lam_integrals: Sequence[float], spec: NoiseSpec
+) -> np.ndarray:
+    """``analytic_pauli_map`` on rho0's 2^n x 2^n elements, returning elements, unvalidated."""
     lam_x_int, lam_y_int, lam_z_int = (float(v) for v in lam_integrals)
-    n = rho0.n
     ws = _workspace(n)
     if spec.kind == DEPHASING:
         if lam_x_int != 0.0 or lam_y_int != 0.0:
             raise ValueError("a dephasing NoiseSpec needs Lambda_x = Lambda_y = 0")
         log_damping = -2.0 * spec.kappa * lam_z_int / spec.omega0
         damping = np.exp(log_damping * np.arange(n + 1))  # by Hamming distance
-        index = np.arange(rho0.dim)
-        factors = damping[ws.popcount[index[:, None] ^ index]]
-        return DensityMatrix(n=n, elements=rho0.elements * factors, check_positivity=False)
+        index = np.arange(2**n)
+        return elements * damping[ws.popcount[index[:, None] ^ index]]
     scale = 2.0 * spec.kappa / spec.omega0
     tx = np.exp(-scale * (lam_y_int + lam_z_int))
     ty = np.exp(-scale * (lam_z_int + lam_x_int))
@@ -548,18 +608,32 @@ def analytic_pauli_map(
     c_y = 0.25 * (1.0 - tx + ty - tz)
     c_z = 0.25 * (1.0 - tx - ty + tz)
 
-    tens = np.array(rho0.elements, dtype=complex).reshape(ws.tshape)
+    tens = np.array(elements, dtype=complex).reshape(ws.tshape)
+    out, term = np.empty_like(tens), np.empty_like(tens)
     for i in range(n):
+        # out = c_i tens + c_x flip + c_y (signs flip) + c_z (signs tens), in two buffers
         flip = np.flip(tens, axis=(i, n + i))
         signs = ws.row_signs[i] * ws.col_signs[i]
-        tens = c_i * tens + c_x * flip + c_y * (signs * flip) + c_z * (signs * tens)
-    return DensityMatrix(n=n, elements=tens.reshape(rho0.dim, rho0.dim), check_positivity=False)
+        np.multiply(c_i, tens, out=out)
+        out += np.multiply(c_x, flip, out=term)
+        np.multiply(signs, flip, out=term)
+        term *= c_y
+        out += term
+        np.multiply(signs, tens, out=term)
+        term *= c_z
+        out += term
+        tens, out = out, tens
+    return tens.reshape(2**n, 2**n)
+
+
+def _integrals(spec: NoiseSpec, t: float) -> list:
+    """(Lambda_x, Lambda_y, Lambda_z) at time t."""
+    return [float(m.integrated(t)) for m in (spec.rate_x, spec.rate_y, spec.rate_z)]
 
 
 def analytic_state_at(rho0: DensityMatrix, spec: NoiseSpec, t: float) -> DensityMatrix:
     """Closed-form state at time t for whichever noise kind spec carries."""
-    lams = [float(m.integrated(t)) for m in (spec.rate_x, spec.rate_y, spec.rate_z)]
-    return analytic_pauli_map(rho0, lams, spec)
+    return analytic_pauli_map(rho0, _integrals(spec, t), spec)
 
 
 def oracle_deviation(
@@ -573,15 +647,18 @@ def oracle_deviation(
 
     Steps the integrator from rho0 = |psi><psi| across [0, t_max] and compares against
     the exact propagator every ``compare_every`` time units (default: every step).
-    This is the primary correctness gate for the integrator.
+    This is the primary correctness gate for the integrator.  Only rho0 is validated;
+    each comparison reads the map's elements.
     """
     h = options.step
     n_steps = _stride("t_max", t_max, h, None)
     stride = _stride("compare_every", compare_every, h, 1)
-    rho0 = density_from_pure(psi)
+    rho0 = density_from_pure(psi).elements
     stepper = _ClassStepper(psi, spec, h, n_steps)
     deviations = [
-        np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
+        np.abs(
+            stepper.current() - _pauli_map_elements(rho0, psi.n, _integrals(spec, t), spec)
+        ).max()
         for t, _ in _recording_points(stepper, n_steps, (stride,))
     ]
     return float(np.max(deviations))  # a NaN from a blown-up run is kept, not skipped

@@ -733,7 +733,7 @@ class TestNoDenseInitialState:
     def _peak(fn, *args):
         dynamics._workspace.cache_clear()  # rebuilt inside the call, so an eager 4^n table counts
         dynamics._last_pattern.clear()  # a cold build, not a reuse of the warm-up's pattern
-        dynamics._stage_rates.cache_clear()  # and the warm-up's stage rates are evaluated anew
+        dynamics._growth_entry.cache_clear()  # and the warm-up's growth is computed anew
         tracemalloc.start()
         try:
             result = fn(*args)

@@ -34,7 +34,7 @@ from qubitbath import (
     partial_transpose,
     w_state,
 )
-from qubitbath import dynamics
+from qubitbath import cli, dynamics
 from qubitbath.cli import main, sweep_experiment
 from qubitbath.config import parse_config
 from qubitbath.states import DensityMatrix, PureState, block_eigvalsh
@@ -373,8 +373,10 @@ class TestEvolve:
         want_coeffs = coeffs if pattern.transform else rho0.elements
         assert np.array_equal(pattern.coeffs, want_coeffs[pattern.rows, pattern.cols])
         decay = np.zeros((d, d))
-        rates_at_zero = [model.rate(np.zeros(1)) for model, _ in stepper.axes]
-        decay[pattern.rows, pattern.cols] = stepper._decay(rates_at_zero)[0][pattern.coeff_class]
+        # a class decays at sum_a rate_a * coefficient_a, its coefficients keying its column
+        rates_at_zero = [model.rate(np.zeros(1))[0] for model in stepper.models]
+        class_decay = [sum(r * c for r, c in zip(rates_at_zero, coeff)) for coeff in stepper.coeffs]
+        decay[pattern.rows, pattern.cols] = np.array(class_decay)[pattern.coeff_class]
         for r, c in itertools.product(range(d), repeat=2):
             word = [2 * (r >> (n - 1 - i) & 1) + (c >> (n - 1 - i) & 1) for i in range(n)]
             op = functools.reduce(np.kron, [letters[p][0] for p in word])
@@ -763,11 +765,47 @@ class TestPatternReuse:
             assert np.abs(spectrum - dense).max() <= 1e-13
 
 
-class TestStageRateMemo:
-    """Runs with the same rate model and time grid share each block's stage-rate rows."""
+def paper_payload(stem: str) -> dict:
+    return json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+
+
+def count_growth_columns(monkeypatch) -> list:
+    """The coefficient tuples of every growth column the memo computes from here on."""
+    computed = []
+    real = dynamics._rk4_growth
+
+    def counting(stages, h, coeffs):
+        computed.extend(coeffs)
+        return real(stages, h, coeffs)
+
+    monkeypatch.setattr(dynamics, "_rk4_growth", counting)
+    return computed
+
+
+def held_entries() -> int:
+    return dynamics._growth_entry.cache_info().currsize
+
+
+def fig4_entry(stop: int):
+    """The memo's entry of a fig4-rate block of steps 0..stop-1 at step 0.01, made if absent."""
+    return dynamics._growth_entry((OhmicZeroTempRate(2.47),), 0.01, 0, stop)
+
+
+def cold_cell(job):
+    """A sweep cell's rows with the growth memo and the held pattern cleared."""
+    dynamics._growth_entry.cache_clear()
+    dynamics._last_pattern.clear()
+    return cli._run_sweep_cell(job)[:3]
+
+
+class TestGrowthMemo:
+    """Runs share each rate block's stage rates, and classes with the same coefficients its
+    RK4 growth columns."""
+
+    OPTIONS = IntegratorOptions(step=0.01, observable_every=0.5, sample_every=1.5)
 
     def test_sweep_evaluates_each_s_once(self, tmp_path, monkeypatch):
-        payload = json.loads((CONFIG_DIR / "fig4_w_dephasing_sweep.json").read_text())
+        payload = paper_payload("fig4_w_dephasing_sweep")
         payload["sweep"]["axes"] = {"n": [3, 4, 5, 6], "s": [2.0, 2.47, 3.0]}
         calls = []
         real_rate = OhmicZeroTempRate.rate
@@ -777,39 +815,139 @@ class TestStageRateMemo:
             return real_rate(model, t)
 
         monkeypatch.setattr(OhmicZeroTempRate, "rate", counting_rate)
-        dynamics._stage_rates.cache_clear()
+        computed = count_growth_columns(monkeypatch)
+        dynamics._growth_entry.cache_clear()
         sweep_experiment(parse_config(payload), str(tmp_path), workers=1)
         # one block of 3000 steps per cell (t = 30), three stage rows per block
         assert sorted(calls) == [2.0] * 3 + [2.47] * 3 + [3.0] * 3
+        # W's classes are d = 0 and d = 2 at every n: -2 kappa d / omega0 = -0.0 and -1.0
+        assert sorted(computed) == [(-1.0,)] * 3 + [(0.0,)] * 3
 
-    def test_memo_cell_matches_cleared_memo(self):
-        options = IntegratorOptions(step=0.01, observable_every=0.5, sample_every=1.5)
+    def test_memo_cell_matches_cleared_memo(self, monkeypatch):
         psi, cuts = w_state(6), [one_vs_rest(6), highest_cut(6)]
-        dynamics._stage_rates.cache_clear()
-        evolve(w_state(5), fig4_spec(), 3.0, [one_vs_rest(5)], options)
-        hits = dynamics._stage_rates.cache_info().hits
-        served = evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, options)
-        assert dynamics._stage_rates.cache_info().hits == hits + 1
-        dynamics._stage_rates.cache_clear()
-        assert_same_trajectory(served, cold_evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, options))
+        dynamics._growth_entry.cache_clear()
+        evolve(w_state(5), fig4_spec(), 3.0, [one_vs_rest(5)], self.OPTIONS)
+        assert held_entries() == 1
+        entry = fig4_entry(300)
+        computed = count_growth_columns(monkeypatch)
+        served = evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, self.OPTIONS)
+        # the same entry: the d = 0 column served, d = 2 at kappa = 1 computed
+        assert held_entries() == 1 and fig4_entry(300) is entry
+        assert computed == [(-4.0,)]
+        assert set(entry.columns) == {(0.0,), (-1.0,), (-4.0,)}
+        dynamics._growth_entry.cache_clear()
+        cold = cold_evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, self.OPTIONS)
+        assert_same_trajectory(served, cold)
 
-    def test_rows_are_read_only(self):
-        rows = dynamics._stage_rates(OhmicZeroTempRate(2.47), 0.01, 0, 10)
-        assert len(rows) == 3
-        for row in rows:
+    def test_kappa_sweep_cells_match_cold_cells(self):
+        payload = paper_payload("fig4_w_dephasing_sweep")
+        payload["sweep"]["axes"] = {"kappa": [0.25, 1.0], "n": [3, 4, 5], "s": [2.47]}
+        base = cli._cell_base(parse_config(payload))
+        # sweep order, axes sorted by name: every n at kappa = 1/4, then every n at kappa = 1
+        cells = [{"kappa": k, "n": n, "s": 2.47} for k in (0.25, 1.0) for n in (3, 4, 5)]
+        jobs = [(cell, cli._derive_cell(base, cell)) for cell in cells]
+        dynamics._growth_entry.cache_clear()
+        served = [cli._run_sweep_cell(job)[:3] for job in jobs]
+        assert held_entries() == 1
+        entry = fig4_entry(3000)
+        # kappa = 1 and kappa = 1/4 share only the d = 0 column
+        assert set(entry.columns) == {(0.0,), (-1.0,), (-4.0,)}
+        for job, rows in zip(jobs, served):
+            assert rows[2] is None
+            assert rows == cold_cell(job)
+
+    def test_three_axis_run_matches_cold_run(self, monkeypatch):
+        config = parse_config(paper_payload("fig5_ghz_n7_depolarising"))
+        psi, spec, cuts = config.state.build(), config.noise, config.bipartitions()
+        options = config.time.integrator_options()
+        # a GHZ state with other amplitudes has the same 16 classes but its own pattern
+        other = PureState(7, np.sqrt([0.3] + [0.0] * 126 + [0.7]).astype(complex))
+        dynamics._growth_entry.cache_clear()
+        evolve(other, spec, 9.6, cuts, options)  # fills the first 960-step block
+        computed = count_growth_columns(monkeypatch)
+        served = evolve(psi, spec, config.time.t_max, cuts, options)
+        assert served.metadata["classes"] == 16 and served.metadata["block_steps"] == 960
+        # blocks 960..1919 and 1920..1999 computed; the first one served
+        assert len(computed) == 2 * 16
+        assert all(len(coeff) == 3 for coeff in computed)
+        assert len(set(computed)) == 16
+        dynamics._growth_entry.cache_clear()
+        assert_same_trajectory(
+            served, cold_evolve(psi, spec, config.time.t_max, cuts, options)
+        )
+
+    def test_step_sizes_get_own_entries(self):
+        # 300 steps of 0.01 and of 0.02: the same first and end step, other stage times
+        psi, cuts = w_state(4), [one_vs_rest(4)]
+        runs = [(3.0, IntegratorOptions(step=0.01)), (6.0, IntegratorOptions(step=0.02))]
+        dynamics._growth_entry.cache_clear()
+        served = [evolve(psi, fig4_spec(), t_max, cuts, options) for t_max, options in runs]
+        assert held_entries() == 2
+        for traj, (t_max, options) in zip(served, runs):
+            dynamics._growth_entry.cache_clear()
+            assert_same_trajectory(traj, cold_evolve(psi, fig4_spec(), t_max, cuts, options))
+
+    def test_rows_and_columns_are_read_only(self):
+        entry = fig4_entry(10)
+        (rows,) = entry.stages
+        columns = entry.growth([(-1.0,), (0.0,)])
+        assert len(rows) == 3 and len(columns) == 2
+        for array in (*rows, *columns):
+            assert array.shape == (10,)
             with pytest.raises(ValueError, match="read-only"):
-                row[0] = 0.0
+                array[0] = 0.0
 
     def test_models_differing_in_one_parameter_get_own_entries(self):
-        dynamics._stage_rates.cache_clear()
+        dynamics._growth_entry.cache_clear()
         models = [OhmicZeroTempRate(2.47), OhmicZeroTempRate(2.0), OhmicZeroTempRate(2.47, 2.0)]
-        rows = [dynamics._stage_rates(model, 0.01, 0, 100) for model in models]
-        info = dynamics._stage_rates.cache_info()
-        assert (info.currsize, info.hits) == (3, 0)
-        for a, b in itertools.combinations(rows, 2):
-            assert not np.array_equal(a[1], b[1])
-        assert dynamics._stage_rates(OhmicZeroTempRate(2.47), 0.01, 0, 100) is rows[0]
-        assert dynamics._stage_rates.cache_info().maxsize == 32
+        entries = [dynamics._growth_entry((model,), 0.01, 0, 100) for model in models]
+        assert held_entries() == 3
+        for a, b in itertools.combinations(entries, 2):
+            assert not np.array_equal(a.stages[0][1], b.stages[0][1])
+        assert fig4_entry(100) is entries[0]
+        # 32 entries at most, the least recently used (here OhmicZeroTempRate(2.0)'s) dropped
+        for stop in range(101, 131):
+            fig4_entry(stop)
+        assert held_entries() == dynamics._GROWTH_ENTRIES == 32
+        assert dynamics._growth_entry((models[2],), 0.01, 0, 100) is entries[2]
+        assert fig4_entry(100) is entries[0]
+        assert dynamics._growth_entry((models[1],), 0.01, 0, 100) is not entries[1]
+
+    def test_equal_models_share_one_evaluation(self, monkeypatch):
+        calls = []
+        real_rate = ConstantRate.rate
+        monkeypatch.setattr(
+            ConstantRate, "rate", lambda model, t: calls.append(model) or real_rate(model, t)
+        )
+        dynamics._growth_entry.cache_clear()
+        entry = dynamics._growth_entry((ConstantRate(0.1), ConstantRate(0.1)), 0.01, 0, 10)
+        assert calls == [ConstantRate(0.1)] * 3
+        assert entry.stages[0] is entry.stages[1]
+
+    def test_columns_are_capped_per_entry(self, monkeypatch):
+        # the worst case stated above _GROWTH_ENTRIES: 48.75 MiB
+        worst = dynamics._GROWTH_ENTRIES * (3 * 3 * 15360 + dynamics._GROWTH_COLUMN_FLOATS) * 8
+        assert worst == 48.75 * 2**20
+        # each omega0 gives W's d = 2 class a new coefficient in the one 3000-step entry
+        psi = w_state(3)
+        specs = [fig4_spec()] + [
+            NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25, omega0=1 + k / 8)
+            for k in range(1, 25)
+        ]
+        computed = count_growth_columns(monkeypatch)
+        dynamics._growth_entry.cache_clear()
+        for spec in specs:
+            served = evolve(psi, spec, 30.0, options=IntegratorOptions(step=0.01))
+            assert held_entries() == 1
+            entry = fig4_entry(3000)
+            held = sum(size for _, size in entry.batches)
+            assert held == 3000 * len(entry.columns) <= dynamics._GROWTH_COLUMN_FLOATS
+        assert len(computed) > 26  # dropped columns were computed again
+        # the newest run's columns are held, and served bitwise as a cold run computes them
+        assert set(entry.columns) >= {(0.0,), (-(2 * 0.25 / specs[-1].omega0) * 2,)}
+        assert_same_trajectory(
+            served, cold_evolve(psi, specs[-1], 30.0, options=IntegratorOptions(step=0.01))
+        )
 
 
 class TestAnalyticMaps:
@@ -914,6 +1052,58 @@ def test_oracle_deviation_zero_noise_is_exact():
         w_state(3), spec, 1.0, options=IntegratorOptions(step=0.01)
     )
     assert dev <= 1e-12
+
+
+# oracle_deviation on every paper config at its own step and t_max, every step compared
+PAPER_ORACLE_DEVIATIONS = {
+    "divisibility_depolarising": 1.5204440484417603e-10,
+    "fig2a_ghz_n3_dephasing": 1.1507400587973393e-10,
+    "fig2b_ghz_n5_dephasing": 1.7287551945521784e-10,
+    "fig3_ghz_dephasing_sweep": 1.1507400587973393e-10,
+    "fig4_w_dephasing_sweep": 6.182954148670206e-11,
+    "fig5_ghz_n7_depolarising": 3.141446408561066e-09,
+    "fig5_w_n5_depolarising": 1.1672031396958715e-11,
+}
+
+
+class TestOracleDeviation:
+    @pytest.mark.parametrize("stem", sorted(PAPER_ORACLE_DEVIATIONS))
+    def test_paper_config_deviation_is_pinned(self, stem):
+        config = parse_config(paper_payload(stem))
+        dev = oracle_deviation(
+            config.state.build(),
+            config.noise,
+            config.time.t_max,
+            options=config.time.integrator_options(record_states=False),
+        )
+        assert dev == pytest.approx(PAPER_ORACLE_DEVIATIONS[stem], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [fig4_spec(), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)],
+        ids=["dephasing", "pauli"],
+    )
+    def test_validates_only_rho0(self, spec, monkeypatch):
+        validated = []
+        post_init = DensityMatrix.__post_init__
+
+        def counted(self):
+            validated.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        # 100 comparisons, one per step
+        dev = oracle_deviation(ghz_state(3), spec, 1.0, options=IntegratorOptions(step=0.01))
+        assert dev < 1e-8
+        assert validated == [3]
+
+    def test_map_elements_match_the_validated_map(self):
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        rho0 = density_from_pure(random_pure(4, np.random.default_rng(5)))
+        for t in (0.0, 0.37, 12.35):
+            lams = dynamics._integrals(spec, t)
+            want = analytic_state_at(rho0, spec, t).elements
+            assert_bitwise_equal(dynamics._pauli_map_elements(rho0.elements, 4, lams, spec), want)
 
 
 class TestRemovedSurface:
