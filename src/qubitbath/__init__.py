@@ -39,17 +39,15 @@ from .entanglement import (
     schmidt_log_negativity,
     symmetry_check,
 )
-from .errors import IntegrationError, QuadratureError
+from .errors import IntegrationError
 from .rates import (
     ConstantRate,
     DivisibilityClass,
     DivisibilityVerdict,
-    OhmicFiniteTempRate,
     OhmicZeroTempRate,
     SinusoidalRate,
     classify_divisibility,
     dephasing_factor,
-    gamma_ohmic_finite_t,
     gamma_ohmic_t0,
     integrated_rate,
 )

@@ -37,7 +37,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, _positive_int, load_config, parse_config
 from .entanglement import parse_cut_label
 from .dynamics import class_engine_bytes, evolve, oracle_deviation
-from .errors import IntegrationError, QuadratureError
+from .errors import IntegrationError
 from .rates import classify_divisibility
 
 USAGE_EXIT = 2
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (IntegrationError, QuadratureError) as exc:
+    except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return FAILURE_EXIT
 

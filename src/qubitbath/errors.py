@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class QuadratureError(RuntimeError):
-    """Raised when an adaptive quadrature fails to reach the requested tolerance."""
-
-
 class IntegrationError(RuntimeError):
     """Raised when a trajectory violates its trace/positivity diagnostics.
 

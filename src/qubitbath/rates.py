@@ -7,9 +7,6 @@ All times are dimensionless (t = omega_0 * t_phys).  The bath rate models:
   gamma(t) = omega_c * [1 + (omega_c t)^2]^(-s/2) * Gamma(s) * sin(s * arctan(omega_c t)).
   For s > 2 the rate goes negative on time windows, which is the memory effect
   the rest of the package is about.
-* ``OhmicFiniteTempRate``: same spectral density at temperature
-  theta = k_B T / (hbar omega_c), evaluated by adaptive quadrature of
-  integral d(omega) S(omega) coth(omega / (2 theta omega_c)) sin(omega t) / omega.
 * ``SinusoidalRate``: gamma(t) = alpha * sin(t).
 * ``ConstantRate``: gamma(t) = gamma_0 >= 0.
 
@@ -31,44 +28,21 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import QuadratureError
-
 __all__ = [
     "ConstantRate",
     "SinusoidalRate",
     "OhmicZeroTempRate",
-    "OhmicFiniteTempRate",
     "DecayRateModel",
     "ZERO_RATE",
     "gamma_ohmic_t0",
-    "gamma_ohmic_finite_t",
     "integrated_rate",
-    "integrated_rate_quadrature",
     "dephasing_factor",
     "DivisibilityClass",
     "DivisibilityVerdict",
     "classify_divisibility",
 ]
 
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
 _SIGN_TOL = -1e-12
-
-
-def _quad_strict(func, a, b, description, **kwargs):
-    """scipy.integrate.quad that raises QuadratureError on non-convergence.
-
-    scipy is imported here, on first use, so that only the quadrature paths
-    (finite-temperature rates and the cross-check) load it.
-    """
-    from scipy.integrate import quad
-
-    out = quad(
-        func, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, full_output=1, **kwargs
-    )
-    if len(out) > 3:
-        raise QuadratureError(f"quadrature failed for {description}: {out[3]}")
-    return out[0]
 
 
 def gamma_ohmic_t0(t, s: float, omega_c: float = 1.0):
@@ -81,54 +55,6 @@ def gamma_ohmic_t0(t, s: float, omega_c: float = 1.0):
     x = omega_c * np.asarray(t, dtype=float)
     val = omega_c * (1.0 + x**2) ** (-s / 2.0) * math.gamma(s) * np.sin(s * np.arctan(x))
     return val if val.ndim else float(val)
-
-
-def _coth(x: float) -> float:
-    # integrands only evaluate this at x > 0
-    if x > 20.0:
-        return 1.0
-    return 1.0 / math.tanh(x)
-
-
-def gamma_ohmic_finite_t(t: float, s: float, omega_c: float = 1.0, theta: float = 0.0) -> float:
-    """Finite-temperature dephasing rate by adaptive quadrature.
-
-    theta is the dimensionless temperature k_B T / (hbar omega_c); theta = 0
-    reduces to the zero-temperature integrand (coth -> 1).  The integrand
-    behaves as omega^(s-1) near zero for theta > 0, which is integrable for
-    any s > 0; the integration interval is split at omega_c and the
-    oscillatory tail is handled with a sin-weighted rule.
-    """
-    if s <= 0 or omega_c <= 0:
-        raise ValueError("requires s > 0 and omega_c > 0")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if t == 0.0:
-        return 0.0
-
-    def envelope(w: float) -> float:
-        val = w ** (s - 1.0) * omega_c ** (1.0 - s) * math.exp(-w / omega_c)
-        if theta > 0.0:
-            val *= _coth(w / (2.0 * theta * omega_c))
-        return val
-
-    head = _quad_strict(
-        lambda w: envelope(w) * math.sin(w * t),
-        0.0,
-        omega_c,
-        f"finite-T rate head (s={s}, theta={theta}, t={t})",
-        limit=200,
-    )
-    tail = _quad_strict(
-        envelope,
-        omega_c,
-        np.inf,
-        f"finite-T rate tail (s={s}, theta={theta}, t={t})",
-        weight="sin",
-        wvar=t,
-        limit=200,
-    )
-    return head + tail
 
 
 def _integrated_ohmic_t0(t, s: float, omega_c: float):
@@ -197,6 +123,12 @@ class OhmicZeroTempRate:
     def __post_init__(self):
         if self.s <= 0 or self.omega_c <= 0:
             raise ValueError("OhmicZeroTempRate requires s > 0 and omega_c > 0")
+        try:  # Gamma(s) overflows above s ~ 171.6
+            finite = math.isfinite(math.gamma(self.s))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"OhmicZeroTempRate requires a finite Gamma(s), got s = {self.s}")
 
     def rate(self, t):
         return gamma_ohmic_t0(t, self.s, self.omega_c)
@@ -211,100 +143,17 @@ class OhmicZeroTempRate:
         return math.gamma(self.s - 1.0)
 
 
-@dataclass(frozen=True)
-class OhmicFiniteTempRate:
-    """Finite-temperature variant; theta = k_B T / (hbar omega_c)."""
-
-    kind: str = field(default="ohmic_finite_t", init=False)
-    s: float
-    omega_c: float = 1.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.s <= 0 or self.omega_c <= 0:
-            raise ValueError("OhmicFiniteTempRate requires s > 0 and omega_c > 0")
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
-
-    def rate(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return gamma_ohmic_finite_t(float(t_arr), self.s, self.omega_c, self.theta)
-        return np.array(
-            [gamma_ohmic_finite_t(float(u), self.s, self.omega_c, self.theta) for u in t_arr]
-        )
-
-    def integrated(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return self._integrated_scalar(float(t_arr))
-        return np.array([self._integrated_scalar(float(u)) for u in t_arr])
-
-    def _integrated_scalar(self, t: float) -> float:
-        # integral d(omega) S(omega) coth(.) (1 - cos(omega t)) / omega^2;
-        # the (1 - cos) factor regularises the omega -> 0 endpoint, so the
-        # combination is integrated directly on the head interval.
-        if t == 0.0:
-            return 0.0
-
-        def envelope(w: float) -> float:
-            val = w ** (self.s - 2.0) * self.omega_c ** (1.0 - self.s) * math.exp(
-                -w / self.omega_c
-            )
-            if self.theta > 0.0:
-                val *= _coth(w / (2.0 * self.theta * self.omega_c))
-            return val
-
-        head = _quad_strict(
-            lambda w: envelope(w) * (1.0 - math.cos(w * t)),
-            0.0,
-            self.omega_c,
-            f"finite-T integral head (s={self.s}, theta={self.theta}, t={t})",
-            limit=200,
-        )
-        tail_flat = _quad_strict(
-            envelope,
-            self.omega_c,
-            np.inf,
-            "finite-T integral tail (flat part)",
-            limit=200,
-        )
-        tail_osc = _quad_strict(
-            envelope,
-            self.omega_c,
-            np.inf,
-            "finite-T integral tail (oscillatory part)",
-            weight="cos",
-            wvar=t,
-            limit=200,
-        )
-        return head + tail_flat - tail_osc
-
-
-DecayRateModel = Union[ConstantRate, SinusoidalRate, OhmicZeroTempRate, OhmicFiniteTempRate]
+DecayRateModel = Union[ConstantRate, SinusoidalRate, OhmicZeroTempRate]
 
 ZERO_RATE = ConstantRate(0.0)
 
+
 def integrated_rate(model: DecayRateModel, t) -> float:
-    """Integral of the rate from 0 to t (closed form where available)."""
+    """Integral of the rate from 0 to t, in closed form."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("integrated_rate requires t >= 0")
     return model.integrated(t)
-
-
-def integrated_rate_quadrature(model: DecayRateModel, t: float) -> float:
-    """Integral of the rate from 0 to t by direct adaptive quadrature.
-
-    Independent of the closed forms in ``integrated``; used to cross-check them.
-    """
-    if t < 0:
-        raise ValueError("integrated_rate_quadrature requires t >= 0")
-    if t == 0.0:
-        return 0.0
-    return _quad_strict(
-        lambda u: float(model.rate(u)), 0.0, t, f"rate integral of {model!r}", limit=400
-    )
 
 
 def dephasing_factor(model: DecayRateModel, t) -> float:

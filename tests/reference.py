@@ -9,12 +9,15 @@ patches it in and ``evolve`` and ``oracle_deviation`` record it through their
 one loop.  ``hamming_dephasing_map`` is the closed-form dephasing propagator
 read from a 4^n Hamming-distance table.  Nothing here reads
 ``dynamics._workspace``: the sign arrays and the table are built below.
+``integrated_rate_quadrature`` integrates a rate model by adaptive quadrature,
+independently of the models' closed-form ``integrated``.
 """
 
 import functools
 from unittest import mock
 
 import numpy as np
+from scipy.integrate import quad
 
 from qubitbath import dynamics
 from qubitbath.entanglement import log_negativity
@@ -28,6 +31,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 TRACE_RENORM_TOL = 1e-12
 TRACE_ERROR_TOL = 1e-6
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
 
 
 def embed_local_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -179,3 +184,27 @@ def hamming_dephasing_map(rho0: DensityMatrix, big_gamma: float, spec) -> Densit
     log_damping = -2.0 * spec.kappa * big_gamma / spec.omega0
     factors = np.exp(np.multiply(log_damping, _tables(rho0.n).hamming, dtype=np.float64))
     return DensityMatrix(n=rho0.n, elements=rho0.elements * factors, check_positivity=False)
+
+
+def integrated_rate_quadrature(model, t: float) -> float:
+    """Integral of the rate from 0 to t by direct adaptive quadrature.
+
+    Independent of the closed forms in ``integrated``; used to cross-check them.
+    Raises RuntimeError when the quadrature does not reach its tolerances.
+    """
+    if t < 0:
+        raise ValueError("integrated_rate_quadrature requires t >= 0")
+    if t == 0.0:
+        return 0.0
+    out = quad(
+        lambda u: float(model.rate(u)),
+        0.0,
+        t,
+        epsabs=QUAD_ABS_TOL,
+        epsrel=QUAD_REL_TOL,
+        limit=400,
+        full_output=1,
+    )
+    if len(out) > 3:
+        raise RuntimeError(f"quadrature failed for the rate integral of {model!r}: {out[3]}")
+    return out[0]

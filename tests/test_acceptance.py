@@ -41,8 +41,7 @@ from qubitbath import (
     symmetry_check,
     w_state,
 )
-from qubitbath.rates import integrated_rate_quadrature
-from reference import dense_engine
+from reference import dense_engine, integrated_rate_quadrature
 
 OHMICITY_STAR = 2.47
 REVIVAL_RATES = dict(

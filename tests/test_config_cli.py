@@ -46,7 +46,6 @@ RATE_RECORDS = [
     {"kind": "constant", "gamma0": 0.1},
     {"kind": "sinusoidal", "alpha": -0.7},
     {"kind": "ohmic_t0", "s": 2.47, "omega_c": 2.0},
-    {"kind": "ohmic_finite_t", "s": 1.0, "omega_c": 2.0, "theta": 0.3},
 ]
 RATE_AXES = ["rate_x", "rate_y", "rate_z"]
 
@@ -398,6 +397,8 @@ class TestRunCommand:
             ("run", lambda p: p["output"].update(directory=5), "output.directory"),
             ("run", lambda p: p["output"].update(directory=""), "output.directory"),
             ("run", lambda p: p["time"].update(t_max=math.inf), "time.t_max"),
+            # Gamma(200) overflows a float: refused when parsed, not at the first rate call
+            ("run", lambda p: p["noise"]["rate_z"].update(s=200), "noise.rate_z: "),
             (
                 "sweep",
                 lambda p: p.update(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.005}),
@@ -879,6 +880,11 @@ class TestCellDerivation:
         payload = base_payload(sweep={"axes": {"n": [3, 4], "s": [2.0]}, "snapshot_t": 1.0})
         payload["noise"]["rate_z"] = {"kind": "constant", "gamma0": 0.1}
         match = r"^sweep\.axes\.s: noise\.rate_z has no Ohmicity parameter$"
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
+
+    def test_s_axis_whose_gamma_overflows_is_refused(self, tmp_path, monkeypatch):
+        payload = base_payload(sweep={"axes": {"n": [3, 4], "s": [2.47, 200.0]}, "snapshot_t": 1.0})
+        match = r"^noise\.rate_z: .*finite Gamma\(s\), got s = 200\.0$"
         self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
 
     def test_cut_invalid_at_smallest_n_is_refused(self, tmp_path, monkeypatch):
