@@ -11,9 +11,12 @@ read from a 4^n Hamming-distance table.  Nothing here reads
 ``dynamics._workspace``: the sign arrays and the table are built below.
 ``integrated_rate_quadrature`` integrates a rate model by adaptive quadrature,
 independently of the models' closed-form ``integrated``.
+``gamma_ohmic_t0_spectral`` evaluates the zero-temperature Ohmic rate from its
+spectral-density definition, independently of the closed form ``gamma_ohmic_t0``.
 """
 
 import functools
+import math
 from unittest import mock
 
 import numpy as np
@@ -186,6 +189,13 @@ def hamming_dephasing_map(rho0: DensityMatrix, big_gamma: float, spec) -> Densit
     return DensityMatrix(n=rho0.n, elements=rho0.elements * factors, check_positivity=False)
 
 
+def _quad_strict(func, a, b, what, **kwargs):
+    out = quad(func, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, full_output=1, **kwargs)
+    if len(out) > 3:
+        raise RuntimeError(f"quadrature failed for {what}: {out[3]}")
+    return out[0]
+
+
 def integrated_rate_quadrature(model, t: float) -> float:
     """Integral of the rate from 0 to t by direct adaptive quadrature.
 
@@ -196,15 +206,25 @@ def integrated_rate_quadrature(model, t: float) -> float:
         raise ValueError("integrated_rate_quadrature requires t >= 0")
     if t == 0.0:
         return 0.0
-    out = quad(
-        lambda u: float(model.rate(u)),
-        0.0,
-        t,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=QUAD_REL_TOL,
-        limit=400,
-        full_output=1,
+    return _quad_strict(
+        lambda u: float(model.rate(u)), 0.0, t, f"the rate integral of {model!r}", limit=400
     )
-    if len(out) > 3:
-        raise RuntimeError(f"quadrature failed for the rate integral of {model!r}: {out[3]}")
-    return out[0]
+
+
+def gamma_ohmic_t0_spectral(t: float, s: float, omega_c: float = 1.0) -> float:
+    """Zero-temperature Ohmic rate as the integral of J(w)/w sin(w t) over w > 0.
+
+    J(w)/w = w^(s-1) omega_c^(1-s) exp(-w/omega_c).  The interval is split at
+    omega_c and the oscillatory tail uses a sin-weighted rule.  Raises
+    RuntimeError when either part does not reach its tolerances.
+    """
+    if t == 0.0:
+        return 0.0
+
+    def envelope(w: float) -> float:
+        return w ** (s - 1.0) * omega_c ** (1.0 - s) * math.exp(-w / omega_c)
+
+    what = f"the spectral rate integral (s={s}, t={t})"
+    head = _quad_strict(lambda w: envelope(w) * math.sin(w * t), 0.0, omega_c, what, limit=200)
+    tail = _quad_strict(envelope, omega_c, np.inf, what, weight="sin", wvar=t, limit=200)
+    return head + tail

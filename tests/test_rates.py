@@ -21,7 +21,7 @@ from qubitbath import (
     integrated_rate,
 )
 from qubitbath.config import ConfigError, parse_config
-from reference import integrated_rate_quadrature
+from reference import gamma_ohmic_t0_spectral, integrated_rate_quadrature
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +75,30 @@ class TestOhmicZeroTempRate:
 
     def test_accepts_largest_finite_gamma(self):
         assert math.isfinite(OhmicZeroTempRate(s=171.6).rate(0.0))
+
+
+class TestSpectralIntegral:
+    """The closed form against the rate's spectral-density integral."""
+
+    def test_zero_time(self):
+        for s in (1.0, 2.47, 3.0):
+            assert gamma_ohmic_t0_spectral(0.0, s) == gamma_ohmic_t0(0.0, s) == 0.0
+
+    @pytest.mark.parametrize("s", [1.0, 2.47, 3.0])
+    def test_closed_form_matches_spectral_integral(self, s):
+        for t in (0.1, 1.0, 3.0, 7.5, 15.0, 30.0):
+            num = gamma_ohmic_t0_spectral(t, s)
+            assert num == pytest.approx(gamma_ohmic_t0(t, s), abs=1e-6)
+
+    def test_s3_negative_value_matches(self):
+        num = gamma_ohmic_t0_spectral(3.0, 3.0)
+        assert num < 0
+        assert num == pytest.approx(gamma_ohmic_t0(3.0, 3.0), abs=1e-8)
+
+    def test_cutoff_matches_spectral_integral(self):
+        for t in (0.4, 2.0, 9.0):
+            num = gamma_ohmic_t0_spectral(t, 2.47, omega_c=2.5)
+            assert num == pytest.approx(gamma_ohmic_t0(t, 2.47, 2.5), abs=1e-6)
 
 
 class TestIntegratedRate:
