@@ -232,8 +232,6 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
         raise ConfigError(f"sweep: {len(cells)} cells exceed job_cap={sweep.job_cap}")
 
     workers = workers if workers is not None else sweep.workers
-    if workers is None:
-        workers = os.cpu_count() or 1
     # same rule as sweep.workers in the config, so --workers 0 is a usage error
     workers = min(_positive_int(workers, "workers"), len(cells))
 

@@ -15,7 +15,7 @@ An experiment config is a single JSON document::
                    "revival_threshold": float}?,
       "output": {"directory": str, "formats": ["csv", "json"]}?,
       "sweep":  {"axes": {"n": [...], "s": [...], "kappa": [...]},
-                 "snapshot_t": float, "workers": int?, "job_cap": int,
+                 "snapshot_t": float, "workers": int, "job_cap": int,
                  "memory_budget_mb": float}?
     }
 
@@ -172,7 +172,7 @@ class OutputConfig:
 class SweepConfig:
     axes: dict
     snapshot_t: float = 30.0
-    workers: Optional[int] = None
+    workers: int = 1
     job_cap: int = 512
     memory_budget_mb: float = 4096.0
 
@@ -301,7 +301,7 @@ _SECTIONS = {
         {
             "axes": _axes,
             "snapshot_t": _positive,
-            "workers": _optional(_positive_int),
+            "workers": _positive_int,
             "job_cap": _positive_int,
             "memory_budget_mb": _positive,
         },

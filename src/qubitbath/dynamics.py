@@ -73,7 +73,6 @@ from .states import (
     BlockPlan,
     DensityMatrix,
     PureState,
-    component_labels,
     density_from_pure,
 )
 
@@ -335,7 +334,7 @@ class _ClassPattern:
             rows, cols = self.rows, self.cols
             if cut is not None:
                 rows, cols = partial_transpose_indices(rows, cols, cut)
-            self.plans[cut] = BlockPlan(rows, cols, component_labels(rows, cols, self.dim))
+            self.plans[cut] = BlockPlan(rows, cols, self.dim)
         return self.plans[cut]
 
 

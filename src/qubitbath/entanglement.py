@@ -8,14 +8,13 @@ computed from the eigenvalues of the (Hermitian) partial transpose
 (Vidal & Werner, PRA 65, 032314 (2002)).  E is reported in ebits: a
 maximally entangled two-level Schmidt pair gives 1.
 
-The eigenvalues come from ``states.block_eigvalsh``, which solves the
-connected components of the exact nonzero pattern one block at a time.
-Local dephasing and Pauli noise keep rho(t)^(T_A) block-diagonal up to a
-permutation (e.g. blocks of at most 26 for W at n = 10 under dephasing), so
-this is the dense spectrum at a small fraction of the dense cost.  Along a
+``log_negativity`` takes the eigenvalues from one dense ``np.linalg.eigvalsh``
+of the partial transpose: it is the reference that the engine's block route
+is checked against, so it shares none of that route's code.  Along a
 trajectory the pattern is fixed, so ``dynamics.evolve`` maps it through
 ``partial_transpose_indices`` once per cut into a ``states.BlockPlan`` and
-then pays only the stacked block solves at each record.
+then pays only the stacked block solves at each record (e.g. blocks of at
+most 26 for W at n = 10 under dephasing).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, block_eigvalsh
+from .states import DensityMatrix, PureState
 
 __all__ = [
     "Bipartition",
@@ -175,8 +174,8 @@ def log2_trace_norm(eigs) -> float:
 
 
 def log_negativity(rho, cut: Bipartition) -> float:
-    """log2 of the trace norm of the partial transpose, clamped to >= 0 (``log2_trace_norm``)."""
-    return log2_trace_norm(block_eigvalsh(partial_transpose(rho, cut)))
+    """log2 of the trace norm of the partial transpose (one dense eigensolve), clamped to >= 0."""
+    return log2_trace_norm(np.linalg.eigvalsh(partial_transpose(rho, cut)))
 
 
 def schmidt_log_negativity(psi: PureState, cut: Bipartition) -> float:

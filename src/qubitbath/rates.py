@@ -129,6 +129,9 @@ class OhmicZeroTempRate:
             finite = False
         if not finite:
             raise ValueError(f"OhmicZeroTempRate requires a finite Gamma(s), got s = {self.s}")
+        # ``integrated`` takes Gamma(s - 1) for s != 1; below s ~ 1.1e-16, s - 1 rounds to -1.0
+        if self.s - 1.0 == -1.0:
+            raise ValueError(f"OhmicZeroTempRate requires a defined Gamma(s - 1), got s = {self.s}")
 
     def rate(self, t):
         return gamma_ohmic_t0(t, self.s, self.omega_c)

@@ -6,10 +6,12 @@ three qubits index 6 = 0b110 means qubits (1, 2, 3) = (1, 1, 0).  All the
 states built here are symmetric under qubit permutations, but the
 convention matters for I/O and for which bits a cut transposes.
 
-Spectra are solved block by block: ``component_labels`` finds the connected
-components of a nonzero pattern with numpy alone, ``BlockPlan`` groups them
-by size once for a pattern that many matrices share (a trajectory), and
-``block_eigvalsh`` plans and solves one matrix from its own nonzeros.
+The engine's spectra are solved block by block: ``component_labels`` finds
+the connected components of a nonzero pattern with numpy alone, and
+``BlockPlan`` groups them by size once for a pattern that many matrices share
+(a trajectory).  A one-off spectrum (``DensityMatrix``'s positivity check,
+``entanglement.log_negativity``) is one dense ``np.linalg.eigvalsh``, so the
+references share no code with the engine's block route.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "DensityMatrix",
     "BlockPlan",
     "component_labels",
-    "block_eigvalsh",
     "ghz_state",
     "w_state",
     "dicke_state",
@@ -37,9 +38,6 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_FLOOR = -1e-10
-# below this dimension one dense solve (10-70 us up to 32, ~0.27 ms at 64) competes
-# with the ~0.15 ms it takes to find the blocks of a one-off matrix
-_BLOCK_MIN_DIM = 128
 
 
 def _require_qubit_count(n: int) -> None:
@@ -91,9 +89,9 @@ class DensityMatrix:
     """2^n x 2^n Hermitian, unit-trace, positive-semidefinite matrix.
 
     Hermiticity and trace are always validated on construction; the
-    positive-semidefiniteness check costs an eigensolve (``block_eigvalsh``,
-    block by block over the exact nonzero pattern) and can be skipped for
-    matrices produced by maps that preserve positivity by construction.
+    positive-semidefiniteness check costs a dense eigensolve and can be
+    skipped for matrices produced by maps that preserve positivity by
+    construction.
     """
 
     n: int
@@ -113,7 +111,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"matrix does not have unit trace: trace = {tr}")
         if self.check_positivity:
-            lam_min = float(block_eigvalsh(mat)[0])
+            lam_min = float(np.linalg.eigvalsh(mat)[0])
             if lam_min < _PSD_FLOOR:
                 raise ValueError(f"matrix is not PSD: min eigenvalue = {lam_min}")
         mat.setflags(write=False)
@@ -124,7 +122,7 @@ class DensityMatrix:
         return 2**self.n
 
     def min_eigenvalue(self) -> float:
-        return float(block_eigvalsh(self.elements)[0])
+        return float(np.linalg.eigvalsh(self.elements)[0])
 
     def to_json(self) -> str:
         payload = {
@@ -168,21 +166,22 @@ def component_labels(rows, cols, dim: int) -> np.ndarray:
 class BlockPlan:
     """Ascending spectrum of Hermitian matrices that vanish outside one fixed pattern.
 
-    The matrix is given by its values at (rows[i], cols[i]); every entry off
-    the pattern is zero.  The blocks are the pattern's connected components,
-    ``labels = component_labels(rows, cols, dim)``, and blocks of one size
-    are solved in one stacked ``eigvalsh`` call.  The plan (size groups and
-    each value's place in its group's stack) is built once; ``eigvalsh``
-    then costs one scatter of the values plus the stacked solves.  Nodes that
-    no entry touches get no block: each adds an exact zero to the spectrum,
-    which keeps all ``len(labels)`` eigenvalues.
+    The matrix is ``dim`` x ``dim``, given by its values at (rows[i], cols[i]);
+    every entry off the pattern is zero.  The blocks are the pattern's
+    connected components (``component_labels``), and blocks of one size are
+    solved in one stacked ``eigvalsh`` call.  The plan (size groups and each
+    value's place in its group's stack) is built once; ``eigvalsh`` then
+    costs one scatter of the values plus the stacked solves.  Nodes that no
+    entry touches get no block: each adds an exact zero to the spectrum,
+    which keeps all ``dim`` eigenvalues.
     """
 
-    def __init__(self, rows, cols, labels: np.ndarray):
+    def __init__(self, rows, cols, dim: int):
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        touched = np.zeros(len(labels), dtype=bool)
+        labels = component_labels(rows, cols, dim)
+        touched = np.zeros(dim, dtype=bool)
         touched[rows] = touched[cols] = True
-        self.untouched = len(labels) - int(np.count_nonzero(touched))
+        self.untouched = dim - int(np.count_nonzero(touched))
         if self.untouched:  # renumber the touched nodes 0, 1, ...
             index = np.cumsum(touched) - 1
             rows, cols, labels = index[rows], index[cols], labels[touched]
@@ -216,26 +215,6 @@ class BlockPlan:
         if self.untouched:
             eigs.append(np.zeros(self.untouched))
         return np.sort(np.concatenate(eigs))
-
-
-def block_eigvalsh(mat) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, solved one block at a time.
-
-    The blocks are the connected components of the exact nonzero pattern, so
-    the spectrum is the dense one for any input: only exact zeros split
-    blocks, and a roundoff-sized entry merely merges two of them.  Local
-    dephasing and Pauli noise keep rho(t) and its partial transposes
-    block-diagonal up to a permutation, which makes the blocks small.
-    Matrices below dimension 128 get one dense call.
-    """
-    mat = np.asarray(mat)
-    if len(mat) < _BLOCK_MIN_DIM:
-        return np.linalg.eigvalsh(mat)
-    rows, cols = np.nonzero(mat)
-    labels = component_labels(rows, cols, len(mat))
-    if not labels.any():  # one block, already in node order
-        return np.linalg.eigvalsh(mat)
-    return BlockPlan(rows, cols, labels).eigvalsh(mat[rows, cols])
 
 
 def ghz_state(n: int) -> PureState:

@@ -6,7 +6,9 @@ matrix, with the master equation's right-hand side materialised
 ``dynamics._ClassStepper``'s constructor arguments and offers the same
 ``advance``/``observe``/``current``/``blocks`` methods, so ``dense_engine()``
 patches it in and ``evolve`` and ``oracle_deviation`` record it through their
-one loop.  ``hamming_dephasing_map`` is the closed-form dephasing propagator
+one loop.  Its ``observe`` takes each spectrum from one dense
+``np.linalg.eigvalsh``, so no class-vs-dense comparison shares the engine's
+``BlockPlan``.  ``hamming_dephasing_map`` is the closed-form dephasing propagator
 read from a 4^n Hamming-distance table.  Nothing here reads
 ``dynamics._workspace``: the sign arrays and the table are built below.
 ``integrated_rate_quadrature`` integrates a rate model by adaptive quadrature,
@@ -25,7 +27,7 @@ from scipy.integrate import quad
 from qubitbath import dynamics
 from qubitbath.entanglement import log_negativity
 from qubitbath.errors import IntegrationError
-from qubitbath.states import DensityMatrix, block_eigvalsh, density_from_pure
+from qubitbath.states import DensityMatrix, density_from_pure
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -156,8 +158,8 @@ class DenseStepper:
         return self.mat
 
     def observe(self, cuts, positivity: bool) -> tuple:
-        """E per cut and, if asked, the minimum eigenvalue, by the public one-matrix routes."""
-        lam_min = float(block_eigvalsh(self.mat)[0]) if positivity else None
+        """E per cut and, if asked, the minimum eigenvalue, each from one dense eigensolve."""
+        lam_min = float(np.linalg.eigvalsh(self.mat)[0]) if positivity else None
         return [log_negativity(self.mat, cut) for cut in cuts], lam_min
 
     def blocks(self, cuts) -> None:

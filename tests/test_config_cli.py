@@ -264,6 +264,7 @@ class TestConfigParsing:
             ("workers", "two"),
             ("workers", 2.5),
             ("workers", True),
+            ("workers", None),  # no null state: the default is one worker
             ("job_cap", 0),
             ("job_cap", -1),
             ("job_cap", 2.5),
@@ -278,16 +279,15 @@ class TestConfigParsing:
         payload = base_payload(
             state={"family": "ghz", "n": 3, "k": None},
             time={"t_max": 2.0, "sample_every": None, "observable_every": None},
-            sweep={"axes": {"n": [3]}, "workers": None},
         )
         config = parse_config(payload)
-        assert config.state.k is None and config.sweep.workers is None
+        assert config.state.k is None
         assert (config.time.sample_every, config.time.observable_every) == (None, None)
 
     def test_sweep_counts_accept_positive_integers(self):
         config = parse_config(base_payload(sweep={"axes": {"n": [3]}, "workers": 2, "job_cap": 1}))
         assert (config.sweep.workers, config.sweep.job_cap) == (2, 1)
-        assert parse_config(base_payload(sweep={"axes": {"n": [3]}})).sweep.workers is None
+        assert parse_config(base_payload(sweep={"axes": {"n": [3]}})).sweep.workers == 1
 
     def test_load_config_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -596,6 +596,16 @@ class TestOracleCheckCommand:
                 assert main(["oracle-check", "--config", path, "--threshold", "1e-16"]) == 1
                 assert "FAIL" in capsys.readouterr().out
 
+    def test_ohmicity_whose_gamma_of_s_minus_one_is_undefined_names_the_field(
+        self, tmp_path, capsys
+    ):
+        payload = base_payload(time={"t_max": 2.0, "step": 0.01})
+        payload["noise"]["rate_z"]["s"] = 1e-17  # s - 1 rounds to -1.0
+        with pytest.raises(ConfigError, match=r"^noise\.rate_z: .*Gamma\(s - 1\)"):
+            parse_config(payload)
+        assert main(["oracle-check", "--config", write_config(tmp_path, payload)]) == 2
+        assert "noise.rate_z" in capsys.readouterr().err
+
 
 class TestFitCommand:
     @staticmethod
@@ -885,6 +895,13 @@ class TestCellDerivation:
     def test_s_axis_whose_gamma_overflows_is_refused(self, tmp_path, monkeypatch):
         payload = base_payload(sweep={"axes": {"n": [3, 4], "s": [2.47, 200.0]}, "snapshot_t": 1.0})
         match = r"^noise\.rate_z: .*finite Gamma\(s\), got s = 200\.0$"
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
+
+    def test_s_axis_whose_gamma_of_s_minus_one_is_undefined_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        payload = base_payload(sweep={"axes": {"n": [3, 4], "s": [2.47, 1e-17]}, "snapshot_t": 1.0})
+        match = r"^noise\.rate_z: .*defined Gamma\(s - 1\), got s = 1e-17$"
         self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
 
     def test_cut_invalid_at_smallest_n_is_refused(self, tmp_path, monkeypatch):

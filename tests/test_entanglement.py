@@ -12,6 +12,7 @@ from qubitbath import (
     NoiseSpec,
     OhmicZeroTempRate,
     SinusoidalRate,
+    analytic_state_at,
     density_from_pure,
     dicke_state,
     evolve,
@@ -25,7 +26,10 @@ from qubitbath import (
     symmetry_check,
     w_state,
 )
-from qubitbath.states import DensityMatrix, PureState, block_eigvalsh
+from qubitbath import states
+from qubitbath.entanglement import log2_trace_norm
+from qubitbath.states import DensityMatrix, PureState
+from reference import DenseStepper
 
 rng = np.random.default_rng(12345)
 
@@ -253,22 +257,50 @@ FAMILIES = {"ghz": ghz_state, "w": w_state, "dicke": lambda n: dicke_state(n, 2)
 @given(
     st.sampled_from(sorted(FAMILIES)),
     st.sampled_from(sorted(NOISES)),
-    st.integers(7, 8),  # dimension >= 128, where the block path takes over
+    st.integers(7, 8),
     st.sampled_from([0.5, 2.0, 6.0]),
     st.data(),
 )
 @settings(max_examples=15, deadline=None)
-def test_block_path_matches_dense_on_evolved_states(family, noise, n, t, data):
+def test_engine_matches_dense_references_on_evolved_states(family, noise, n, t, data):
     side = data.draw(
         st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True), label="side_a"
     )
     cut = Bipartition(n, tuple(side))
     options = IntegratorOptions(observable_every=t, sample_every=t)
-    trajectory = evolve(FAMILIES[family](n), NOISES[noise], t, options=options)
-    for state in trajectory.states:
-        dense = np.linalg.eigvalsh(state.elements)
-        assert np.abs(block_eigvalsh(state.elements) - dense).max() <= 1e-12
-        assert abs(state.min_eigenvalue() - dense[0]) <= 1e-12
-        pt_dense = np.linalg.eigvalsh(partial_transpose(state, cut))
-        expected = max(float(np.log2(np.abs(pt_dense).sum())), 0.0)
-        assert abs(log_negativity(state, cut) - expected) <= 1e-12
+    trajectory = evolve(FAMILIES[family](n), NOISES[noise], t, [cut], options)
+    assert np.array_equal(trajectory.times, trajectory.state_times)
+    # the engine's block plans against one dense eigensolve per kept state
+    dense = [log_negativity(state, cut) for state in trajectory.states]
+    assert np.abs(trajectory.observable(cut.label) - dense).max() <= 1e-12
+    lam_min = min(state.min_eigenvalue() for state in trajectory.states)
+    assert abs(trajectory.metadata["min_eigenvalue"] - lam_min) <= 1e-12
+
+
+def _block_route(*args, **kwargs):
+    raise AssertionError("a dense reference reached the engine's block route")
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("family", ["ghz", "w"])
+def test_references_are_independent_of_the_block_route(monkeypatch, family, n):
+    """Every one-off spectrum is one dense eigensolve, whatever the engine's route does."""
+    monkeypatch.setattr(states.BlockPlan, "eigvalsh", _block_route)
+    monkeypatch.setattr(states, "component_labels", _block_route)
+    psi, spec, cut = FAMILIES[family](n), NOISES["fig5 pauli"], highest_cut(n)
+
+    def assert_dense_equal(mat, value, lam_min):
+        dense = log2_trace_norm(np.linalg.eigvalsh(partial_transpose(mat, cut)))
+        assert abs(value - dense) <= 1e-12
+        assert abs(lam_min - np.linalg.eigvalsh(mat)[0]) <= 1e-12
+
+    # perfbench's reference: the closed-form state, then log_negativity
+    reference = analytic_state_at(density_from_pure(psi), spec, 2.0)
+    checked = DensityMatrix(n, reference.elements)  # with the positivity check
+    assert_dense_equal(reference.elements, log_negativity(checked, cut), checked.min_eigenvalue())
+    assert log_negativity(reference, cut) > 0.0
+
+    stepper = DenseStepper(psi, spec, 0.01, 20)
+    stepper.advance(0, 20)
+    (value,), lam_min = stepper.observe([cut], True)
+    assert_dense_equal(stepper.current(), value, lam_min)

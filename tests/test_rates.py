@@ -76,6 +76,16 @@ class TestOhmicZeroTempRate:
     def test_accepts_largest_finite_gamma(self):
         assert math.isfinite(OhmicZeroTempRate(s=171.6).rate(0.0))
 
+    @pytest.mark.parametrize("s", [1e-17, 5e-17, 1e-300])
+    def test_rejects_ohmicity_whose_gamma_of_s_minus_one_is_undefined(self, s):
+        # s - 1 rounds to -1.0, where integrated's Gamma(s - 1) is undefined
+        with pytest.raises(ValueError, match=r"defined Gamma\(s - 1\)"):
+            OhmicZeroTempRate(s=s)
+
+    def test_accepts_smallest_ohmicity_with_a_defined_gamma_of_s_minus_one(self):
+        rate = OhmicZeroTempRate(s=1.2e-16)
+        assert math.isfinite(rate.integrated(1.0)) and math.isfinite(rate.rate(1.0))
+
 
 class TestSpectralIntegral:
     """The closed form against the rate's spectral-density integral."""

@@ -13,7 +13,7 @@ from qubitbath import (
     ghz_state,
     w_state,
 )
-from qubitbath.states import block_eigvalsh, component_labels
+from qubitbath.states import BlockPlan, component_labels
 from reference import (
     PAULI_I,
     PAULI_X,
@@ -224,11 +224,11 @@ def test_hamming_distance_matrix():
     assert np.array_equal(d, expected)
 
 
-def planted_blocks(sizes, seed, min_dim=128):
-    """Random Hermitian blocks of the given sizes, zero-padded to min_dim and
-    scattered by a random permutation of rows and columns."""
+def planted_blocks(sizes, seed, pad=0):
+    """Random Hermitian blocks of the given sizes plus ``pad`` all-zero rows and
+    columns (at least one row in all), scattered by a random permutation."""
     rng = np.random.default_rng(seed)
-    d = max(sum(sizes), min_dim)
+    d = max(sum(sizes) + pad, 1)
     mat = np.zeros((d, d), dtype=complex)
     start = 0
     for size in sizes:
@@ -239,16 +239,24 @@ def planted_blocks(sizes, seed, min_dim=128):
     return mat[np.ix_(perm, perm)]
 
 
-@given(st.lists(st.sampled_from([1, 2, 3, 7, 16]), max_size=30), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-@example([], 0)  # the all-zero matrix: nothing but singletons
-@example([1] * 130, 1)
-@example([2] * 70, 2)
-def test_block_eigvalsh_matches_dense(sizes, seed):
-    # padding to dimension 128 keeps every case on the block path
-    mat = planted_blocks(sizes, seed)
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 7, 16]), max_size=30),
+    st.integers(0, 10),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+@example([], 0, 0)  # a 1x1 zero: one untouched node and no block
+@example([], 128, 0)  # the all-zero matrix: nothing but untouched nodes
+@example([1] * 130, 0, 1)
+@example([2] * 70, 0, 2)
+@example([3], 0, 3)  # one block, no untouched node
+def test_block_plan_matches_dense(sizes, pad, seed):
+    mat = planted_blocks(sizes, seed, pad)
     dense = np.linalg.eigvalsh(mat)
-    block = block_eigvalsh(mat)
+    rows, cols = np.nonzero(mat)
+    plan = BlockPlan(rows, cols, len(mat))
+    assert plan.untouched == len(mat) - sum(sizes)  # every planted row has a nonzero
+    block = plan.eigvalsh(mat[rows, cols])
     assert block.shape == dense.shape
     assert np.all(np.diff(block) >= 0.0)
     assert np.abs(block - dense).max() <= 1e-12
