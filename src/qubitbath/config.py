@@ -187,9 +187,8 @@ class ExperimentConfig:
     output: OutputConfig = OutputConfig()
     sweep: Optional[SweepConfig] = None
 
-    def bipartitions(self, n: Optional[int] = None) -> list:
-        n = self.state.n if n is None else n
-        return [parse_cut_label(label, n) for label in self.cuts]
+    def bipartitions(self) -> list:
+        return [parse_cut_label(label, self.state.n) for label in self.cuts]
 
     def to_dict(self) -> dict:
         """The JSON form, with ``parse_config(config.to_dict()) == config``."""

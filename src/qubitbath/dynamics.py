@@ -41,10 +41,12 @@ array is built.  The pattern, rho0's values on it, the classes and one
 itself (positivity) depend on psi and the active axes alone, not on the rates:
 they are built once and reused by the next run with the same psi and axes, so
 a sweep's cells of one n share them.  A plan holds
-the components the pattern touches, grouped by size, and where each value goes
-in its group's stack.  A record costs one evaluation of rho(t) on the pattern
-plus one stacked ``eigvalsh`` per size group; the full matrix is rebuilt only
-for states that ``record_states`` keeps.
+the components of the nodes the pattern touches (any other node is an exact
+zero eigenvalue), grouped by size, and where each value goes in its group's
+stack.  A record costs one evaluation of rho(t) on the pattern plus one
+stacked ``eigvalsh`` per size group, and a positivity point reads |Tr rho - 1|
+off the diagonal entries (``max_trace_drift``); the full matrix is rebuilt
+only for states that ``record_states`` keeps.
 
 One closed-form propagator, ``analytic_pauli_map``, serves both noise kinds as
 the independent oracle for the integrator (``oracle_deviation``); under
@@ -289,9 +291,9 @@ _growth_entry = functools.lru_cache(maxsize=_GROWTH_ENTRIES)(_GrowthEntry)
 
 # Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
 # per pattern entry for the stepper and one plan's build (92 at full support, n = 8), per
-# entry and plan kept (16), per basis index (83, GHZ at n = 13: popcounts and a plan's node
-# arrays) and per growth-table entry (86-94 with three axes).
-_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 96, 128
+# entry and plan kept (16), per basis index (54 at n = 20: psi, the popcount table's build
+# and the pattern key) and per growth-table entry (86-94 with three axes).
+_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 64, 128
 
 
 class _ClassPattern:
@@ -378,7 +380,7 @@ class _ClassStepper:
     """
 
     engine = "rk4-pauli-classes"
-    max_trace_drift = max_herm_drift = 0.0  # trace and hermiticity are exact
+    max_trace_drift = max_herm_drift = 0.0  # hermiticity is exact; ``observe`` reads the trace
     renormalizations = 0
 
     def __init__(self, psi: PureState, spec: NoiseSpec, h: float, n_steps: int):
@@ -424,9 +426,13 @@ class _ClassStepper:
 
     def observe(self, cuts, positivity: bool) -> tuple:
         """E per cut and, if asked, the minimum eigenvalue of rho, from one block plan each."""
-        values, plan = self.values(), self.pattern.plan
-        lam_min = float(plan(None).eigvalsh(values)[0]) if positivity else None
-        return [log2_trace_norm(plan(cut).eigvalsh(values)) for cut in cuts], lam_min
+        pattern, values, lam_min = self.pattern, self.values(), None
+        if positivity:  # an untouched node is an exact zero eigenvalue
+            eigs = pattern.plan(None).eigvalsh(values)
+            lam_min = float(min(eigs.min(), 0.0) if pattern.plan(None).untouched else eigs.min())
+            drift = float(abs(values[pattern.rows == pattern.cols].sum() - 1.0))
+            self.max_trace_drift = max(self.max_trace_drift, drift)
+        return [log2_trace_norm(pattern.plan(cut).eigvalsh(values)) for cut in cuts], lam_min
 
     def blocks(self, cuts) -> dict:
         """[size, count] of each plan's stacked groups, by cut label and "rho" (positivity)."""
@@ -454,7 +460,7 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     n, d, support = psi.n, psi.dim, int(np.count_nonzero(psi.amplitudes))
     active = _active_rates(spec)
     if list(active) == [2]:
-        entries, stacked = support**2, min(d, support**2) ** 2 + d
+        entries, stacked = support**2, min(d, support**2) ** 2
     else:
         entries, stacked = d * min(support**2, d), d * 2 ** min(n, support - 1)
     classes = n + 1 if len(active) == 1 else math.comb(n + 3, 3)

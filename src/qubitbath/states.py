@@ -9,9 +9,10 @@ convention matters for I/O and for which bits a cut transposes.
 The engine's spectra are solved block by block: ``component_labels`` finds
 the connected components of a nonzero pattern with numpy alone, and
 ``BlockPlan`` groups them by size once for a pattern that many matrices share
-(a trajectory).  A one-off spectrum (``DensityMatrix``'s positivity check,
-``entanglement.log_negativity``) is one dense ``np.linalg.eigvalsh``, so the
-references share no code with the engine's block route.
+(a trajectory) and solves only the nodes it touches.  A one-off spectrum
+(``DensityMatrix``'s positivity check, ``entanglement.log_negativity``) is one
+dense ``np.linalg.eigvalsh``, so the references share no code with the
+engine's block route.
 """
 
 from __future__ import annotations
@@ -164,31 +165,25 @@ def component_labels(rows, cols, dim: int) -> np.ndarray:
 
 
 class BlockPlan:
-    """Ascending spectrum of Hermitian matrices that vanish outside one fixed pattern.
+    """Spectrum of Hermitian matrices that vanish outside one fixed pattern, block by block.
 
     The matrix is ``dim`` x ``dim``, given by its values at (rows[i], cols[i]);
-    every entry off the pattern is zero.  The blocks are the pattern's
-    connected components (``component_labels``), and blocks of one size are
-    solved in one stacked ``eigvalsh`` call.  The plan (size groups and each
-    value's place in its group's stack) is built once; ``eigvalsh`` then
-    costs one scatter of the values plus the stacked solves.  Nodes that no
-    entry touches get no block: each adds an exact zero to the spectrum,
-    which keeps all ``dim`` eigenvalues.
+    every entry off the pattern is zero.  The blocks are the connected components
+    (``component_labels``) of the nodes the pattern touches, renumbered 0, 1, ...,
+    and blocks of one size are solved in one stacked ``eigvalsh`` call.  The plan
+    (size groups and each value's place in its group's stack) is built once;
+    ``eigvalsh`` then costs one scatter of the values plus the stacked solves and
+    returns the blocks' eigenvalues group by group, unsorted.  Each of the
+    ``untouched`` other nodes is an exact zero eigenvalue, counted and not stored.
     """
 
     def __init__(self, rows, cols, dim: int):
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        touched, index = np.unique(np.concatenate((rows, cols)), return_inverse=True)
+        rows, cols = index[: len(rows)], index[len(rows) :]
+        self.untouched, dim = dim - len(touched), len(touched)
         labels = component_labels(rows, cols, dim)
-        touched = np.zeros(dim, dtype=bool)
-        touched[rows] = touched[cols] = True
-        self.untouched = dim - int(np.count_nonzero(touched))
-        if self.untouched:  # renumber the touched nodes 0, 1, ...
-            index = np.cumsum(touched) - 1
-            rows, cols, labels = index[rows], index[cols], labels[touched]
-        dim = len(labels)
         size = np.bincount(labels)[labels]  # per node, its component's size
-        sizes, nodes = np.unique(size, return_counts=True)
-        group = np.searchsorted(sizes, size)
+        sizes, group, nodes = np.unique(size, return_inverse=True, return_counts=True)
         # nodes grouped by component, components of one size next to each other
         rank = np.empty(dim, dtype=np.intp)
         rank[np.lexsort((labels, size))] = np.arange(dim)
@@ -207,14 +202,12 @@ class BlockPlan:
 
     def eigvalsh(self, values) -> np.ndarray:
         values = np.asarray(values)[self.order]
-        eigs = []
+        eigs = [np.zeros(0)]  # an all-zero matrix has no block
         for size, count, flat, lo, hi in self.groups:
             blocks = np.zeros(count * size * size, dtype=values.dtype)
             blocks[flat] = values[lo:hi]
             eigs.append(np.linalg.eigvalsh(blocks.reshape(count, size, size)).ravel())
-        if self.untouched:
-            eigs.append(np.zeros(self.untouched))
-        return np.sort(np.concatenate(eigs))
+        return np.concatenate(eigs)
 
 
 def ghz_state(n: int) -> PureState:

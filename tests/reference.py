@@ -167,6 +167,12 @@ class DenseStepper:
         return None
 
 
+def with_untouched_zeros(plan, eigs) -> np.ndarray:
+    """A ``BlockPlan``'s block eigenvalues plus one exact zero per untouched node, ascending:
+    the spectrum that one dense ``eigvalsh`` of the whole matrix gives."""
+    return np.sort(np.concatenate((eigs, np.zeros(plan.untouched))))
+
+
 def dense_engine():
     """Context in which ``evolve`` and ``oracle_deviation`` step the dense reference."""
     return mock.patch.object(dynamics, "_ClassStepper", DenseStepper)

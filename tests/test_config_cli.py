@@ -808,7 +808,7 @@ class TestCellMemoryEstimate:
     @pytest.mark.parametrize(
         "stem, n",
         [(stem, n) for stem in ("fig3_ghz_dephasing_sweep", "fig4_w_dephasing_sweep")
-         for n in range(3, 14)]
+         for n in [*range(3, 14), 16, 18, 20]]
         + [(stem, n) for stem in ("fig5_ghz_n7_depolarising", "fig5_w_n5_depolarising")
            for n in range(6, 12)],
     )

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
@@ -47,6 +48,7 @@ from reference import (
     embed_local_operator,
     hamming_dephasing_map,
     lindblad_rhs,
+    with_untouched_zeros,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "paper"
@@ -545,7 +547,8 @@ class TestEvolve:
         assert abs(lam_min - np.linalg.eigvalsh(mat)[0]) <= 1e-13
         # every block, not only the extremes: a dropped block shortens the spectrum
         for plan_cut, reference in ((None, mat), (cut, partial_transpose(mat, cut))):
-            spectrum = pattern.plan(plan_cut).eigvalsh(stepper.values())
+            plan = pattern.plan(plan_cut)
+            spectrum = with_untouched_zeros(plan, plan.eigvalsh(stepper.values()))
             assert spectrum.shape == (2**n,)
             assert np.abs(spectrum - np.linalg.eigvalsh(reference)).max() <= 1e-13
 
@@ -610,6 +613,25 @@ class TestEvolve:
         assert traj.metadata["max_trace_drift"] <= 1e-9
         assert traj.metadata["max_hermiticity_drift"] <= 1e-9
         assert traj.metadata["min_eigenvalue"] >= -1e-8
+
+    def test_trace_drift_is_measured(self, monkeypatch):
+        # the populations' class (d = 0) grows by 1 + 1e-9 per step: the trace drifts by
+        # about 1e-7 over 100 steps, which a declared 0.0 would not show
+        real = dynamics._rk4_growth
+
+        def drifting(stages, h, coeffs):
+            growth = np.array(real(stages, h, coeffs))
+            growth[[not any(coeff) for coeff in coeffs]] *= 1.0 + 1e-9
+            return growth
+
+        monkeypatch.setattr(dynamics, "_rk4_growth", drifting)
+        dynamics._growth_entry.cache_clear()
+        try:
+            options = IntegratorOptions(step=0.01, record_states=False)
+            traj = evolve(w_state(4), fig4_spec(), 1.0, options=options)
+        finally:
+            dynamics._growth_entry.cache_clear()
+        assert traj.metadata["max_trace_drift"] > 1e-9
 
     def test_permutation_covariance(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
@@ -751,7 +773,7 @@ class TestPatternReuse:
             assert sum(size * count for size, count, *_ in plan.groups) == len(touched) <= 4
             assert plan.untouched == 2**n - len(touched)
             spectrum = plan.eigvalsh(stepper.values())
-            assert spectrum.shape == (2**n,)
+            assert spectrum.shape == (len(touched),)  # no 2^n zero padding
             # every other row and column of the reference is zero, so its dense spectrum
             # is that of the touched rows and columns plus zeros (a 4096^2 solve takes 18 s)
             dense = np.sort(
@@ -762,7 +784,27 @@ class TestPatternReuse:
                     )
                 )
             )
-            assert np.abs(spectrum - dense).max() <= 1e-13
+            assert np.abs(with_untouched_zeros(plan, spectrum) - dense).max() <= 1e-13
+
+    @pytest.mark.parametrize("state", [w_state, ghz_state], ids=["w", "ghz"])
+    def test_plans_and_observe_build_no_dim_array(self, state):
+        n = 16
+        cuts = [one_vs_rest(n), highest_cut(n)]
+        dynamics._last_pattern.clear()  # plans built here, not reused from an earlier run
+        stepper = dynamics._ClassStepper(state(n), fig4_spec(), 0.01, 300)
+        stepper.advance(0, 300)
+        tracemalloc.start()
+        try:
+            for cut in [None, *cuts]:
+                stepper.pattern.plan(cut)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            stepper.observe(cuts, True)
+            observe = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 array of 2^16 entries is 512 KiB
+        assert build < 256 * 2**10 and observe < 256 * 2**10, (build, observe)
 
 
 def paper_payload(stem: str) -> dict:
