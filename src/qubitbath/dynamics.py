@@ -29,18 +29,19 @@ W's d = 0 and d = 2 columns are computed once for every n.  The memo holds
 32 entries, each with at most 61440 floats of columns (48.75 MiB in all at
 worst).  One flip-and-sign
 transform per site puts the Pauli coefficients where popcounts of each
-entry's row and column give its class; it is skipped when z is the only
-active axis.  Full-matrix RK4 is exactly RK4 on these factors; the test
-suite's dense RK4 stepper, which materialises the right-hand side, is the
-independent reference (``tests/reference.py``).
+entry's row and column give its class, counted bit by bit on the pattern's
+entries; it is skipped when z is the only active axis.  Full-matrix RK4 is
+exactly RK4 on these factors; the test suite's dense RK4 stepper, which
+materialises the right-hand side, is the independent reference
+(``tests/reference.py``).
 
 The stepper starts from a ``PureState`` psi, rho0 = |psi><psi|, and reads
 rho(t)'s fixed pattern and rho0's values on it from psi's support, so no 4^n
 array is built.  The pattern, rho0's values on it, the classes and one
 ``states.BlockPlan`` per cut (on the partial-transposed pattern) and for rho
 itself (positivity) depend on psi and the active axes alone, not on the rates:
-they are built once and reused by the next run with the same psi and axes, so
-a sweep's cells of one n share them.  A plan holds
+they are built once and reused by the next run with the same n, support,
+values on it and axes, so a sweep's cells of one n share them.  A plan holds
 the components of the nodes the pattern touches (any other node is an exact
 zero eigenvalue), grouped by size, and where each value goes in its group's
 stack.  A record costs one evaluation of rho(t) on the pattern plus one
@@ -50,8 +51,8 @@ only for states that ``record_states`` keeps.
 
 One closed-form propagator, ``analytic_pauli_map``, serves both noise kinds as
 the independent oracle for the integrator (``oracle_deviation``); under
-dephasing it damps each entry by its Hamming distance, read from the 2^n
-popcount table.
+dephasing it damps each entry by its Hamming distance, read from a popcount
+table built for the call.
 """
 
 from __future__ import annotations
@@ -174,36 +175,27 @@ class Trajectory:
         return self.states[-1]
 
 
-class _Workspace:
-    """Per-qubit-count structures for the elementwise generator algebra."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tshape = (2,) * (2 * n)
-        # (1, -1) along one row or column axis of the (2,) * 2n tensor
-        sign, shapes = np.array([1.0, -1.0]), 1 + np.eye(2 * n, dtype=int)
-        self.row_signs = [sign.reshape(shapes[i]) for i in range(n)]
-        self.col_signs = [sign.reshape(shapes[n + i]) for i in range(n)]
-        # (1, -1) along site i of an (offsets, 2, ..., 2) stack of 2^n-vectors
-        self.site_signs = [sign.reshape((2,) + (1,) * (n - 1 - i)) for i in range(n)]
-        index = np.arange(2**n)
-        self.popcount = sum((index >> bit) & 1 for bit in range(n))
+def _axis_sign(axis: int, ndim: int) -> np.ndarray:
+    """(1, -1) along one axis of an ndim-dimensional (2,) * ndim array, 1 along the others."""
+    return np.array([1.0, -1.0]).reshape((1,) * axis + (2,) + (1,) * (ndim - 1 - axis))
 
 
-_workspace = functools.lru_cache(maxsize=None)(_Workspace)
+def _popcount(index: np.ndarray, n: int) -> np.ndarray:
+    """The number of set bits among the low n bits of each entry."""
+    return sum((index >> bit) & 1 for bit in range(n))
 
 
-def _site_transform(values: np.ndarray, ws: _Workspace, inverse: bool) -> np.ndarray:
+def _site_transform(values: np.ndarray, signs: list, inverse: bool) -> np.ndarray:
     """Per site, t + s * f(t), or t - s * f(t) if ``inverse``, on values laid out offset by offset.
 
     Value o * 2^n + a stands for the matrix entry (a, a ^ o) of offset o.  f flips the
     site's bit of a, which flips that entry's row and column bits together, and s = (1, -1)
-    on the row bit.  Forward, a site's (row, column) bits 00, 01, 10, 11 then hold
-    Tr(P rho) for P = I, X, Y, Z times the phase 1, 1, i, -1; the inverse gives 2^n times
-    the inverse map.
+    on the row bit: ``signs[i]`` is ``_axis_sign(i, n)``.  Forward, a site's (row, column)
+    bits 00, 01, 10, 11 then hold Tr(P rho) for P = I, X, Y, Z times the phase 1, 1, i, -1;
+    the inverse gives 2^n times the inverse map.
     """
-    stack = values.reshape((-1,) + ws.tshape[: ws.n])
-    for i, sign in enumerate(ws.site_signs):
+    stack = values.reshape((-1,) + (2,) * len(signs))
+    for i, sign in enumerate(signs):
         flipped = sign * np.flip(stack, axis=i + 1)
         stack = stack - flipped if inverse else stack + flipped
     return stack.ravel()
@@ -291,26 +283,25 @@ _growth_entry = functools.lru_cache(maxsize=_GROWTH_ENTRIES)(_GrowthEntry)
 
 # Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
 # per pattern entry for the stepper and one plan's build (92 at full support, n = 8), per
-# entry and plan kept (16), per basis index (54 at n = 20: psi, the popcount table's build
-# and the pattern key) and per growth-table entry (86-94 with three axes).
-_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 64, 128
+# entry and plan kept (16), per basis index (24 at n = 16 and 20: psi and the float
+# temporary of its norm check) and per growth-table entry (86-94 with three axes).
+_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 32, 128
 
 
 class _ClassPattern:
     """What a class-engine run needs from psi and the active axes alone (``_ClassStepper``).
 
     It holds rho(t)'s pattern (``rows``, ``cols``), rho0's coefficients on it, whether the
-    letter transform runs, each coefficient's class, each class's anticommuting-letter
-    counts per active axis, and the block plans by cut, each built on first use.  No rate
-    model enters, so runs that differ only in their rates share one pattern
-    (``_class_pattern``).
+    letter transform runs and its per-site signs, each coefficient's class, each class's
+    anticommuting-letter counts per active axis, and the block plans by cut, each built on
+    first use.  No rate model enters, so runs that differ only in their rates share one
+    pattern (``_class_pattern``).
     """
 
-    def __init__(self, psi: PureState, axes: tuple):
+    def __init__(self, psi: PureState, support: np.ndarray, axes: tuple):
         n, d, amplitudes = psi.n, psi.dim, psi.amplitudes
-        self.ws = _workspace(n)
         self.transform = axes != (2,)
-        support = np.flatnonzero(amplitudes)
+        self.signs = [_axis_sign(i, n) for i in range(n)] if self.transform else []
         rows, cols = np.repeat(support, len(support)), np.tile(support, len(support))
         if self.transform:  # pattern-ordered offset by offset
             offsets = np.unique(rows ^ cols)
@@ -319,13 +310,12 @@ class _ClassPattern:
         # rho0 on the pattern; the product is np.outer's arithmetic
         coeffs = amplitudes[rows] * amplitudes[cols].conj()
         if self.transform:
-            coeffs = 0.5**n * _site_transform(coeffs, self.ws, inverse=False)
+            coeffs = 0.5**n * _site_transform(coeffs, self.signs, inverse=False)
         self.rows, self.cols, self.coeffs = rows, cols, coeffs
 
-        pop = self.ws.popcount
-        counts = (pop[rows], pop[cols], pop[rows ^ cols])
+        letters = (rows, cols, rows ^ cols)  # anticommuting with sigma_x, sigma_y, sigma_z
         # equal counts on every active axis share a class
-        code = sum((n + 1) ** j * counts[axis] for j, axis in enumerate(axes))
+        code = sum((n + 1) ** j * _popcount(letters[axis], n) for j, axis in enumerate(axes))
         codes, self.coeff_class = np.unique(code, return_inverse=True)
         self.anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(axes))]
         self.dim, self.classes, self.plans = d, len(codes), {}
@@ -345,11 +335,12 @@ _last_pattern: dict = {}
 
 
 def _class_pattern(psi: PureState, axes: tuple) -> _ClassPattern:
-    """The previous run's pattern if n, psi's amplitude bytes and the axes match, else a new one."""
-    key = (psi.n, psi.amplitudes.tobytes(), axes)
+    """The previous run's pattern if n, psi's support and values there and the axes match."""
+    support = np.flatnonzero(psi.amplitudes)
+    key = (psi.n, support.tobytes(), psi.amplitudes[support].tobytes(), axes)
     if key not in _last_pattern:
         _last_pattern.clear()  # before the build, so two patterns are never held at once
-        _last_pattern[key] = _ClassPattern(psi, axes)
+        _last_pattern[key] = _ClassPattern(psi, support, axes)
     return _last_pattern[key]
 
 
@@ -415,7 +406,7 @@ class _ClassStepper:
         pattern = self.pattern
         coeffs = pattern.coeffs * self.factors[pattern.coeff_class]
         if pattern.transform:
-            return _site_transform(coeffs, pattern.ws, inverse=True)
+            return _site_transform(coeffs, pattern.signs, inverse=True)
         return coeffs
 
     def current(self) -> np.ndarray:
@@ -503,8 +494,10 @@ def evolve(
     Entanglement observables (log negativity per requested cut) are recorded
     every ``options.observable_every`` (default: every step, or only at both
     ends when there are no cuts); full states every ``options.sample_every``.
-    Raises IntegrationError when trace or positivity diagnostics exceed their
-    safety bounds, which indicates the step size is too large.
+    Raises IntegrationError when the minimum eigenvalue at a sample point falls
+    below ``EIGENVALUE_ERROR_FLOOR``, which indicates the step size is too
+    large.  Trace drift is recorded in ``metadata["max_trace_drift"]`` and
+    never raised.
     """
     h = options.step
     n_steps = _stride("t_max", t_max, h, None)
@@ -594,14 +587,13 @@ def _pauli_map_elements(
 ) -> np.ndarray:
     """``analytic_pauli_map`` on rho0's 2^n x 2^n elements, returning elements, unvalidated."""
     lam_x_int, lam_y_int, lam_z_int = (float(v) for v in lam_integrals)
-    ws = _workspace(n)
     if spec.kind == DEPHASING:
         if lam_x_int != 0.0 or lam_y_int != 0.0:
             raise ValueError("a dephasing NoiseSpec needs Lambda_x = Lambda_y = 0")
         log_damping = -2.0 * spec.kappa * lam_z_int / spec.omega0
         damping = np.exp(log_damping * np.arange(n + 1))  # by Hamming distance
         index = np.arange(2**n)
-        return elements * damping[ws.popcount[index[:, None] ^ index]]
+        return elements * damping[_popcount(index, n)[index[:, None] ^ index]]
     scale = 2.0 * spec.kappa / spec.omega0
     tx = np.exp(-scale * (lam_y_int + lam_z_int))
     ty = np.exp(-scale * (lam_z_int + lam_x_int))
@@ -613,12 +605,12 @@ def _pauli_map_elements(
     c_y = 0.25 * (1.0 - tx + ty - tz)
     c_z = 0.25 * (1.0 - tx - ty + tz)
 
-    tens = np.array(elements, dtype=complex).reshape(ws.tshape)
+    tens = np.array(elements, dtype=complex).reshape((2,) * (2 * n))
     out, term = np.empty_like(tens), np.empty_like(tens)
     for i in range(n):
         # out = c_i tens + c_x flip + c_y (signs flip) + c_z (signs tens), in two buffers
         flip = np.flip(tens, axis=(i, n + i))
-        signs = ws.row_signs[i] * ws.col_signs[i]
+        signs = _axis_sign(i, 2 * n) * _axis_sign(n + i, 2 * n)
         np.multiply(c_i, tens, out=out)
         out += np.multiply(c_x, flip, out=term)
         np.multiply(signs, flip, out=term)

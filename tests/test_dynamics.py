@@ -354,12 +354,12 @@ class TestEvolve:
         # the stepper's transform runs offset by offset: value o * d + a is entry (a, a ^ o)
         rows = np.tile(np.arange(d), d)
         cols = rows ^ np.repeat(np.arange(d), d)
-        ws = dynamics._workspace(n)
+        signs = [dynamics._axis_sign(i, n) for i in range(n)]
         stacked = np.zeros((d, d), dtype=complex)
-        stacked[rows, cols] = dynamics._site_transform(mat[rows, cols], ws, inverse=False)
+        stacked[rows, cols] = dynamics._site_transform(mat[rows, cols], signs, inverse=False)
         assert np.array_equal(stacked, forward)
         inverse = np.zeros((d, d), dtype=complex)
-        inverse[rows, cols] = dynamics._site_transform(forward[rows, cols], ws, inverse=True)
+        inverse[rows, cols] = dynamics._site_transform(forward[rows, cols], signs, inverse=True)
         assert np.array_equal(inverse, full_letter_transform(forward, n, -1.0))
 
         rates = [ConstantRate(axis_rates[a] if a in axes else 0.0) for a in range(3)]
@@ -789,15 +789,15 @@ class TestPatternReuse:
     @pytest.mark.parametrize("state", [w_state, ghz_state], ids=["w", "ghz"])
     def test_plans_and_observe_build_no_dim_array(self, state):
         n = 16
-        cuts = [one_vs_rest(n), highest_cut(n)]
-        dynamics._last_pattern.clear()  # plans built here, not reused from an earlier run
-        stepper = dynamics._ClassStepper(state(n), fig4_spec(), 0.01, 300)
-        stepper.advance(0, 300)
+        psi, cuts = state(n), [one_vs_rest(n), highest_cut(n)]
+        dynamics._last_pattern.clear()  # pattern and plans built here, not reused
         tracemalloc.start()
         try:
+            stepper = dynamics._ClassStepper(psi, fig4_spec(), 0.01, 300)
             for cut in [None, *cuts]:
                 stepper.pattern.plan(cut)
             build = tracemalloc.get_traced_memory()[1]
+            stepper.advance(0, 300)
             tracemalloc.reset_peak()
             stepper.observe(cuts, True)
             observe = tracemalloc.get_traced_memory()[1]
@@ -805,6 +805,21 @@ class TestPatternReuse:
             tracemalloc.stop()
         # one float64 array of 2^16 entries is 512 KiB
         assert build < 256 * 2**10 and observe < 256 * 2**10, (build, observe)
+
+    def test_dropped_pattern_leaves_nothing_per_qubit_count(self):
+        # a W pattern is n^2 entries, psi alone is 2^n; W at n = 21 is 32 MiB of psi
+        options = IntegratorOptions(step=0.01, record_states=False)
+        dynamics._last_pattern.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for n in (18, 20, 21):
+                evolve(w_state(n), fig4_spec(), 0.1, [one_vs_rest(n)], options)
+            dynamics._last_pattern.clear()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20, held
 
 
 def paper_payload(stem: str) -> dict:
