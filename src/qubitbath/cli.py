@@ -35,7 +35,6 @@ from .analysis import (
     vanishing_crossing,
 )
 from .config import ConfigError, ExperimentConfig, _positive_int, load_config, parse_config
-from .entanglement import parse_cut_label
 from .dynamics import class_engine_bytes, evolve, oracle_deviation
 from .errors import IntegrationError
 from .rates import classify_divisibility
@@ -186,20 +185,20 @@ def _run_sweep_cell(args: tuple) -> tuple:
     cell, config = args
     start = time.perf_counter()
     try:
+        cuts = config.bipartitions()
         trajectory = evolve(
             config.state.build(),
             config.noise,
             config.time.t_max,
-            cuts=config.bipartitions(),
+            cuts=cuts,
             options=config.time.integrator_options(record_states=False),
         )
         rows = []
         # key rows by the labels the config asked for: at n = 3 the
         # balanced cut canonicalises to 1-Rest, but downstream grouping
         # (e.g. odd-N fits of the balanced cut) needs the requested name
-        for label in config.cuts:
-            canonical = parse_cut_label(label, config.state.n).label
-            series = trajectory.observables[canonical]
+        for label, cut in zip(config.cuts, cuts):
+            series = trajectory.observables[cut.label]
             rows.append(
                 {
                     **cell,

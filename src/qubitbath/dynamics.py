@@ -18,16 +18,13 @@ advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing) that rho0's pattern uses, with rates evaluated
 a block of steps at a time (max(128, 15360 // classes) steps: 960 for fig5
 GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  A block's RK4
-growth comes from one memo entry per (active rate models, h, first step, end
-step): the block's three stage-rate rows per model, and one growth column per
-class coefficient tuple (-2 kappa anti_a / omega_0 per active axis) computed
-so far.  A stepper asks for its classes' columns, the entry computes only the
-missing ones, with the same element-by-element arithmetic, and the block's
-table is their column stack.  A class's column depends on n only through its
-coefficients, so a sweep's cells of one s evaluate the rate only once, and
-W's d = 0 and d = 2 columns are computed once for every n.  The memo holds
-32 entries, each with at most 61440 floats of columns (48.75 MiB in all at
-worst).  One flip-and-sign
+growth table (steps x classes) comes from a memo keyed by (active rate
+models, h, first step, end step, class coefficient tuples: -2 kappa anti_a /
+omega_0 per active axis), and each model's three stage-rate rows from a memo
+keyed by (model, h, first step, end step).  A class's growth depends on n only
+through its coefficients, so a sweep's cells of one s evaluate the rate only
+once, and W's cells of one s share one table at every n.  Both memos hold 32
+entries (15 MiB in all at worst up to 120 classes).  One flip-and-sign
 transform per site puts the Pauli coefficients where popcounts of each
 entry's row and column give its class, counted bit by bit on the pattern's
 entries; it is skipped when z is the only active axis.  Full-matrix RK4 is
@@ -208,25 +205,42 @@ def _site_transform(values: np.ndarray, signs: list, inverse: bool) -> np.ndarra
 _BLOCK_ENTRIES = 128 * 120
 _BLOCK_STEPS = 128
 
-# RK4 growth of the rate blocks that runs have stepped, by (active rate models in axis
-# order, h, j, stop), the least recently used entry dropped first (``_growth_entry``).
-# The models are frozen dataclasses and a class's growth depends on n only through its
-# coefficients, so every sweep cell of one s shares the block's rates, and cells whose
-# classes have the same coefficients share their columns: W's d = 0 and d = 2 at every n.
-# Worst case: a block has at most 15360 steps (one class), so an entry's stage rows are at
-# most 3 models x 3 x 15360 float64s = 1080 KiB, and its columns at most
-# _GROWTH_COLUMN_FLOATS = 61440 float64s = 480 KiB; 32 entries x (1080 + 480) KiB =
-# 48.75 MiB.  A paper sweep needs 12 entries (one 3000-step block per s): 72 KiB of rows
-# and 2 (fig4) to 9 (fig3) columns of 24 KiB each.
+# Stage rates and growth tables of the rate blocks that runs have stepped, by their
+# arguments, each memo dropping its least recently used entry first.  The models are
+# frozen dataclasses and a class's growth depends on n only through its coefficients, so
+# every sweep cell of one s shares the block's stage rates, and cells whose classes have
+# the same coefficients (W's at every n) share its table.  Worst case: a block has at most
+# _BLOCK_ENTRIES = 15360 steps (one class), so one model's stage rows are at most
+# 3 x 15360 float64s = 360 KiB, and a table at most max(_BLOCK_ENTRIES, _BLOCK_STEPS x
+# classes) float64s: 120 KiB up to 120 classes, 1 KiB per class above.  The memos hold at
+# most 32 x (360 + 120) KiB = 15 MiB, plus 32 KiB per class above 120.  A paper sweep needs
+# 12 stage-row entries (one 3000-step block per s) of 70 KiB each and 3000 x 2 tables of
+# 47 KiB: one per s for fig4's W, one per cell for fig3's GHZ (its d = n class).
 _GROWTH_ENTRIES = 32
-_GROWTH_COLUMN_FLOATS = 4 * _BLOCK_ENTRIES
 
 
-def _rk4_growth(stages: list, h: float, coeffs: list) -> np.ndarray:
-    """Read-only one-step RK4 growth over a block, one row per coefficient tuple.
+@functools.lru_cache(maxsize=_GROWTH_ENTRIES)
+def _stage_rates(model: DecayRateModel, h: float, j: int, stop: int) -> tuple:
+    """One model's read-only rates at the stage times t, t + h/2 and t + h of steps j..stop-1."""
+    t = np.arange(j, stop) * h
+    rows = (model.rate(t), model.rate(t + 0.5 * h), model.rate(t + h))
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+@functools.lru_cache(maxsize=_GROWTH_ENTRIES)
+def _growth_table(models: tuple, h: float, j: int, stop: int, coeffs: tuple) -> np.ndarray:
+    """Read-only RK4 growth of steps j..stop-1, one row per step and one column per class."""
+    return _rk4_growth([_stage_rates(model, h, j, stop) for model in models], h, coeffs)
+
+
+def _rk4_growth(stages: list, h: float, coeffs: tuple) -> np.ndarray:
+    """Read-only one-step RK4 growth over a block, one column per coefficient tuple.
 
     ``stages`` holds each active model's rates at the stage times t, t + h/2 and t + h of
-    the block's steps; a class with coefficients c_a decays at sum_a rate_a * c_a.
+    the block's steps; a class with coefficients c_a decays at sum_a rate_a * c_a.  Each
+    class's steps are computed as one contiguous row, then copied into a row per step.
     """
     neg = np.array(coeffs).T  # the classes' coefficients, one row per active axis
     a1, am, ah = (
@@ -238,54 +252,16 @@ def _rk4_growth(stages: list, h: float, coeffs: list) -> np.ndarray:
     a2 = am * (1.0 + 0.5 * h * a1)
     a3 = am * (1.0 + 0.5 * h * a2)
     a4 = ah * (1.0 + h * a3)
-    growth = 1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+    growth = (1.0 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)).T.copy()
     growth.setflags(write=False)
     return growth
 
 
-class _GrowthEntry:
-    """One rate block's read-only stage rates per active model and its growth columns so far.
-
-    Columns are computed in batches, one per request with missing coefficients, and kept
-    as rows of their batch; past ``_GROWTH_COLUMN_FLOATS`` the oldest batches are dropped.
-    """
-
-    def __init__(self, models: tuple, h: float, j: int, stop: int):
-        t = np.arange(j, stop) * h
-        rates = {}
-        for model in models:  # axes with equal models share one evaluation
-            if model not in rates:
-                rates[model] = (model.rate(t), model.rate(t + 0.5 * h), model.rate(t + h))
-                for row in rates[model]:
-                    row.setflags(write=False)
-        self.stages = [rates[model] for model in models]
-        self.h = h
-        self.columns = {}  # by coefficient tuple
-        self.batches = []  # (coefficient tuples, floats) per batch, oldest first
-
-    def growth(self, coeffs: list) -> list:
-        """The growth columns of these coefficient tuples; only missing ones are computed."""
-        missing = [c for c in coeffs if c not in self.columns]
-        if missing:
-            batch = _rk4_growth(self.stages, self.h, missing)
-            self.columns.update(zip(missing, batch))
-            self.batches.append((missing, batch.size))
-        served = [self.columns[c] for c in coeffs]
-        while sum(size for _, size in self.batches) > _GROWTH_COLUMN_FLOATS:
-            for c in self.batches.pop(0)[0]:
-                del self.columns[c]
-        return served
-
-
-# The memo's entry of steps j..stop-1 under these models and step h, made on first use
-_growth_entry = functools.lru_cache(maxsize=_GROWTH_ENTRIES)(_GrowthEntry)
-
-
 # Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
 # per pattern entry for the stepper and one plan's build (92 at full support, n = 8), per
-# entry and plan kept (16), per basis index (24 at n = 16 and 20: psi and the float
-# temporary of its norm check) and per growth-table entry (86-94 with three axes).
-_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 32, 128
+# entry and plan kept (16), per basis index (16.4 for a cold fig3 or fig4 cell at n = 20:
+# psi, whose norm check allocates none) and per growth-table entry (86-94 with three axes).
+_ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 24, 128
 
 
 class _ClassPattern:
@@ -365,9 +341,8 @@ class _ClassStepper:
     All of that, and the block plans, is the ``_ClassPattern`` of psi and the active axes,
     reused from the previous run when both match; the stepper holds the run's own part:
     the active rate models, each class's coefficient tuple, the rate blocks and the
-    factors.  Each block's growth table is the column stack of its classes' columns from
-    the growth memo (``_growth_entry``), shared by every run with the same rate models and
-    time grid, and column by column by every class with the same coefficients.
+    factors.  Each block's growth table comes from the growth memo (``_growth_table``),
+    shared by every run with the same rate models, time grid and class coefficients.
     """
 
     engine = "rk4-pauli-classes"
@@ -382,7 +357,7 @@ class _ClassStepper:
         self.models = tuple(active.values())
         scale = 2.0 * spec.kappa / spec.omega0
         # each class's decay coefficients, -2 kappa anti_a / omega0 per active axis
-        self.coeffs = list(zip(*((-(scale * row)).tolist() for row in self.pattern.anti)))
+        self.coeffs = tuple(zip(*((-(scale * row)).tolist() for row in self.pattern.anti)))
         self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
         self.factors = np.ones(self.classes, dtype=float)
 
@@ -393,8 +368,7 @@ class _ClassStepper:
             offset = j % block
             if offset == 0:  # RK4 growth rows of the next block, up to t_max
                 end = min(j + block, self.n_steps)
-                entry = _growth_entry(self.models, h, j, end)
-                self.growth = np.column_stack(entry.growth(self.coeffs))
+                self.growth = _growth_table(self.models, h, j, end, self.coeffs)
             stop = min(k, j - offset + block)
             rows = self.growth[offset : offset + stop - j]
             # a reduction down axis 0 multiplies row by row, as one step at a time does
@@ -443,10 +417,10 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     min(|S|^2, 2^n) offsets, each block a coset of their span (at most min(n, |S| - 1)
     dimensions).  Stacked values count twice: ``eigvalsh`` copies them unseen by tracemalloc.
     This is a cold build; a run that reuses the previous run's pattern (same n, psi and
-    axes) allocates no pattern or plan anew, and one whose growth columns the memo
-    (``_growth_entry``) holds computes none.  At most one pattern is held between runs, and
-    it is dropped before the next one is built; the memo's own bound (at most 48.75 MiB) is
-    not charged here.
+    axes) allocates no pattern or plan anew, and one whose growth tables the memo
+    (``_growth_table``) holds computes none.  At most one pattern is held between runs, and
+    it is dropped before the next one is built; the memos' own bound (at most 15 MiB up to
+    120 classes) is not charged here.
     """
     n, d, support = psi.n, psi.dim, int(np.count_nonzero(psi.amplitudes))
     active = _active_rates(spec)

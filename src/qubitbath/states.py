@@ -60,7 +60,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has shape {amp.shape}, expected ({2**self.n},)"
             )
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
+        norm_sq = float(np.vdot(amp, amp).real)  # allocates no per-index temporary
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"state is not normalised: sum |a_i|^2 = {norm_sq!r}")
         amp.setflags(write=False)
@@ -222,17 +222,11 @@ def w_state(n: int) -> PureState:
     """Equal superposition of the n single-excitation basis strings."""
     if n < 2:
         raise ValueError(f"w_state needs at least 2 qubits, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
-    for i in range(n):
-        amp[1 << i] = 1.0 / sqrt(n)
-    return PureState(n=n, amplitudes=amp)
+    return dicke_state(n, 1)
 
 
 def dicke_state(n: int, k: int) -> PureState:
-    """Equal superposition of all weight-k basis strings (k excitations).
-
-    ``dicke_state(n, 1)`` coincides with ``w_state(n)``.
-    """
+    """Equal superposition of all weight-k basis strings (k excitations); k = 1 is W."""
     _require_qubit_count(n)
     if not 1 <= k <= n - 1:
         raise ValueError(f"excitation count must satisfy 1 <= k <= n-1, got k={k}")

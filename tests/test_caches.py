@@ -1,4 +1,5 @@
-"""No cache in the package grows without bound for the life of a process."""
+"""Source scans of the package: no cache grows without bound for the life of a process,
+and no module binds a ``numpy.linalg`` name at import."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,66 @@ def test_scan_finds_each_unbounded_form():
         "d = functools.lru_cache(maxsize=32)(f)\n"
     )
     assert sorted(_unbounded_caches(ast.parse(source))) == [2, 3, 4, 5]
+
+
+def _import_time_nodes(tree: ast.AST):
+    """Every node a module runs on import: function bodies are skipped, not their defaults."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            stack += getattr(node, "decorator_list", []) + args.defaults
+            stack += [default for default in args.kw_defaults if default is not None]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _linalg_bindings(tree: ast.AST) -> list:
+    """Line numbers where a module binds a ``numpy.linalg`` name when it is imported.
+
+    perfbench's tracer counts solves by patching ``np.linalg.eigvalsh``: a name bound
+    before it patches would keep the unpatched function, and its solves would read 0.
+    """
+    nodes = list(_import_time_nodes(tree))
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.append(node.lineno)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+            and id(node) not in called
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_src_binds_no_linalg_name_at_import():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _linalg_bindings(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_scan_finds_each_linalg_binding():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "from numpy.linalg import norm as size\n"
+        "eig = np.linalg.eigvalsh\n"
+        "class Solver:\n"
+        "    solve = numpy.linalg.solve\n"
+        "def spectrum(mat, eig=np.linalg.eigvalsh):\n"
+        "    local = np.linalg.eigvalsh\n"
+        "    from numpy.linalg import eigh\n"
+        "    return np.linalg.eigvalsh(mat)\n"
+        "lam = np.linalg.eigvalsh(np.eye(2))\n"
+        "from numpy import linalg\n"
+    )
+    assert sorted(_linalg_bindings(ast.parse(source))) == [2, 3, 4, 6, 7]

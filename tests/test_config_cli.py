@@ -743,7 +743,8 @@ class TestNoDenseInitialState:
     @staticmethod
     def _peak(fn, *args):
         dynamics._last_pattern.clear()  # a cold build, not a reuse of the warm-up's pattern
-        dynamics._growth_entry.cache_clear()  # and the warm-up's growth is computed anew
+        dynamics._growth_table.cache_clear()  # and the warm-up's growth is computed anew
+        dynamics._stage_rates.cache_clear()
         tracemalloc.start()
         try:
             result = fn(*args)

@@ -621,16 +621,16 @@ class TestEvolve:
 
         def drifting(stages, h, coeffs):
             growth = np.array(real(stages, h, coeffs))
-            growth[[not any(coeff) for coeff in coeffs]] *= 1.0 + 1e-9
+            growth[:, [not any(coeff) for coeff in coeffs]] *= 1.0 + 1e-9
             return growth
 
         monkeypatch.setattr(dynamics, "_rk4_growth", drifting)
-        dynamics._growth_entry.cache_clear()
+        clear_growth_memos()
         try:
             options = IntegratorOptions(step=0.01, record_states=False)
             traj = evolve(w_state(4), fig4_spec(), 1.0, options=options)
         finally:
-            dynamics._growth_entry.cache_clear()
+            clear_growth_memos()
         assert traj.metadata["max_trace_drift"] > 1e-9
 
     def test_permutation_covariance(self):
@@ -826,38 +826,52 @@ def paper_payload(stem: str) -> dict:
     return json.loads((CONFIG_DIR / f"{stem}.json").read_text())
 
 
-def count_growth_columns(monkeypatch) -> list:
-    """The coefficient tuples of every growth column the memo computes from here on."""
+def clear_growth_memos():
+    dynamics._growth_table.cache_clear()
+    dynamics._stage_rates.cache_clear()
+
+
+def count_growth_tables(monkeypatch) -> list:
+    """The coefficient tuples of every growth table the memo computes from here on."""
     computed = []
     real = dynamics._rk4_growth
 
     def counting(stages, h, coeffs):
-        computed.extend(coeffs)
+        computed.append(coeffs)
         return real(stages, h, coeffs)
 
     monkeypatch.setattr(dynamics, "_rk4_growth", counting)
     return computed
 
 
-def held_entries() -> int:
-    return dynamics._growth_entry.cache_info().currsize
+def held_tables() -> int:
+    return dynamics._growth_table.cache_info().currsize
 
 
-def fig4_entry(stop: int):
-    """The memo's entry of a fig4-rate block of steps 0..stop-1 at step 0.01, made if absent."""
-    return dynamics._growth_entry((OhmicZeroTempRate(2.47),), 0.01, 0, stop)
+def held_rates() -> int:
+    return dynamics._stage_rates.cache_info().currsize
+
+
+def fig4_rates(stop: int, model=OhmicZeroTempRate(2.47)):
+    """The memo's stage rows of a fig4-rate block of steps 0..stop-1 at step 0.01."""
+    return dynamics._stage_rates(model, 0.01, 0, stop)
+
+
+def table_of(model, stop=100, coeffs=((-1.0,),)):
+    """The memo's growth table of a one-model block of steps 0..stop-1 at step 0.01."""
+    return dynamics._growth_table((model,), 0.01, 0, stop, coeffs)
 
 
 def cold_cell(job):
-    """A sweep cell's rows with the growth memo and the held pattern cleared."""
-    dynamics._growth_entry.cache_clear()
+    """A sweep cell's rows with the growth memos and the held pattern cleared."""
+    clear_growth_memos()
     dynamics._last_pattern.clear()
     return cli._run_sweep_cell(job)[:3]
 
 
 class TestGrowthMemo:
-    """Runs share each rate block's stage rates, and classes with the same coefficients its
-    RK4 growth columns."""
+    """Runs share each rate block's stage rates, and runs whose classes have the same
+    coefficients its RK4 growth table."""
 
     OPTIONS = IntegratorOptions(step=0.01, observable_every=0.5, sample_every=1.5)
 
@@ -872,29 +886,32 @@ class TestGrowthMemo:
             return real_rate(model, t)
 
         monkeypatch.setattr(OhmicZeroTempRate, "rate", counting_rate)
-        computed = count_growth_columns(monkeypatch)
-        dynamics._growth_entry.cache_clear()
+        computed = count_growth_tables(monkeypatch)
+        clear_growth_memos()
         sweep_experiment(parse_config(payload), str(tmp_path), workers=1)
         # one block of 3000 steps per cell (t = 30), three stage rows per block
         assert sorted(calls) == [2.0] * 3 + [2.47] * 3 + [3.0] * 3
         # W's classes are d = 0 and d = 2 at every n: -2 kappa d / omega0 = -0.0 and -1.0
-        assert sorted(computed) == [(-1.0,)] * 3 + [(0.0,)] * 3
+        assert computed == [((-0.0,), (-1.0,))] * 3
+        assert held_tables() == held_rates() == 3
 
     def test_memo_cell_matches_cleared_memo(self, monkeypatch):
         psi, cuts = w_state(6), [one_vs_rest(6), highest_cut(6)]
-        dynamics._growth_entry.cache_clear()
+        clear_growth_memos()
         evolve(w_state(5), fig4_spec(), 3.0, [one_vs_rest(5)], self.OPTIONS)
-        assert held_entries() == 1
-        entry = fig4_entry(300)
-        computed = count_growth_columns(monkeypatch)
-        served = evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, self.OPTIONS)
-        # the same entry: the d = 0 column served, d = 2 at kappa = 1 computed
-        assert held_entries() == 1 and fig4_entry(300) is entry
-        assert computed == [(-4.0,)]
-        assert set(entry.columns) == {(0.0,), (-1.0,), (-4.0,)}
-        dynamics._growth_entry.cache_clear()
+        assert held_tables() == held_rates() == 1
+        computed = count_growth_tables(monkeypatch)
+        served = evolve(psi, fig4_spec(), 3.0, cuts, self.OPTIONS)
+        assert computed == [] and held_tables() == 1  # n = 6 is served n = 5's table
+        # kappa = 1 gets its own table, from the held stage rates
+        other_kappa = evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, self.OPTIONS)
+        assert computed == [((-0.0,), (-4.0,))]
+        assert held_tables() == 2 and held_rates() == 1
+        clear_growth_memos()
+        assert_same_trajectory(served, cold_evolve(psi, fig4_spec(), 3.0, cuts, self.OPTIONS))
+        clear_growth_memos()
         cold = cold_evolve(psi, fig4_spec(kappa=1.0), 3.0, cuts, self.OPTIONS)
-        assert_same_trajectory(served, cold)
+        assert_same_trajectory(other_kappa, cold)
 
     def test_kappa_sweep_cells_match_cold_cells(self):
         payload = paper_payload("fig4_w_dephasing_sweep")
@@ -903,12 +920,10 @@ class TestGrowthMemo:
         # sweep order, axes sorted by name: every n at kappa = 1/4, then every n at kappa = 1
         cells = [{"kappa": k, "n": n, "s": 2.47} for k in (0.25, 1.0) for n in (3, 4, 5)]
         jobs = [(cell, cli._derive_cell(base, cell)) for cell in cells]
-        dynamics._growth_entry.cache_clear()
+        clear_growth_memos()
         served = [cli._run_sweep_cell(job)[:3] for job in jobs]
-        assert held_entries() == 1
-        entry = fig4_entry(3000)
-        # kappa = 1 and kappa = 1/4 share only the d = 0 column
-        assert set(entry.columns) == {(0.0,), (-1.0,), (-4.0,)}
+        # one table per kappa, both from one block's stage rates
+        assert held_tables() == 2 and held_rates() == 1
         for job, rows in zip(jobs, served):
             assert rows[2] is None
             assert rows == cold_cell(job)
@@ -919,16 +934,16 @@ class TestGrowthMemo:
         options = config.time.integrator_options()
         # a GHZ state with other amplitudes has the same 16 classes but its own pattern
         other = PureState(7, np.sqrt([0.3] + [0.0] * 126 + [0.7]).astype(complex))
-        dynamics._growth_entry.cache_clear()
+        clear_growth_memos()
         evolve(other, spec, 9.6, cuts, options)  # fills the first 960-step block
-        computed = count_growth_columns(monkeypatch)
+        computed = count_growth_tables(monkeypatch)
         served = evolve(psi, spec, config.time.t_max, cuts, options)
         assert served.metadata["classes"] == 16 and served.metadata["block_steps"] == 960
         # blocks 960..1919 and 1920..1999 computed; the first one served
-        assert len(computed) == 2 * 16
-        assert all(len(coeff) == 3 for coeff in computed)
-        assert len(set(computed)) == 16
-        dynamics._growth_entry.cache_clear()
+        assert len(computed) == 2
+        assert all(len(coeffs) == 16 and len(set(coeffs)) == 16 for coeffs in computed)
+        assert all(len(coeff) == 3 for coeffs in computed for coeff in coeffs)
+        clear_growth_memos()
         assert_same_trajectory(
             served, cold_evolve(psi, spec, config.time.t_max, cuts, options)
         )
@@ -937,38 +952,43 @@ class TestGrowthMemo:
         # 300 steps of 0.01 and of 0.02: the same first and end step, other stage times
         psi, cuts = w_state(4), [one_vs_rest(4)]
         runs = [(3.0, IntegratorOptions(step=0.01)), (6.0, IntegratorOptions(step=0.02))]
-        dynamics._growth_entry.cache_clear()
+        clear_growth_memos()
         served = [evolve(psi, fig4_spec(), t_max, cuts, options) for t_max, options in runs]
-        assert held_entries() == 2
+        assert held_tables() == held_rates() == 2
         for traj, (t_max, options) in zip(served, runs):
-            dynamics._growth_entry.cache_clear()
+            clear_growth_memos()
             assert_same_trajectory(traj, cold_evolve(psi, fig4_spec(), t_max, cuts, options))
 
-    def test_rows_and_columns_are_read_only(self):
-        entry = fig4_entry(10)
-        (rows,) = entry.stages
-        columns = entry.growth([(-1.0,), (0.0,)])
-        assert len(rows) == 3 and len(columns) == 2
-        for array in (*rows, *columns):
-            assert array.shape == (10,)
+    def test_rows_and_tables_are_read_only(self):
+        rows = fig4_rates(10)
+        table = table_of(OhmicZeroTempRate(2.47), 10, ((-1.0,), (0.0,)))
+        assert len(rows) == 3 and table.shape == (10, 2)
+        for array in (*rows, table):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+        for row in rows:
+            assert row.shape == (10,)
 
     def test_models_differing_in_one_parameter_get_own_entries(self):
-        dynamics._growth_entry.cache_clear()
+        clear_growth_memos()
         models = [OhmicZeroTempRate(2.47), OhmicZeroTempRate(2.0), OhmicZeroTempRate(2.47, 2.0)]
-        entries = [dynamics._growth_entry((model,), 0.01, 0, 100) for model in models]
-        assert held_entries() == 3
+        entries = [fig4_rates(100, model) for model in models]
+        tables = [table_of(model) for model in models]
+        assert held_rates() == held_tables() == 3
         for a, b in itertools.combinations(entries, 2):
-            assert not np.array_equal(a.stages[0][1], b.stages[0][1])
-        assert fig4_entry(100) is entries[0]
+            assert not np.array_equal(a[1], b[1])
+        for a, b in itertools.combinations(tables, 2):
+            assert not np.array_equal(a, b)
+        tables_of = [functools.partial(table_of, model) for model in models]
+        assert fig4_rates(100) is entries[0] and tables_of[0]() is tables[0]
         # 32 entries at most, the least recently used (here OhmicZeroTempRate(2.0)'s) dropped
         for stop in range(101, 131):
-            fig4_entry(stop)
-        assert held_entries() == dynamics._GROWTH_ENTRIES == 32
-        assert dynamics._growth_entry((models[2],), 0.01, 0, 100) is entries[2]
-        assert fig4_entry(100) is entries[0]
-        assert dynamics._growth_entry((models[1],), 0.01, 0, 100) is not entries[1]
+            table_of(models[0], stop)
+        assert held_rates() == held_tables() == dynamics._GROWTH_ENTRIES == 32
+        assert fig4_rates(100, models[2]) is entries[2] and tables_of[2]() is tables[2]
+        assert fig4_rates(100) is entries[0] and tables_of[0]() is tables[0]
+        assert fig4_rates(100, models[1]) is not entries[1]
+        assert tables_of[1]() is not tables[1]
 
     def test_equal_models_share_one_evaluation(self, monkeypatch):
         calls = []
@@ -976,35 +996,38 @@ class TestGrowthMemo:
         monkeypatch.setattr(
             ConstantRate, "rate", lambda model, t: calls.append(model) or real_rate(model, t)
         )
-        dynamics._growth_entry.cache_clear()
-        entry = dynamics._growth_entry((ConstantRate(0.1), ConstantRate(0.1)), 0.01, 0, 10)
+        clear_growth_memos()
+        models = (ConstantRate(0.1), ConstantRate(0.1))
+        dynamics._growth_table(models, 0.01, 0, 10, ((-1.0, -1.0),))
         assert calls == [ConstantRate(0.1)] * 3
-        assert entry.stages[0] is entry.stages[1]
+        assert held_rates() == 1
 
-    def test_columns_are_capped_per_entry(self, monkeypatch):
-        # the worst case stated above _GROWTH_ENTRIES: 48.75 MiB
-        worst = dynamics._GROWTH_ENTRIES * (3 * 3 * 15360 + dynamics._GROWTH_COLUMN_FLOATS) * 8
-        assert worst == 48.75 * 2**20
-        # each omega0 gives W's d = 2 class a new coefficient in the one 3000-step entry
-        psi = w_state(3)
-        specs = [fig4_spec()] + [
-            NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25, omega0=1 + k / 8)
-            for k in range(1, 25)
+    @pytest.mark.parametrize("psi, spec", [(w_state(4), fig4_spec()), (ghz_state(7), None)])
+    def test_recording_cadence_keeps_bits(self, psi, spec):
+        # one reduction over a block gives the factors that step-by-step gives (GHZ n = 7:
+        # blocks of 960 steps, so the end-only run reduces over two of them)
+        spec = spec or parse_config(paper_payload("fig5_ghz_n7_depolarising")).noise
+        cuts = [one_vs_rest(psi.n)]
+        ends = [
+            evolve(psi, spec, 12.0, cuts, IntegratorOptions(observable_every=e, sample_every=12.0))
+            for e in (0.01, 12.0)
         ]
-        computed = count_growth_columns(monkeypatch)
-        dynamics._growth_entry.cache_clear()
-        for spec in specs:
-            served = evolve(psi, spec, 30.0, options=IntegratorOptions(step=0.01))
-            assert held_entries() == 1
-            entry = fig4_entry(3000)
-            held = sum(size for _, size in entry.batches)
-            assert held == 3000 * len(entry.columns) <= dynamics._GROWTH_COLUMN_FLOATS
-        assert len(computed) > 26  # dropped columns were computed again
-        # the newest run's columns are held, and served bitwise as a cold run computes them
-        assert set(entry.columns) >= {(0.0,), (-(2 * 0.25 / specs[-1].omega0) * 2,)}
-        assert_same_trajectory(
-            served, cold_evolve(psi, specs[-1], 30.0, options=IntegratorOptions(step=0.01))
-        )
+        every_step, at_end = (traj.observables["1-Rest"][-1:] for traj in ends)
+        assert_bitwise_equal(every_step, at_end)
+        assert_bitwise_equal(ends[0].final_state().elements, ends[1].final_state().elements)
+
+    def test_memo_bound(self):
+        # the worst case stated above _GROWTH_ENTRIES: 15 MiB up to 120 classes
+        rows = 3 * dynamics._BLOCK_ENTRIES
+        assert dynamics._GROWTH_ENTRIES * (rows + dynamics._BLOCK_ENTRIES) * 8 == 15 * 2**20
+        # a block has at most _BLOCK_ENTRIES steps, and a table at most the entries stated
+        plus = PureState(8, np.full(256, 1 / 16, dtype=complex))  # 165 classes with 3 axes
+        for psi in (ghz_state(3), w_state(5), plus):
+            for spec in (fig4_spec(), NoiseSpec("pauli", **REVIVAL_RATES)):
+                stepper = dynamics._ClassStepper(psi, spec, 0.01, 20000)
+                assert stepper.block_steps <= dynamics._BLOCK_ENTRIES
+                bound = max(dynamics._BLOCK_ENTRIES, dynamics._BLOCK_STEPS * stepper.classes)
+                assert stepper.block_steps * stepper.classes <= bound
 
 
 class TestAnalyticMaps:

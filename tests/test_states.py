@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,8 +83,12 @@ class TestW:
 
 
 class TestDicke:
-    def test_single_excitation_equals_w(self):
-        assert np.allclose(dicke_state(3, 1).amplitudes, w_state(3).amplitudes)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_single_excitation_equals_w(self, n):
+        one_hot = np.zeros(2**n, dtype=complex)
+        one_hot[[1 << i for i in range(n)]] = 1.0 / math.sqrt(n)
+        assert np.array_equal(dicke_state(n, 1).amplitudes, one_hot)
+        assert np.array_equal(w_state(n).amplitudes, one_hot)
 
     def test_two_of_four(self):
         amp = dicke_state(4, 2).amplitudes
@@ -186,6 +191,19 @@ class TestValidation:
     def test_pure_state_must_be_normalised(self):
         with pytest.raises(ValueError, match="normalised"):
             PureState(1, np.array([1.0, 1.0]))
+
+    def test_norm_check_allocates_no_per_index_array(self):
+        # 2^20 amplitudes: one float per index would be 8 MiB
+        amp = np.zeros(2**20, dtype=complex)
+        amp[0] = amp[-1] = INV_SQRT2
+        tracemalloc.start()
+        try:
+            psi = PureState(20, amp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.amplitudes is amp
+        assert peak < 2**16, peak
 
     def test_pure_state_length_must_match(self):
         with pytest.raises(ValueError, match="shape"):
