@@ -36,8 +36,6 @@ from .entanglement import (
     one_vs_rest,
     parse_cut_label,
     partial_transpose,
-    schmidt_log_negativity,
-    symmetry_check,
 )
 from .errors import IntegrationError
 from .rates import (
@@ -47,9 +45,7 @@ from .rates import (
     OhmicZeroTempRate,
     SinusoidalRate,
     classify_divisibility,
-    dephasing_factor,
     gamma_ohmic_t0,
-    integrated_rate,
 )
 from .states import (
     DensityMatrix,

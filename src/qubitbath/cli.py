@@ -145,10 +145,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         )
     if "states" in config.output.formats:
         paths["states"] = os.path.join(out_dir, "states.json")
-        dump = [
-            {"t": float(t), "state": json.loads(state.to_json())}
-            for t, state in zip(trajectory.state_times, trajectory.states)
-        ]
+        dump = []
+        for t, state in zip(trajectory.state_times, trajectory.states):
+            pairs = np.stack((state.elements.real, state.elements.imag), axis=-1)
+            dump.append({"t": float(t), "state": {"n": state.n, "elements": pairs.tolist()}})
         _write_json(paths["states"], {"states": dump})
     return paths
 
@@ -236,8 +236,10 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
 
     base = _cell_base(config)
     jobs = [(cell, _derive_cell(base, cell)) for cell in cells]
+    # cells differ only in n, s and kappa, so all share their active axes: one cell per state
+    estimated = {job.state: job for _, job in jobs}.values()
     needed = workers * max(
-        class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) for _, job in jobs
+        class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) for job in estimated
     )
     if needed > sweep.memory_budget_mb * 2**20:
         raise ConfigError(
@@ -325,7 +327,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _apply_kappa(load_config(args.config), args.kappa)
+    config = load_config(args.config)
+    if args.kappa is not None and config.sweep is not None and "kappa" in config.sweep.axes:
+        raise ConfigError(
+            f"sweep.axes.kappa: sets kappa per cell, so --kappa {args.kappa} would be ignored"
+        )
+    config = _apply_kappa(config, args.kappa)
     out_dir = args.out or config.output.directory
     paths, failures = _sweep(config, out_dir, args.workers)
     for name, path in sorted(paths.items()):

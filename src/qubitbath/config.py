@@ -145,14 +145,13 @@ class TimeConfig:
     sample_every: Optional[float] = None
     observable_every: Optional[float] = None
 
-    def integrator_options(self, **overrides) -> IntegratorOptions:
-        kwargs = {
-            "step": self.step,
-            "sample_every": self.sample_every if self.sample_every is not None else self.t_max,
-            "observable_every": self.observable_every,
-        }
-        kwargs.update(overrides)
-        return IntegratorOptions(**kwargs)
+    def integrator_options(self, record_states: bool = True) -> IntegratorOptions:
+        return IntegratorOptions(
+            step=self.step,
+            observable_every=self.observable_every,
+            sample_every=self.sample_every if self.sample_every is not None else self.t_max,
+            record_states=record_states,
+        )
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,9 @@ _SECTIONS = {
 
 def parse_config(payload: dict) -> ExperimentConfig:
     config = _record(ExperimentConfig, payload, "", _SECTIONS)
-    for label in config.cuts:
+    for i, label in enumerate(config.cuts):
+        if label in config.cuts[:i]:
+            raise ConfigError(f"cuts: duplicate label {label!r}")
         try:
             parse_cut_label(label, config.state.n)
         except ValueError as exc:

@@ -20,11 +20,10 @@ most 26 for W at n = 10 under dephasing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix
 
 __all__ = [
     "Bipartition",
@@ -35,8 +34,6 @@ __all__ = [
     "partial_transpose_indices",
     "log2_trace_norm",
     "log_negativity",
-    "schmidt_log_negativity",
-    "symmetry_check",
 ]
 
 CLAMP_TOL = 1e-12
@@ -176,40 +173,3 @@ def log2_trace_norm(eigs) -> float:
 def log_negativity(rho, cut: Bipartition) -> float:
     """log2 of the trace norm of the partial transpose (one dense eigensolve), clamped to >= 0."""
     return log2_trace_norm(np.linalg.eigvalsh(partial_transpose(rho, cut)))
-
-
-def schmidt_log_negativity(psi: PureState, cut: Bipartition) -> float:
-    """Pure-state logarithmic negativity from the Schmidt spectrum.
-
-    Uses E = log2((sum_i sqrt(lambda_i))^2) with lambda_i the eigenvalues of
-    the reduced state on side_a.  Serves as an independent cross-check of the
-    partial-transpose route.
-    """
-    if cut.n != psi.n:
-        raise ValueError(f"cut is for {cut.n} qubits but the state has {psi.n}")
-    n = psi.n
-    side_a = cut.side_a
-    side_b = tuple(q for q in range(1, n + 1) if q not in side_a)
-    tens = psi.amplitudes.reshape((2,) * n)
-    perm = [q - 1 for q in side_a] + [q - 1 for q in side_b]
-    mat = np.transpose(tens, perm).reshape(2 ** len(side_a), 2 ** len(side_b))
-    lam = np.linalg.eigvalsh(mat @ mat.conj().T)
-    lam = np.clip(lam, 0.0, None)
-    value = float(np.log2(np.sqrt(lam).sum() ** 2))
-    return 0.0 if value < CLAMP_TOL else value
-
-
-def symmetry_check(rho, m: int) -> float:
-    """Spread (max - min) of log negativity over all size-m cuts.
-
-    Permutation-symmetric states evolved under identical local channels
-    should give a spread at the eigensolver-noise level.
-    """
-    _, n = _as_matrix(rho)
-    if not 1 <= m <= n // 2:
-        raise ValueError(f"side size must satisfy 1 <= m <= n//2, got {m}")
-    values = [
-        log_negativity(rho, Bipartition(n, subset))
-        for subset in combinations(range(1, n + 1), m)
-    ]
-    return float(max(values) - min(values))

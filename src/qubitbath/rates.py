@@ -35,8 +35,6 @@ __all__ = [
     "DecayRateModel",
     "ZERO_RATE",
     "gamma_ohmic_t0",
-    "integrated_rate",
-    "dephasing_factor",
     "DivisibilityClass",
     "DivisibilityVerdict",
     "classify_divisibility",
@@ -149,20 +147,6 @@ class OhmicZeroTempRate:
 DecayRateModel = Union[ConstantRate, SinusoidalRate, OhmicZeroTempRate]
 
 ZERO_RATE = ConstantRate(0.0)
-
-
-def integrated_rate(model: DecayRateModel, t) -> float:
-    """Integral of the rate from 0 to t, in closed form."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("integrated_rate requires t >= 0")
-    return model.integrated(t)
-
-
-def dephasing_factor(model: DecayRateModel, t) -> float:
-    """eta(t) = 1 - exp(-2 integral_0^t gamma), the single-qubit dephasing factor."""
-    out = -np.expm1(-2.0 * np.asarray(integrated_rate(model, t), dtype=float))
-    return out if out.ndim else float(out)
 
 
 class DivisibilityClass(enum.Enum):

@@ -17,7 +17,6 @@ engine's block route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, sqrt
@@ -70,20 +69,6 @@ class PureState:
     def dim(self) -> int:
         return 2**self.n
 
-    def to_json(self) -> str:
-        """Serialise as {"n": int, "amplitudes": [[re, im], ...]}."""
-        payload = {
-            "n": self.n,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PureState":
-        payload = json.loads(text)
-        amp = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-        return cls(n=int(payload["n"]), amplitudes=amp)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -124,23 +109,6 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.elements)[0])
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "elements": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.elements
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        payload = json.loads(text)
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["elements"]]
-        )
-        return cls(n=int(payload["n"]), elements=mat)
 
 
 def component_labels(rows, cols, dim: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qubitbath.cli as cli
@@ -18,7 +19,7 @@ from qubitbath.cli import (
     run_experiment,
     sweep_experiment,
 )
-from qubitbath.config import ConfigError, load_config, parse_config
+from qubitbath.config import ConfigError, StateConfig, load_config, parse_config
 from reference import dense_engine
 
 PAPER_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs" / "paper").glob("*.json"))
@@ -231,6 +232,7 @@ class TestConfigParsing:
                 lambda p: p.update(sweep={"axes": {"n": [3]}, "snapshot_t": 1.005}),
                 "sweep.snapshot_t=1.005 is not a positive multiple of step=0.01",
             ),
+            (lambda p: p.update(cuts=["1-Rest", "1-Rest"]), "cuts: duplicate label '1-Rest'"),
         ],
     )
     def test_invalid_configs_raise_with_field_path(self, mutate, fragment):
@@ -337,6 +339,13 @@ class TestRunCommand:
         dump = json.load(open(paths["states"]))["states"]
         assert [entry["t"] for entry in dump] == [0.0, 1.0, 2.0]
         assert len(built) == 3
+        # each entry is {"n", "elements": [[[re, im], ...], ...]}, the kept state's bits
+        for entry, state in zip(dump, built):
+            assert sorted(entry["state"]) == ["elements", "n"] and entry["state"]["n"] == 3
+            pairs = np.array(entry["state"]["elements"])
+            assert pairs.shape == (8, 8, 2)
+            assert np.array_equal(pairs[..., 0], state.elements.real)
+            assert np.array_equal(pairs[..., 1], state.elements.imag)
 
     def test_two_cut_run_emits_both_series(self, tmp_path):
         config = parse_config(
@@ -520,6 +529,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path, "--out", str(out), "--workers", workers]) == 2
         assert f"workers: expected a positive integer, got {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_kappa_flag_on_a_kappa_axis_is_refused(self, tmp_path, capsys):
+        axis = base_payload(sweep={"axes": {"kappa": [0.25]}, "snapshot_t": 1.0})
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", write_config(tmp_path, axis), "--out", str(out)]
+        assert main([*argv, "--kappa", "1.0"]) == 2
+        assert "config error: sweep.axes.kappa" in capsys.readouterr().err
+        assert not out.exists()
+        # without the axis the flag sets every cell's kappa
+        no_axis = base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 1.0})
+        argv[2] = write_config(tmp_path, no_axis, name="no_axis.json")
+        assert main([*argv, "--kappa", "1.0"]) == 0
+        with open(out / "summary.csv", newline="") as handle:
+            assert [row["kappa"] for row in csv.DictReader(handle)] == ["1.0"]
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = parse_config(base_payload())
@@ -823,6 +846,21 @@ class TestCellMemoryEstimate:
         (_, rows, failure, _), peak = peak_of(cli._run_sweep_cell, (cell, job))
         assert failure is None and len(rows) == len(config.cuts)
         assert dynamics.class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) >= peak
+
+    def test_estimate_builds_each_state_once(self, tmp_path, monkeypatch):
+        built = []
+        build = StateConfig.build
+
+        def counted_build(self):
+            built.append(self.n)
+            return build(self)
+
+        monkeypatch.setattr(StateConfig, "build", counted_build)
+        axes = {"n": [3, 4], "s": [2.0, 2.47, 3.0]}
+        config = parse_config(base_payload(sweep={"axes": axes, "snapshot_t": 1.0}))
+        sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
+        # one psi per n for the estimate, then one per cell to run it
+        assert sorted(built) == [3] * 4 + [4] * 4
 
     def test_fig4_at_thirteen_qubits_fits_default_budget(self, tmp_path):
         config = sweep_config("fig4_w_dephasing_sweep", axes={"n": [13], "s": [2.47]})

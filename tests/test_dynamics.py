@@ -611,7 +611,6 @@ class TestEvolve:
             assert abs(np.trace(state.elements).real - 1.0) < 1e-9
             assert np.abs(state.elements - state.elements.conj().T).max() < 1e-9
         assert traj.metadata["max_trace_drift"] <= 1e-9
-        assert traj.metadata["max_hermiticity_drift"] <= 1e-9
         assert traj.metadata["min_eigenvalue"] >= -1e-8
 
     def test_trace_drift_is_measured(self, monkeypatch):

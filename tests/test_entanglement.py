@@ -22,14 +22,12 @@ from qubitbath import (
     one_vs_rest,
     parse_cut_label,
     partial_transpose,
-    schmidt_log_negativity,
-    symmetry_check,
     w_state,
 )
 from qubitbath import states
 from qubitbath.entanglement import log2_trace_norm
 from qubitbath.states import DensityMatrix, PureState
-from reference import DenseStepper
+from reference import DenseStepper, schmidt_log_negativity, symmetry_check
 
 rng = np.random.default_rng(12345)
 

