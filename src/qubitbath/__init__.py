@@ -45,7 +45,6 @@ from .rates import (
     OhmicZeroTempRate,
     SinusoidalRate,
     classify_divisibility,
-    gamma_ohmic_t0,
 )
 from .states import (
     DensityMatrix,

@@ -44,8 +44,9 @@ FAILURE_EXIT = 1
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    # repr(np.float64(0.1)) is "np.float64(0.1)" under numpy 2
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -93,30 +94,46 @@ def _apply_kappa(config: ExperimentConfig, kappa) -> ExperimentConfig:
     return dataclasses.replace(config, noise=noise)
 
 
-def _write_trajectory_csv(path: str, trajectory) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with _atomic_open(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(["t", "bipartition_label", "log_negativity"])
-        for label, series in trajectory.observables.items():
-            for t, value in zip(trajectory.times, series):
-                writer.writerow([_fmt(float(t)), label, _fmt(float(value))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(value) for value in row])
 
 
-def _trajectory_analysis(trajectory, analysis_cfg) -> dict:
+def _evolve_config(config: ExperimentConfig, record_states: bool) -> tuple:
+    """The trajectory of ``config`` and one (requested label, E series) pair per cut.
+
+    Labels stay as the config spells them.  Cuts that name the same bipartition, such as
+    ``highest-cut`` and ``1-Rest`` at n = 3, are solved once and reported under each name.
+    """
+    cuts = config.bipartitions()
+    trajectory = evolve(
+        config.state.build(),
+        config.noise,
+        config.time.t_max,
+        cuts=cuts,
+        options=config.time.integrator_options(record_states=record_states),
+    )
+    series = [(label, trajectory.observables[cut.label]) for label, cut in zip(config.cuts, cuts)]
+    return trajectory, series
+
+
+def _trajectory_analysis(times, series, analysis_cfg) -> dict:
     report = {}
-    times = trajectory.times
-    for label, series in trajectory.observables.items():
+    span = float(times[-1] - times[0]) if len(times) else 0.0
+    for label, values in series:
         entry = {}
-        span = float(times[-1] - times[0]) if len(times) else 0.0
         if span >= 2 * analysis_cfg.saturation_window and len(times) >= 8:
             sat = detect_saturation(
                 times,
-                series,
+                values,
                 window=analysis_cfg.saturation_window,
                 tol=analysis_cfg.saturation_tol,
             )
             entry["saturation"] = dataclasses.asdict(sat)
-        revivals = detect_revival(times, series, threshold=analysis_cfg.revival_threshold)
+        revivals = detect_revival(times, values, threshold=analysis_cfg.revival_threshold)
         entry["revivals"] = dataclasses.asdict(revivals)
         report[label] = entry
     return report
@@ -125,24 +142,18 @@ def _trajectory_analysis(trajectory, analysis_cfg) -> dict:
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """Execute one trajectory and write csv/json artifacts; returns paths."""
     _ensure_dir(out_dir)
-    trajectory = evolve(
-        config.state.build(),
-        config.noise,
-        config.time.t_max,
-        cuts=config.bipartitions(),
-        options=config.time.integrator_options(record_states="states" in config.output.formats),
-    )
+    trajectory, series = _evolve_config(config, record_states="states" in config.output.formats)
+    times = trajectory.times
     paths = {}
     if "csv" in config.output.formats:
         paths["trajectory"] = os.path.join(out_dir, "trajectory.csv")
-        _write_trajectory_csv(paths["trajectory"], trajectory)
+        rows = ((t, label, value) for label, values in series for t, value in zip(times, values))
+        _write_csv(paths["trajectory"], ["t", "bipartition_label", "log_negativity"], rows)
     if "json" in config.output.formats:
         paths["metadata"] = os.path.join(out_dir, "metadata.json")
         _write_json(paths["metadata"], _metadata(config, {"trajectory": trajectory.metadata}))
         paths["analysis"] = os.path.join(out_dir, "analysis.json")
-        _write_json(
-            paths["analysis"], _trajectory_analysis(trajectory, config.analysis)
-        )
+        _write_json(paths["analysis"], _trajectory_analysis(times, series, config.analysis))
     if "states" in config.output.formats:
         paths["states"] = os.path.join(out_dir, "states.json")
         dump = []
@@ -185,29 +196,9 @@ def _run_sweep_cell(args: tuple) -> tuple:
     cell, config = args
     start = time.perf_counter()
     try:
-        cuts = config.bipartitions()
-        trajectory = evolve(
-            config.state.build(),
-            config.noise,
-            config.time.t_max,
-            cuts=cuts,
-            options=config.time.integrator_options(record_states=False),
-        )
-        rows = []
-        # key rows by the labels the config asked for: at n = 3 the
-        # balanced cut canonicalises to 1-Rest, but downstream grouping
-        # (e.g. odd-N fits of the balanced cut) needs the requested name
-        for label, cut in zip(config.cuts, cuts):
-            series = trajectory.observables[cut.label]
-            rows.append(
-                {
-                    **cell,
-                    "kappa": config.noise.kappa,
-                    "cut": label,
-                    "t": float(trajectory.times[-1]),
-                    "log_negativity": float(series[-1]),
-                }
-            )
+        trajectory, series = _evolve_config(config, record_states=False)
+        snapshot = {"kappa": config.noise.kappa, "t": trajectory.times[-1]}
+        rows = [{**cell, **snapshot, "cut": label, "log_negativity": e[-1]} for label, e in series]
         return cell, rows, None, time.perf_counter() - start
     except Exception as exc:  # per-cell failures must not kill the sweep
         failure = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
@@ -274,11 +265,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     _ensure_dir(out_dir)
     paths = {"summary": os.path.join(out_dir, "summary.csv")}
     columns = ["n", "s", "kappa", "cut", "t", "log_negativity"]
-    with _atomic_open(paths["summary"]) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) if c in row else "" for c in columns])
+    _write_csv(paths["summary"], columns, ([row.get(c, "") for c in columns] for row in rows))
     if "json" in config.output.formats:
         paths["metadata"] = os.path.join(out_dir, "summary.json")
         _write_json(
@@ -378,6 +365,10 @@ def _cmd_fit(args) -> int:
         print("fit: summary file holds no rows", file=sys.stderr)
         return USAGE_EXIT
     cut = args.cut or rows[0]["cut"]
+    kappas = sorted({row["kappa"] for row in rows if row.get("kappa")})
+    if len(kappas) > 1:
+        print(f"fit: summary mixes several kappa values {kappas}", file=sys.stderr)
+        return USAGE_EXIT
     s_values = sorted({row["s"] for row in rows if row.get("s")})
     s_filter = None
     if args.s is not None:

@@ -273,12 +273,18 @@ _AXES = {"n": _positive_int, "s": _positive, "kappa": _sweep_kappa}
 def _axes(value, where: str) -> dict:
     if not isinstance(value, dict) or not value:
         raise ConfigError(f"{where}: expected a non-empty mapping")
+    axes = {}
     for key, values in value.items():
         if key not in _AXES:
             raise ConfigError(f"{where}: unsupported axis {key!r} (use n, s or kappa)")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}.{key}: expected a non-empty list")
-    return {key: [_AXES[key](v, f"{where}.{key}") for v in values] for key, values in value.items()}
+        axes[key] = [_AXES[key](v, f"{where}.{key}") for v in values]
+        # compared as they run, so 2 and 2.0 are one s; a repeat would run its cells twice
+        for i, item in enumerate(axes[key]):
+            if item in axes[key][:i]:
+                raise ConfigError(f"{where}.{key}: duplicate value {item}")
+    return axes
 
 
 _SECTIONS = {

@@ -34,41 +34,12 @@ __all__ = [
     "OhmicZeroTempRate",
     "DecayRateModel",
     "ZERO_RATE",
-    "gamma_ohmic_t0",
     "DivisibilityClass",
     "DivisibilityVerdict",
     "classify_divisibility",
 ]
 
 _SIGN_TOL = -1e-12
-
-
-def gamma_ohmic_t0(t, s: float, omega_c: float = 1.0):
-    """Zero-temperature dephasing rate for Ohmicity s and cutoff omega_c.
-
-    Accepts scalar or array t; vanishes at t = 0 and is finite everywhere.
-    """
-    if s <= 0 or omega_c <= 0:
-        raise ValueError("gamma_ohmic_t0 requires s > 0 and omega_c > 0")
-    x = omega_c * np.asarray(t, dtype=float)
-    val = omega_c * (1.0 + x**2) ** (-s / 2.0) * math.gamma(s) * np.sin(s * np.arctan(x))
-    return val if val.ndim else float(val)
-
-
-def _integrated_ohmic_t0(t, s: float, omega_c: float):
-    """Closed form of integral_0^t gamma_ohmic_t0, valid for all s > 0."""
-    x = omega_c * np.asarray(t, dtype=float)
-    if s == 1.0:
-        out = 0.5 * np.log1p(x**2)
-        return out if out.ndim else float(out)
-    e = s - 1.0
-    half_log = 0.5 * np.log1p(x**2)
-    # 1 - cos(e * arctan x) * (1+x^2)^(-e/2), written to avoid cancellation
-    bracket = -np.expm1(-e * half_log) + np.exp(-e * half_log) * 2.0 * np.sin(
-        e * np.arctan(x) / 2.0
-    ) ** 2
-    out = math.gamma(e) * bracket
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -132,10 +103,26 @@ class OhmicZeroTempRate:
             raise ValueError(f"OhmicZeroTempRate requires a defined Gamma(s - 1), got s = {self.s}")
 
     def rate(self, t):
-        return gamma_ohmic_t0(t, self.s, self.omega_c)
+        """gamma(t); vanishes at t = 0 and is finite everywhere."""
+        s, omega_c = self.s, self.omega_c
+        x = omega_c * np.asarray(t, dtype=float)
+        val = omega_c * (1.0 + x**2) ** (-s / 2.0) * math.gamma(s) * np.sin(s * np.arctan(x))
+        return val if val.ndim else float(val)
 
     def integrated(self, t):
-        return _integrated_ohmic_t0(t, self.s, self.omega_c)
+        """Closed form of integral_0^t gamma, valid for all s > 0."""
+        x = self.omega_c * np.asarray(t, dtype=float)
+        if self.s == 1.0:
+            out = 0.5 * np.log1p(x**2)
+            return out if out.ndim else float(out)
+        e = self.s - 1.0
+        half_log = 0.5 * np.log1p(x**2)
+        # 1 - cos(e * arctan x) * (1+x^2)^(-e/2), written to avoid cancellation
+        bracket = -np.expm1(-e * half_log) + np.exp(-e * half_log) * 2.0 * np.sin(
+            e * np.arctan(x) / 2.0
+        ) ** 2
+        out = math.gamma(e) * bracket
+        return out if out.ndim else float(out)
 
     def integrated_infinity(self) -> float:
         """Limit of the integral as t -> inf; finite only for s > 1."""

@@ -13,8 +13,8 @@ read from a 4^n Hamming-distance table.  Nothing here calls ``dynamics._axis_sig
 or ``dynamics._popcount``: the sign arrays and the table are built below.
 ``integrated_rate_quadrature`` integrates a rate model by adaptive quadrature,
 independently of the models' closed-form ``integrated``.
-``gamma_ohmic_t0_spectral`` evaluates the zero-temperature Ohmic rate from its
-spectral-density definition, independently of the closed form ``gamma_ohmic_t0``.
+``ohmic_rate_spectral`` evaluates the zero-temperature Ohmic rate from its
+spectral-density definition, independently of ``OhmicZeroTempRate.rate``.
 ``schmidt_log_negativity`` takes a pure state's negativity from its Schmidt spectrum,
 independently of the partial transpose, and ``symmetry_check`` is the spread of
 ``log_negativity`` over all cuts of one size.
@@ -217,7 +217,7 @@ def integrated_rate_quadrature(model, t: float) -> float:
     )
 
 
-def gamma_ohmic_t0_spectral(t: float, s: float, omega_c: float = 1.0) -> float:
+def ohmic_rate_spectral(t: float, s: float, omega_c: float = 1.0) -> float:
     """Zero-temperature Ohmic rate as the integral of J(w)/w sin(w t) over w > 0.
 
     J(w)/w = w^(s-1) omega_c^(1-s) exp(-w/omega_c).  The interval is split at

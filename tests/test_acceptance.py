@@ -51,21 +51,20 @@ REVIVAL_RATES = dict(
     rate_z=SinusoidalRate(1.0), rate_x=ConstantRate(0.1), rate_y=ConstantRate(0.1)
 )
 
-# registry of every trajectory the suite produced, for the invariant check
-TRACKED_RUNS = []
-
-_SNAPSHOT_CACHE = {}
-_W_TRAJ_CACHE = {}
-_PAULI_TRAJ_CACHE = {}
+# every trajectory the suite evolved, by its arguments, for the invariant check
+_RUNS = {}
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def _track(trajectory):
-    TRACKED_RUNS.append(trajectory)
-    return trajectory
+def _run(maker, n: int, spec: NoiseSpec, t_max: float, cuts: tuple, options):
+    """The trajectory of maker(n), evolved once by whichever test asks for it first."""
+    key = (maker, n, spec, t_max, cuts, options)
+    if key not in _RUNS:
+        _RUNS[key] = evolve(maker(n), spec, t_max, cuts=list(cuts), options=options)
+    return _RUNS[key]
 
 
 def dephasing_spec(s: float, kappa: float) -> NoiseSpec:
@@ -78,63 +77,40 @@ def pauli_spec(kappa: float) -> NoiseSpec:
 
 def ghz_snapshot(n: int, s: float, kappa: float, t: float = 30.0) -> float:
     """Log negativity of the dephased cat state at time t (any cut)."""
-    key = ("ghz", n, s, kappa, t)
-    if key not in _SNAPSHOT_CACHE:
-        traj = _track(
-            evolve(
-                ghz_state(n),
-                dephasing_spec(s, kappa),
-                t,
-                cuts=[one_vs_rest(n)],
-                options=IntegratorOptions(
-                    step=0.01, observable_every=t, sample_every=t, record_states=False
-                ),
-            )
-        )
-        _SNAPSHOT_CACHE[key] = float(traj.observables["1-Rest"][-1])
-    return _SNAPSHOT_CACHE[key]
+    traj = _run(
+        ghz_state,
+        n,
+        dephasing_spec(s, kappa),
+        t,
+        (one_vs_rest(n),),
+        IntegratorOptions(step=0.01, observable_every=t, sample_every=t, record_states=False),
+    )
+    return float(traj.observables["1-Rest"][-1])
 
 
 def w_observables(n: int, kappa: float):
     """W-state dephasing trajectory observables at t = 30 for both cuts."""
-    key = (n, kappa)
-    if key not in _W_TRAJ_CACHE:
-        traj = _track(
-            evolve(
-                w_state(n),
-                dephasing_spec(OHMICITY_STAR, kappa),
-                30.0,
-                cuts=[one_vs_rest(n), highest_cut(n)],
-                options=IntegratorOptions(
-                    step=0.01, observable_every=30.0, sample_every=30.0, record_states=False
-                ),
-            )
-        )
-        _W_TRAJ_CACHE[key] = {
-            label: float(series[-1]) for label, series in traj.observables.items()
-        }
-    return _W_TRAJ_CACHE[key]
+    traj = _run(
+        w_state,
+        n,
+        dephasing_spec(OHMICITY_STAR, kappa),
+        30.0,
+        (one_vs_rest(n), highest_cut(n)),
+        IntegratorOptions(step=0.01, observable_every=30.0, sample_every=30.0, record_states=False),
+    )
+    return {label: float(series[-1]) for label, series in traj.observables.items()}
 
 
 def pauli_trajectory(family: str, n: int, kappa: float = 0.25):
-    key = (family, n, kappa)
-    if key not in _PAULI_TRAJ_CACHE:
-        maker = ghz_state if family == "ghz" else w_state
-        cuts = [one_vs_rest(n)]
-        if n >= 3:
-            cuts.append(highest_cut(n))
-        _PAULI_TRAJ_CACHE[key] = _track(
-            evolve(
-                maker(n),
-                pauli_spec(kappa),
-                20.0,
-                cuts=cuts,
-                options=IntegratorOptions(
-                    step=0.01, observable_every=0.05, sample_every=10.0, record_states=False
-                ),
-            )
-        )
-    return _PAULI_TRAJ_CACHE[key]
+    cuts = (one_vs_rest(n), highest_cut(n)) if n >= 3 else (one_vs_rest(n),)
+    return _run(
+        ghz_state if family == "ghz" else w_state,
+        n,
+        pauli_spec(kappa),
+        20.0,
+        cuts,
+        IntegratorOptions(step=0.01, observable_every=0.05, sample_every=10.0, record_states=False),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -213,18 +189,18 @@ def test_criterion_02_pauli_oracle_equivalence():
 
 
 def _saturation_ghz3(s: float, kappa: float):
-    traj = _track(
-        evolve(
-            ghz_state(3),
-            dephasing_spec(s, kappa),
-            100.0,
-            cuts=[one_vs_rest(3)],
-            options=IntegratorOptions(
-                step=0.01, observable_every=0.1, sample_every=100.0, record_states=False
-            ),
-        )
+    traj = _run(
+        ghz_state,
+        3,
+        dephasing_spec(s, kappa),
+        100.0,
+        (one_vs_rest(3),),
+        IntegratorOptions(step=0.01, observable_every=0.1, sample_every=100.0, record_states=False),
     )
     return detect_saturation(traj.times, traj.observables["1-Rest"], window=10.0, tol=1e-4)
+
+
+PLATEAU_S = (2.0, 2.3, 2.5, 3.0)
 
 
 def test_criterion_03_markovian_decay_vs_saturation():
@@ -239,7 +215,7 @@ def test_criterion_03_markovian_decay_vs_saturation():
     ok_star = star.saturated and star.value >= 0.2
 
     markovian_quarter = _saturation_ghz3(1.0, 0.25)
-    plateaus = {s: _saturation_ghz3(s, 0.25).value for s in (2.0, 2.3, 2.5, 3.0)}
+    plateaus = {s: _saturation_ghz3(s, 0.25).value for s in PLATEAU_S}
     plateaus[OHMICITY_STAR] = star.value
     ok_order = markovian_quarter.value < star.value
     peak_s = max(plateaus, key=plateaus.get)
@@ -263,12 +239,14 @@ def test_criterion_03_markovian_decay_vs_saturation():
 # --------------------------------------------------------------------------
 
 
+S_GRID = [round(2.0 + 0.1 * i, 2) for i in range(11)]
+
+
 def test_criterion_04_optimal_ohmicity():
-    base_grid = [round(2.0 + 0.1 * i, 2) for i in range(11)]
     ok = True
     details = []
     for n in range(3, 9):
-        values = {s: ghz_snapshot(n, s, 0.25) for s in base_grid}
+        values = {s: ghz_snapshot(n, s, 0.25) for s in S_GRID}
         best_base = max(values, key=values.get)
         values[OHMICITY_STAR] = ghz_snapshot(n, OHMICITY_STAR, 0.25)
         best_full = max(values, key=values.get)
@@ -284,6 +262,17 @@ def test_criterion_04_optimal_ohmicity():
 # --------------------------------------------------------------------------
 
 
+def _cat_plateau_run(n: int, kappa: float):
+    return _run(
+        ghz_state,
+        n,
+        dephasing_spec(OHMICITY_STAR, kappa),
+        400.0,
+        (one_vs_rest(n),),
+        IntegratorOptions(step=0.02, observable_every=2.0, sample_every=400.0, record_states=False),
+    )
+
+
 def test_criterion_05_cat_plateau_law():
     # Gamma_inf by direct quadrature of the rate (the closed-form limit
     # Gamma(s-1) must agree, which pins both routes)
@@ -296,20 +285,7 @@ def test_criterion_05_cat_plateau_law():
     ok = True
     for kappa in (0.25, 1.0):
         for n in range(3, 9):
-            traj = _track(
-                evolve(
-                    ghz_state(n),
-                    dephasing_spec(OHMICITY_STAR, kappa),
-                    400.0,
-                    cuts=[one_vs_rest(n)],
-                    options=IntegratorOptions(
-                        step=0.02,
-                        observable_every=2.0,
-                        sample_every=400.0,
-                        record_states=False,
-                    ),
-                )
-            )
+            traj = _cat_plateau_run(n, kappa)
             sat = detect_saturation(
                 traj.times, traj.observables["1-Rest"], window=10.0, tol=1e-4
             )
@@ -514,27 +490,44 @@ def test_criterion_10_divisibility_classifier():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_11_invariant_suite():
-    # (a) every trajectory the suite has produced so far
-    assert TRACKED_RUNS, "acceptance runs must have been recorded"
-    worst_trace = max(t.metadata["max_trace_drift"] for t in TRACKED_RUNS)
-    worst_eig = min(
-        t.metadata["min_eigenvalue"]
-        for t in TRACKED_RUNS
-        if t.metadata["min_eigenvalue"] is not None
-    )
+def _criteria_runs() -> list:
+    """Every trajectory criteria 3 to 9 read, evolved here if no earlier test has.
 
-    # (b) permutation symmetry of evolved five-qubit states
+    Runs are cached by their arguments, so after the other criteria this evolves
+    nothing new, and run alone it checks the same trajectories.
+    """
+    for s, kappa in ((1.0, 1.0), (OHMICITY_STAR, 0.25), (1.0, 0.25)):
+        _saturation_ghz3(s, kappa)
+    for s in PLATEAU_S:
+        _saturation_ghz3(s, 0.25)
+    for n in range(3, 9):
+        for s in (*S_GRID, OHMICITY_STAR):
+            ghz_snapshot(n, s, 0.25)
+        for kappa in (0.25, 1.0):
+            _cat_plateau_run(n, kappa)
+    for kappa in (1.0, 0.25):
+        _ghz_scaling_fit(kappa)
+    for n in range(3, 10):
+        w_observables(n, 0.25)
+    for n in range(3, 8):
+        pauli_trajectory("ghz", n)
+    for n in (3, 4, 5):
+        pauli_trajectory("w", n)
+    return list(_RUNS.values())
+
+
+def test_criterion_11_invariant_suite():
+    # (a) permutation symmetry of evolved five-qubit states
     ok_sym = True
     spreads = []
     for maker in (ghz_state, w_state):
-        traj = _track(
-            evolve(
-                maker(5),
-                dephasing_spec(OHMICITY_STAR, 0.25),
-                30.0,
-                options=IntegratorOptions(step=0.01, sample_every=5.0),
-            )
+        traj = _run(
+            maker,
+            5,
+            dephasing_spec(OHMICITY_STAR, 0.25),
+            30.0,
+            (),
+            IntegratorOptions(step=0.01, sample_every=5.0),
         )
         for t_check in (0.0, 5.0, 30.0):
             index = list(traj.state_times).index(t_check)
@@ -545,8 +538,14 @@ def test_criterion_11_invariant_suite():
                 if spread > 1e-10:
                     ok_sym = False
 
-    # hermiticity of every kept state; the runs of (b) keep theirs
-    kept = [state.elements for t in TRACKED_RUNS for state in t.states]
+    # (b) trace, hermiticity and positivity of every run of the suite, (a)'s included;
+    # only (a)'s runs keep states
+    runs = _criteria_runs()
+    worst_trace = max(t.metadata["max_trace_drift"] for t in runs)
+    worst_eig = min(
+        t.metadata["min_eigenvalue"] for t in runs if t.metadata["min_eigenvalue"] is not None
+    )
+    kept = [state.elements for t in runs for state in t.states]
     worst_herm = max(np.abs(mat - mat.conj().T).max() for mat in kept)
     ok_drift = worst_trace <= 1e-9 and worst_herm <= 1e-9 and worst_eig >= -1e-8
 
@@ -568,7 +567,7 @@ def test_criterion_11_invariant_suite():
     _report(
         "11 invariant suite",
         ok,
-        f"{len(TRACKED_RUNS)} runs: trace drift {worst_trace:.1e}, hermiticity "
+        f"{len(runs)} runs: trace drift {worst_trace:.1e}, hermiticity "
         f"{worst_herm:.1e}, min eig {worst_eig:.1e}; symmetry spread "
         f"{max(spreads):.1e} <= 1e-10; step-halving ratio {ratio:.1f} >= 8",
     )

@@ -233,6 +233,15 @@ class TestConfigParsing:
                 "sweep.snapshot_t=1.005 is not a positive multiple of step=0.01",
             ),
             (lambda p: p.update(cuts=["1-Rest", "1-Rest"]), "cuts: duplicate label '1-Rest'"),
+            # a repeated axis value would run its cells twice; 2 and 2.0 are one s
+            (
+                lambda p: p.update(sweep={"axes": {"n": [3, 4, 3]}}),
+                "sweep.axes.n: duplicate value 3$",
+            ),
+            (
+                lambda p: p.update(sweep={"axes": {"n": [3], "s": [2, 2.0]}}),
+                r"sweep.axes.s: duplicate value 2\.0$",
+            ),
         ],
     )
     def test_invalid_configs_raise_with_field_path(self, mutate, fragment):
@@ -365,6 +374,9 @@ class TestRunCommand:
         }
         assert len(by_label["1-Rest"]) == len(by_label["highest-cut"]) == 5
 
+    def test_fmt_writes_numpy_floats_as_python_floats(self):
+        assert cli._fmt(np.float64(0.1)) == "0.1"
+
     def test_emitted_values_within_bounds(self, tmp_path):
         config = parse_config(base_payload())
         paths = run_experiment(config, str(tmp_path / "out"))
@@ -429,23 +441,30 @@ class TestRunCommand:
 
 class TestSweepCommand:
     def test_single_cell_matches_run(self, tmp_path):
-        run_cfg = parse_config(
+        # at n = 3 all three labels name the cut {1}|{2,3}: it is solved once, reported thrice
+        labels = ["1-Rest", "highest-cut", "{2,3}|{1}"]
+        config = parse_config(
             base_payload(
-                time={"t_max": 3.0, "step": 0.01, "observable_every": 3.0, "sample_every": 3.0}
+                time={"t_max": 1.0, "step": 0.01, "observable_every": 0.5, "sample_every": 1.0},
+                cuts=labels,
+                sweep={"axes": {"n": [3]}, "snapshot_t": 1.0},
             )
         )
-        run_paths = run_experiment(run_cfg, str(tmp_path / "run"))
+        run_paths = run_experiment(config, str(tmp_path / "run"))
         with open(run_paths["trajectory"], newline="") as handle:
-            run_rows = {r["t"]: r for r in csv.DictReader(handle)}
+            run_rows = list(csv.DictReader(handle))
+        assert [r["bipartition_label"] for r in run_rows] == [x for x in labels for _ in range(3)]
+        last = {r["bipartition_label"]: (r["t"], r["log_negativity"]) for r in run_rows}
+        assert sorted(json.load(open(run_paths["analysis"]))) == sorted(labels)
+        metadata = json.load(open(run_paths["metadata"]))
+        assert metadata["trajectory"]["cuts"] == ["1-Rest"]
 
-        sweep_cfg = parse_config(
-            base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 3.0})
-        )
-        sweep_paths = sweep_experiment(sweep_cfg, str(tmp_path / "sweep"), workers=1)
+        sweep_paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
         with open(sweep_paths["summary"], newline="") as handle:
             sweep_rows = list(csv.DictReader(handle))
-        assert len(sweep_rows) == 1
-        assert sweep_rows[0]["log_negativity"] == run_rows["3.0"]["log_negativity"]
+        assert sorted(r["cut"] for r in sweep_rows) == sorted(labels)
+        # both print repr(float), so equal strings are equal bits
+        assert all(last[r["cut"]] == (r["t"], r["log_negativity"]) for r in sweep_rows)
 
     def test_axes_product_and_order(self, tmp_path):
         config = parse_config(
@@ -711,6 +730,15 @@ class TestFitCommand:
         assert "pass --s" in capsys.readouterr().err
 
 
+    def test_fit_refuses_several_kappas(self, tmp_path, capsys):
+        axes = {"n": [3, 4, 5, 6], "kappa": [0.25, 1.0]}
+        config = parse_config(base_payload(sweep={"axes": axes, "snapshot_t": 1.0}))
+        paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
+        assert main(["fit", "--input", paths["summary"]]) == 2
+        err = capsys.readouterr().err
+        assert "fit: summary mixes several kappa values ['0.25', '1.0']" in err
+
+
 class TestAtomicOutputs:
     """A writer that raises partway leaves no target file and no temporary."""
 
@@ -726,13 +754,14 @@ class TestAtomicOutputs:
         assert target.read_text() == "previous\n"
 
     def test_trajectory_writer(self, tmp_path):
-        class Broken:
-            times = [0.0, 1.0, 2.0]
-            observables = {"1-Rest": [0.5, 0.25, "not a number"]}
+        def rows():
+            yield 0.0, "1-Rest", 0.5
+            yield 1.0, "1-Rest", 0.25
+            raise ValueError("not a number")
 
         target = tmp_path / "trajectory.csv"
         with pytest.raises(ValueError):
-            cli._write_trajectory_csv(str(target), Broken())
+            cli._write_csv(str(target), ["t", "bipartition_label", "log_negativity"], rows())
         assert list(tmp_path.iterdir()) == []
 
     def test_summary_writer(self, tmp_path, monkeypatch):

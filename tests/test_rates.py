@@ -16,10 +16,9 @@ from qubitbath import (
     OhmicZeroTempRate,
     SinusoidalRate,
     classify_divisibility,
-    gamma_ohmic_t0,
 )
 from qubitbath.config import ConfigError, parse_config
-from reference import gamma_ohmic_t0_spectral, integrated_rate_quadrature
+from reference import integrated_rate_quadrature, ohmic_rate_spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,42 +26,42 @@ ROOT = Path(__file__).resolve().parents[1]
 class TestOhmicZeroTempRate:
     def test_vanishes_at_time_zero(self):
         for s in (0.5, 1.0, 2.47, 3.0):
-            assert gamma_ohmic_t0(0.0, s) == 0.0
+            assert OhmicZeroTempRate(s).rate(0.0) == 0.0
 
     def test_s1_closed_form(self):
         # for s = 1, omega_c = 1 the rate reduces to t / (1 + t^2)
         t = np.linspace(0.0, 30.0, 301)
-        assert np.abs(gamma_ohmic_t0(t, 1.0) - t / (1 + t**2)).max() < 1e-14
+        assert np.abs(OhmicZeroTempRate(1.0).rate(t) - t / (1 + t**2)).max() < 1e-14
 
     def test_s3_negative_beyond_sqrt3(self):
         # sin(3 arctan t) first vanishes at t = tan(pi/3) = sqrt(3) and the
         # rate stays negative afterwards
         t = np.linspace(math.sqrt(3.0) + 1e-3, 50.0, 500)
-        assert np.all(gamma_ohmic_t0(t, 3.0) < 0)
+        assert np.all(OhmicZeroTempRate(3.0).rate(t) < 0)
         t_before = np.linspace(1e-3, math.sqrt(3.0) - 1e-3, 200)
-        assert np.all(gamma_ohmic_t0(t_before, 3.0) > 0)
+        assert np.all(OhmicZeroTempRate(3.0).rate(t_before) > 0)
 
     def test_nonnegative_for_s_up_to_two(self):
         t = np.linspace(0.0, 50.0, 2001)
         for s in (0.5, 1.0, 1.5, 2.0):
-            assert gamma_ohmic_t0(t, s).min() >= -1e-15
+            assert OhmicZeroTempRate(s).rate(t).min() >= -1e-15
 
     def test_some_negative_values_for_s_above_two(self):
         t = np.linspace(0.0, 50.0, 2001)
         for s in (2.1, 2.47, 3.0):
-            assert gamma_ohmic_t0(t, s).min() < 0
+            assert OhmicZeroTempRate(s).rate(t).min() < 0
 
     def test_cutoff_scaling(self):
         # gamma(t; omega_c) = omega_c * gamma(omega_c t; 1)
         t = 1.7
         wc = 2.5
-        assert gamma_ohmic_t0(t, 2.47, wc) == pytest.approx(
-            wc * gamma_ohmic_t0(wc * t, 2.47, 1.0)
+        assert OhmicZeroTempRate(2.47, wc).rate(t) == pytest.approx(
+            wc * OhmicZeroTempRate(2.47, 1.0).rate(wc * t)
         )
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            gamma_ohmic_t0(1.0, 0.0)
+        with pytest.raises(ValueError, match="s > 0"):
+            OhmicZeroTempRate(s=0.0)
         with pytest.raises(ValueError):
             OhmicZeroTempRate(s=2.0, omega_c=-1.0)
 
@@ -90,23 +89,23 @@ class TestSpectralIntegral:
 
     def test_zero_time(self):
         for s in (1.0, 2.47, 3.0):
-            assert gamma_ohmic_t0_spectral(0.0, s) == gamma_ohmic_t0(0.0, s) == 0.0
+            assert ohmic_rate_spectral(0.0, s) == OhmicZeroTempRate(s).rate(0.0) == 0.0
 
     @pytest.mark.parametrize("s", [1.0, 2.47, 3.0])
     def test_closed_form_matches_spectral_integral(self, s):
         for t in (0.1, 1.0, 3.0, 7.5, 15.0, 30.0):
-            num = gamma_ohmic_t0_spectral(t, s)
-            assert num == pytest.approx(gamma_ohmic_t0(t, s), abs=1e-6)
+            num = ohmic_rate_spectral(t, s)
+            assert num == pytest.approx(OhmicZeroTempRate(s).rate(t), abs=1e-6)
 
     def test_s3_negative_value_matches(self):
-        num = gamma_ohmic_t0_spectral(3.0, 3.0)
+        num = ohmic_rate_spectral(3.0, 3.0)
         assert num < 0
-        assert num == pytest.approx(gamma_ohmic_t0(3.0, 3.0), abs=1e-8)
+        assert num == pytest.approx(OhmicZeroTempRate(3.0).rate(3.0), abs=1e-8)
 
     def test_cutoff_matches_spectral_integral(self):
         for t in (0.4, 2.0, 9.0):
-            num = gamma_ohmic_t0_spectral(t, 2.47, omega_c=2.5)
-            assert num == pytest.approx(gamma_ohmic_t0(t, 2.47, 2.5), abs=1e-6)
+            num = ohmic_rate_spectral(t, 2.47, omega_c=2.5)
+            assert num == pytest.approx(OhmicZeroTempRate(2.47, 2.5).rate(t), abs=1e-6)
 
 
 class TestIntegratedRate:
