@@ -24,7 +24,6 @@ from .dynamics import (
     IntegratorOptions,
     NoiseSpec,
     Trajectory,
-    analytic_pauli_map,
     analytic_state_at,
     evolve,
     oracle_deviation,

@@ -122,16 +122,17 @@ def _evolve_config(config: ExperimentConfig, record_states: bool) -> tuple:
 
 def _trajectory_analysis(times, series, analysis_cfg) -> dict:
     report = {}
-    span = float(times[-1] - times[0]) if len(times) else 0.0
+    window = analysis_cfg.saturation_window
+    # detect_saturation's own refusals: a span of two windows, a trailing window of 2 records
+    plateau = (
+        len(times) >= 8
+        and times[-1] - times[0] >= 2 * window
+        and np.count_nonzero(times >= times[-1] - window) >= 2
+    )
     for label, values in series:
         entry = {}
-        if span >= 2 * analysis_cfg.saturation_window and len(times) >= 8:
-            sat = detect_saturation(
-                times,
-                values,
-                window=analysis_cfg.saturation_window,
-                tol=analysis_cfg.saturation_tol,
-            )
+        if plateau:
+            sat = detect_saturation(times, values, window=window, tol=analysis_cfg.saturation_tol)
             entry["saturation"] = dataclasses.asdict(sat)
         revivals = detect_revival(times, values, threshold=analysis_cfg.revival_threshold)
         entry["revivals"] = dataclasses.asdict(revivals)
@@ -141,9 +142,12 @@ def _trajectory_analysis(times, series, analysis_cfg) -> dict:
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """Execute one trajectory and write csv/json artifacts; returns paths."""
-    _ensure_dir(out_dir)
     trajectory, series = _evolve_config(config, record_states="states" in config.output.formats)
     times = trajectory.times
+    # built before any file is written, so a refusal leaves no output of this run
+    if "json" in config.output.formats:
+        analysis = _trajectory_analysis(times, series, config.analysis)
+    _ensure_dir(out_dir)
     paths = {}
     if "csv" in config.output.formats:
         paths["trajectory"] = os.path.join(out_dir, "trajectory.csv")
@@ -153,7 +157,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         paths["metadata"] = os.path.join(out_dir, "metadata.json")
         _write_json(paths["metadata"], _metadata(config, {"trajectory": trajectory.metadata}))
         paths["analysis"] = os.path.join(out_dir, "analysis.json")
-        _write_json(paths["analysis"], _trajectory_analysis(times, series, config.analysis))
+        _write_json(paths["analysis"], analysis)
     if "states" in config.output.formats:
         paths["states"] = os.path.join(out_dir, "states.json")
         dump = []
@@ -197,8 +201,11 @@ def _run_sweep_cell(args: tuple) -> tuple:
     start = time.perf_counter()
     try:
         trajectory, series = _evolve_config(config, record_states=False)
-        snapshot = {"kappa": config.noise.kappa, "t": trajectory.times[-1]}
-        rows = [{**cell, **snapshot, "cut": label, "log_negativity": e[-1]} for label, e in series]
+        # every column from the cell's own config, whichever axes the sweep has
+        snapshot = {"n": config.state.n, "kappa": config.noise.kappa, "t": trajectory.times[-1]}
+        if hasattr(config.noise.rate_z, "s"):
+            snapshot["s"] = config.noise.rate_z.s
+        rows = [{**snapshot, "cut": label, "log_negativity": e[-1]} for label, e in series]
         return cell, rows, None, time.perf_counter() - start
     except Exception as exc:  # per-cell failures must not kill the sweep
         failure = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
@@ -252,15 +259,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
         if failure is not None:
             failures.append({"cell": cell, **failure})
 
-    def sort_key(row):
-        return (
-            float(row.get("n", config.state.n)),
-            float(row.get("s", math.inf)),
-            float(row["kappa"]),
-            row["cut"],
-        )
-
-    rows.sort(key=sort_key)
+    rows.sort(key=lambda row: (row["n"], row.get("s", math.inf), row["kappa"], row["cut"]))
 
     _ensure_dir(out_dir)
     paths = {"summary": os.path.join(out_dir, "summary.csv")}
@@ -420,16 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kappa=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory (default: config output.directory)")
-        if kappa:
-            p.add_argument(
-                "--kappa",
-                type=float,
-                choices=[1.0, 0.25],
-                help="override the dissipator prefactor convention",
-            )
+        p.add_argument(
+            "--kappa",
+            type=float,
+            choices=[1.0, 0.25],
+            help="override the dissipator prefactor convention",
+        )
 
     p_run = sub.add_parser("run", help="run one trajectory")
     add_common(p_run)

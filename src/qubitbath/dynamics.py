@@ -46,9 +46,10 @@ stacked ``eigvalsh`` per size group, and a positivity point reads |Tr rho - 1|
 off the diagonal entries (``max_trace_drift``); the full matrix is rebuilt
 only for states that ``record_states`` keeps.
 
-One closed-form propagator, ``analytic_pauli_map``, serves both noise kinds as
-the independent oracle for the integrator (``oracle_deviation``); under
-dephasing it damps each entry by its Hamming distance, read from a popcount
+One closed-form entry, ``analytic_state_at``, gives the exact state of either
+noise kind at time t from the rate integrals and is the independent oracle for
+the integrator (``oracle_deviation``); when Lambda_x = Lambda_y = 0, as under
+dephasing, it damps each entry by its Hamming distance, read from a popcount
 table built for the call.
 """
 
@@ -84,7 +85,6 @@ __all__ = [
     "IntegratorOptions",
     "Trajectory",
     "evolve",
-    "analytic_pauli_map",
     "analytic_state_at",
     "oracle_deviation",
 ]
@@ -162,14 +162,6 @@ class Trajectory:
     state_times: np.ndarray
     states: list
     metadata: dict
-
-    def observable(self, label: str) -> np.ndarray:
-        return self.observables[label]
-
-    def final_state(self) -> DensityMatrix:
-        if not self.states:
-            raise ValueError("trajectory recorded no states")
-        return self.states[-1]
 
 
 def _axis_sign(axis: int, ndim: int) -> np.ndarray:
@@ -538,35 +530,16 @@ def evolve(
     )
 
 
-def analytic_pauli_map(
-    rho0: DensityMatrix, lam_integrals: Sequence[float], spec: NoiseSpec
-) -> DensityMatrix:
-    """Exact propagator of either noise kind at per-axis integrated rates.
-
-    ``lam_integrals`` is (Lambda_x, Lambda_y, Lambda_z) with
-    Lambda_j = int_0^t gamma_j.  Each qubit is sent through the single-qubit
-    channel with Pauli-transfer eigenvalues
-
-        lambda_x = exp(-2 kappa (Lambda_y + Lambda_z) / omega_0)
-
-    and cyclic permutations (identity eigenvalue 1), applied by scaling the
-    Pauli expansion of rho0 one site at a time.  Under dephasing, where
-    Lambda_x = Lambda_y = 0, that is entry (a, b) damped by
-    exp(-2 kappa Lambda_z d / omega_0), with d = popcount(a ^ b) the Hamming
-    distance, and populations untouched.
-    """
-    elements = _pauli_map_elements(rho0.elements, rho0.n, lam_integrals, spec)
-    return DensityMatrix(n=rho0.n, elements=elements, check_positivity=False)
-
-
 def _pauli_map_elements(
     elements: np.ndarray, n: int, lam_integrals: Sequence[float], spec: NoiseSpec
 ) -> np.ndarray:
-    """``analytic_pauli_map`` on rho0's 2^n x 2^n elements, returning elements, unvalidated."""
+    """``analytic_state_at``'s channel at ``lam_integrals`` on rho0's 2^n x 2^n elements.
+
+    Returns the elements, unvalidated.  The Hamming route runs whenever Lambda_x = Lambda_y
+    = 0, the exact condition under which it is the channel, whatever the spec's kind.
+    """
     lam_x_int, lam_y_int, lam_z_int = (float(v) for v in lam_integrals)
-    if spec.kind == DEPHASING:
-        if lam_x_int != 0.0 or lam_y_int != 0.0:
-            raise ValueError("a dephasing NoiseSpec needs Lambda_x = Lambda_y = 0")
+    if lam_x_int == lam_y_int == 0.0:
         log_damping = -2.0 * spec.kappa * lam_z_int / spec.omega0
         damping = np.exp(log_damping * np.arange(n + 1))  # by Hamming distance
         index = np.arange(2**n)
@@ -606,8 +579,21 @@ def _integrals(spec: NoiseSpec, t: float) -> list:
 
 
 def analytic_state_at(rho0: DensityMatrix, spec: NoiseSpec, t: float) -> DensityMatrix:
-    """Closed-form state at time t for whichever noise kind spec carries."""
-    return analytic_pauli_map(rho0, _integrals(spec, t), spec)
+    """Exact state at time t of either noise kind, from the rate integrals.
+
+    With Lambda_j = int_0^t gamma_j, each qubit is sent through the single-qubit
+    channel with Pauli-transfer eigenvalues
+
+        lambda_x = exp(-2 kappa (Lambda_y + Lambda_z) / omega_0)
+
+    and cyclic permutations (identity eigenvalue 1), applied by scaling the
+    Pauli expansion of rho0 one site at a time.  When Lambda_x = Lambda_y = 0,
+    as under dephasing, that is entry (a, b) damped by
+    exp(-2 kappa Lambda_z d / omega_0), with d = popcount(a ^ b) the Hamming
+    distance, and populations untouched.
+    """
+    elements = _pauli_map_elements(rho0.elements, rho0.n, _integrals(spec, t), spec)
+    return DensityMatrix(n=rho0.n, elements=elements, check_positivity=False)
 
 
 def oracle_deviation(

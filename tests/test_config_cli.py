@@ -374,6 +374,24 @@ class TestRunCommand:
         }
         assert len(by_label["1-Rest"]) == len(by_label["highest-cut"]) == 5
 
+    def test_saturation_needs_two_records_in_the_trailing_window(self, tmp_path):
+        # t = 0, 5, ..., 100: the span and the record count pass, but [98, 100] holds one record
+        payload = base_payload(analysis={"saturation_window": 2.0})
+        payload["time"].update(t_max=100.0, observable_every=5.0)
+        path = write_config(tmp_path, payload)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        analysis = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert list(analysis["1-Rest"]) == ["revivals"]
+
+    def test_refused_analysis_leaves_no_output(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli, "_trajectory_analysis", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            run_experiment(parse_config(base_payload()), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_fmt_writes_numpy_floats_as_python_floats(self):
         assert cli._fmt(np.float64(0.1)) == "0.1"
 
@@ -729,6 +747,16 @@ class TestFitCommand:
         assert main(["fit", "--input", path]) == 2
         assert "pass --s" in capsys.readouterr().err
 
+    def test_sweep_without_n_axis_fills_n(self, tmp_path, capsys):
+        # n and s come from each cell's config, not from the axes the sweep has
+        payload = base_payload(state={"family": "ghz", "n": 4})
+        payload["sweep"] = {"axes": {"s": [2.0, 2.47]}, "snapshot_t": 1.0}
+        paths = sweep_experiment(parse_config(payload), str(tmp_path / "sweep"), workers=1)
+        with open(paths["summary"], newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(row["n"], row["s"]) for row in rows] == [("4", "2.0"), ("4", "2.47")]
+        assert main(["fit", "--input", paths["summary"], "--s", "2.47"]) == 2
+        assert "fit: only 1 points for cut '1-Rest'" in capsys.readouterr().err
 
     def test_fit_refuses_several_kappas(self, tmp_path, capsys):
         axes = {"n": [3, 4, 5, 6], "kappa": [0.25, 1.0]}

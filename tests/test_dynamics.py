@@ -22,7 +22,6 @@ from qubitbath import (
     NoiseSpec,
     OhmicZeroTempRate,
     SinusoidalRate,
-    analytic_pauli_map,
     analytic_state_at,
     density_from_pure,
     dicke_state,
@@ -261,7 +260,7 @@ class TestEvolve:
         psi = w_state(3)
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.0))
         traj = evolve(psi, spec, 1.0, options=IntegratorOptions(step=0.01))
-        assert np.abs(traj.final_state().elements - density_from_pure(psi).elements).max() < 1e-14
+        assert np.abs(traj.states[-1].elements - density_from_pure(psi).elements).max() < 1e-14
 
     def test_single_qubit_constant_rate_solution(self):
         plus = PureState(1, np.full(2, math.sqrt(0.5)))
@@ -269,7 +268,7 @@ class TestEvolve:
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(g), kappa=1.0)
         with dense_engine():
             traj = evolve(plus, spec, 1.0, options=IntegratorOptions(step=0.01))
-        assert traj.final_state().elements[0, 1].real == pytest.approx(
+        assert traj.states[-1].elements[0, 1].real == pytest.approx(
             0.5 * math.exp(-2 * g), abs=1e-8
         )
 
@@ -296,7 +295,7 @@ class TestEvolve:
         assert fast.metadata["classes"] == 2  # W's Hamming distances 0 and 2
         assert fast.metadata["blocks"] == {"rho": [[4, 1]]}  # W's support, not all 16 indices
         assert dense.metadata["classes"] is dense.metadata["blocks"] is None
-        assert np.abs(fast.final_state().elements - dense.final_state().elements).max() < 1e-13
+        assert np.abs(fast.states[-1].elements - dense.states[-1].elements).max() < 1e-13
 
     @given(
         family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
@@ -400,7 +399,7 @@ class TestEvolve:
         fast, dense = class_and_dense(lambda: evolve(psi, spec, t_max, cuts, options))
         assert fast.metadata["block_steps"] == 1536
         assert list(fast.times) == list(fast.state_times) == [0.0, 3307 * 0.01]
-        assert np.abs(fast.final_state().elements - dense.final_state().elements).max() <= 1e-13
+        assert np.abs(fast.states[-1].elements - dense.states[-1].elements).max() <= 1e-13
         for label in fast.observables:
             assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
         dev = oracle_deviation(
@@ -638,11 +637,11 @@ class TestEvolve:
         perm = (2, 0, 1)
         opts = IntegratorOptions(step=0.02, sample_every=2.0)
         evolved_then_permuted = permute_density(
-            evolve(psi, spec, 2.0, options=opts).final_state(), perm
+            evolve(psi, spec, 2.0, options=opts).states[-1], perm
         )
         permuted_then_evolved = evolve(
             permute_pure(psi, perm), spec, 2.0, options=opts
-        ).final_state()
+        ).states[-1]
         assert np.abs(
             evolved_then_permuted.elements - permuted_then_evolved.elements
         ).max() < 1e-12
@@ -1013,7 +1012,7 @@ class TestGrowthMemo:
         ]
         every_step, at_end = (traj.observables["1-Rest"][-1:] for traj in ends)
         assert_bitwise_equal(every_step, at_end)
-        assert_bitwise_equal(ends[0].final_state().elements, ends[1].final_state().elements)
+        assert_bitwise_equal(ends[0].states[-1].elements, ends[1].states[-1].elements)
 
     def test_memo_bound(self):
         # the worst case stated above _GROWTH_ENTRIES: 15 MiB up to 120 classes
@@ -1030,6 +1029,8 @@ class TestGrowthMemo:
 
 
 class TestAnalyticMaps:
+    """Explicit integrals Lambda come from ConstantRate(Lambda) at t = 1, where they are exact."""
+
     def test_dephasing_identity_at_zero(self):
         rho0 = density_from_pure(w_state(3))
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
@@ -1039,8 +1040,8 @@ class TestAnalyticMaps:
     def test_ghz_coherence_scaling(self):
         n, kappa, big_gamma = 4, 0.25, 0.8
         rho0 = density_from_pure(ghz_state(n))
-        spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=kappa)
-        out = analytic_pauli_map(rho0, (0.0, 0.0, big_gamma), spec)
+        spec = NoiseSpec("dephasing", rate_z=ConstantRate(big_gamma), kappa=kappa)
+        out = analytic_state_at(rho0, spec, 1.0)
         factor = math.exp(-2 * kappa * n * big_gamma)
         assert out.elements[0, -1] == pytest.approx(0.5 * factor)
         assert out.elements[0, 0] == pytest.approx(0.5)
@@ -1057,8 +1058,9 @@ class TestAnalyticMaps:
 
     def test_pauli_identity_at_zero(self):
         rho0 = density_from_pure(ghz_state(2))
-        spec = NoiseSpec("pauli", kappa=1.0, **REVIVAL_RATES)
-        out = analytic_pauli_map(rho0, (0.0, 0.0, 0.0), spec)
+        zero = ConstantRate(0.0)
+        spec = NoiseSpec("pauli", rate_z=zero, rate_x=zero, rate_y=zero, kappa=1.0)
+        out = analytic_state_at(rho0, spec, 1.0)
         assert np.abs(out.elements - rho0.elements).max() < 1e-15
 
     def test_single_qubit_bloch_transfer(self):
@@ -1067,19 +1069,20 @@ class TestAnalyticMaps:
         spec = NoiseSpec(
             "pauli",
             rate_z=ConstantRate(0.0),
-            rate_x=ConstantRate(1.0),
-            rate_y=ConstantRate(1.0),
+            rate_x=ConstantRate(u),
+            rate_y=ConstantRate(u),
             kappa=1.0,
         )
-        out = analytic_pauli_map(rho0, (u, u, 0.0), spec)
+        out = analytic_state_at(rho0, spec, 1.0)
         assert out.elements[0, 0].real == pytest.approx((1 + math.exp(-4 * u)) / 2)
 
     def test_pauli_transfer_eigenvalues(self):
         # sigma_x expectation of a +x eigenstate is scaled by lambda_x
         plus_x = DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
-        spec = NoiseSpec("pauli", kappa=1.0, **REVIVAL_RATES)
         lams = (0.2, 0.5, 0.9)
-        out = analytic_pauli_map(plus_x, lams, spec)
+        rate_x, rate_y, rate_z = (ConstantRate(lam) for lam in lams)
+        spec = NoiseSpec("pauli", rate_z=rate_z, rate_x=rate_x, rate_y=rate_y, kappa=1.0)
+        out = analytic_state_at(plus_x, spec, 1.0)
         lam_x = math.exp(-2 * (lams[1] + lams[2]))
         assert 2 * out.elements[0, 1].real == pytest.approx(lam_x)
 
@@ -1090,20 +1093,24 @@ class TestAnalyticMaps:
         factor = math.exp(-2 * 0.25 * 3 * 2.0)  # integral of sin over [0, pi] is 2
         assert out.elements[0, 7] == pytest.approx(0.5 * factor)
 
-    @pytest.mark.parametrize("lams", [(0.1, 0.0, 0.1), (0.0, 0.1, 0.1), (-0.1, 0.0, 0.0)])
-    def test_dephasing_spec_refuses_transverse_integrals(self, lams):
-        rho0 = density_from_pure(ghz_state(2))
-        spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.1))
-        with pytest.raises(ValueError, match="Lambda_x = Lambda_y = 0"):
-            analytic_pauli_map(rho0, lams, spec)
+    @pytest.mark.parametrize("kappa", [1.0, 0.25])
+    def test_pauli_spec_without_transverse_rates_is_dephasing(self, kappa):
+        # the route is chosen by Lambda_x = Lambda_y = 0, not by the spec's kind
+        rho0 = density_from_pure(random_pure(5, np.random.default_rng(29)))
+        rate_z = OhmicZeroTempRate(2.47)
+        dephasing = NoiseSpec("dephasing", rate_z=rate_z, kappa=kappa)
+        pauli = NoiseSpec("pauli", rate_z=rate_z, kappa=kappa)
+        for t in (0.37, 5.0, 30.0):
+            want = analytic_state_at(rho0, dephasing, t).elements
+            assert_bitwise_equal(analytic_state_at(rho0, pauli, t).elements, want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kappa", [1.0, 0.25])
     def test_dephasing_matches_hamming_table(self, n, kappa):
-        spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=kappa)
         rho0 = random_density(n)
         for big_gamma in (0.0, 0.37, 2.9):
-            out = analytic_pauli_map(rho0, (0.0, 0.0, big_gamma), spec)
+            spec = NoiseSpec("dephasing", rate_z=ConstantRate(big_gamma), kappa=kappa)
+            out = analytic_state_at(rho0, spec, 1.0)
             want = hamming_dephasing_map(rho0, big_gamma, spec)
             assert np.abs(out.elements - want.elements).max() <= 1e-15
 
@@ -1186,13 +1193,15 @@ class TestOracleDeviation:
 
 
 class TestRemovedSurface:
-    """The dense stepper, its option and flag, and the second closed-form map are gone."""
+    """The dense stepper, its option and flag, and the closed-form maps other than
+    ``analytic_state_at`` are gone."""
 
     @pytest.mark.parametrize(
         "name",
         [
             "lindblad_rhs",
             "analytic_dephasing_map",
+            "analytic_pauli_map",
             "embed_local_operator",
             "hamming_distance_matrix",
             "PAULI_I",

@@ -270,7 +270,7 @@ def test_engine_matches_dense_references_on_evolved_states(family, noise, n, t, 
     assert np.array_equal(trajectory.times, trajectory.state_times)
     # the engine's block plans against one dense eigensolve per kept state
     dense = [log_negativity(state, cut) for state in trajectory.states]
-    assert np.abs(trajectory.observable(cut.label) - dense).max() <= 1e-12
+    assert np.abs(trajectory.observables[cut.label] - dense).max() <= 1e-12
     lam_min = min(state.min_eigenvalue() for state in trajectory.states)
     assert abs(trajectory.metadata["min_eigenvalue"] - lam_min) <= 1e-12
 
