@@ -50,10 +50,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """Write a text file beside ``path`` and move it there only once complete.
@@ -85,13 +81,6 @@ def _metadata(config: ExperimentConfig, extra: dict) -> dict:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         **extra,
     }
-
-
-def _apply_kappa(config: ExperimentConfig, kappa) -> ExperimentConfig:
-    if kappa is None:
-        return config
-    noise = dataclasses.replace(config.noise, kappa=float(kappa))
-    return dataclasses.replace(config, noise=noise)
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -147,7 +136,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     # built before any file is written, so a refusal leaves no output of this run
     if "json" in config.output.formats:
         analysis = _trajectory_analysis(times, series, config.analysis)
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     if "csv" in config.output.formats:
         paths["trajectory"] = os.path.join(out_dir, "trajectory.csv")
@@ -228,9 +217,8 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     if len(cells) > sweep.job_cap:
         raise ConfigError(f"sweep: {len(cells)} cells exceed job_cap={sweep.job_cap}")
 
-    workers = workers if workers is not None else sweep.workers
-    # same rule as sweep.workers in the config, so --workers 0 is a usage error
-    workers = min(_positive_int(workers, "workers"), len(cells))
+    # a config error like any bad count, so --workers 0 is a usage error
+    workers = min(_positive_int(1 if workers is None else workers, "workers"), len(cells))
 
     base = _cell_base(config)
     jobs = [(cell, _derive_cell(base, cell)) for cell in cells]
@@ -261,7 +249,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
 
     rows.sort(key=lambda row: (row["n"], row.get("s", math.inf), row["kappa"], row["cut"]))
 
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     paths = {"summary": os.path.join(out_dir, "summary.csv")}
     columns = ["n", "s", "kappa", "cut", "t", "log_negativity"]
     _write_csv(paths["summary"], columns, ([row.get(c, "") for c in columns] for row in rows))
@@ -304,7 +292,7 @@ def _read_summary(path: str) -> list:
 
 
 def _cmd_run(args) -> int:
-    config = _apply_kappa(load_config(args.config), args.kappa)
+    config = load_config(args.config)
     out_dir = args.out or config.output.directory
     paths = run_experiment(config, out_dir)
     for name, path in sorted(paths.items()):
@@ -314,11 +302,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    if args.kappa is not None and config.sweep is not None and "kappa" in config.sweep.axes:
-        raise ConfigError(
-            f"sweep.axes.kappa: sets kappa per cell, so --kappa {args.kappa} would be ignored"
-        )
-    config = _apply_kappa(config, args.kappa)
     out_dir = args.out or config.output.directory
     paths, failures = _sweep(config, out_dir, args.workers)
     for name, path in sorted(paths.items()):
@@ -336,7 +319,7 @@ def _cmd_divisibility(args) -> int:
     # like run: --out always writes, the config's directory when it asks for json
     if args.out or "json" in config.output.formats:
         out_dir = args.out or config.output.directory
-        _ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "divisibility.json")
         _write_json(path, payload)
         print(f"divisibility: {path}")
@@ -344,7 +327,7 @@ def _cmd_divisibility(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    config = _apply_kappa(load_config(args.config), args.kappa)
+    config = load_config(args.config)
     options = config.time.integrator_options(record_states=False)
     deviation = oracle_deviation(
         config.state.build(),
@@ -422,12 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory (default: config output.directory)")
-        p.add_argument(
-            "--kappa",
-            type=float,
-            choices=[1.0, 0.25],
-            help="override the dissipator prefactor convention",
-        )
 
     p_run = sub.add_parser("run", help="run one trajectory")
     add_common(p_run)

@@ -509,8 +509,6 @@ def evolve(
 
     metadata = {
         "noise": asdict(spec),
-        "kappa": spec.kappa,
-        "omega0": spec.omega0,
         "integrator": stepper.engine,
         "classes": stepper.classes,
         "block_steps": stepper.block_steps,
@@ -606,7 +604,9 @@ def oracle_deviation(
     """Max-abs element deviation between RK4 evolution and the analytic map.
 
     Steps the integrator from rho0 = |psi><psi| across [0, t_max] and compares against
-    the exact propagator every ``compare_every`` time units (default: every step).
+    the exact propagator every ``compare_every`` time units (default: every step): at
+    t = 0, at each multiple of ``compare_every`` and at t_max, whether or not
+    ``compare_every`` divides it.
     This is the primary correctness gate for the integrator.  Only rho0 is validated;
     each comparison reads the map's elements.
     """

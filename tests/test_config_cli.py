@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -76,7 +77,7 @@ class TestConfigParsing:
         + [
             base_payload(
                 state={"family": "dicke", "n": 4, "k": 2},
-                sweep={"axes": {"n": [4, 5], "kappa": [1.0]}, "snapshot_t": 1.0, "workers": 2},
+                sweep={"axes": {"n": [4, 5], "kappa": [1.0]}, "snapshot_t": 1.0},
             )
         ]
         + [rate_payload(axis, record) for axis in RATE_AXES for record in RATE_RECORDS],
@@ -137,6 +138,11 @@ class TestConfigParsing:
             (
                 lambda p: p.update(sweep={"axes": {"n": [3]}, "worker": 2}),
                 "sweep: unknown field 'worker'",
+            ),
+            # the worker count is set by --workers alone
+            (
+                lambda p: p.update(sweep={"axes": {"n": [3]}, "workers": 2}),
+                "sweep: unknown field 'workers'",
             ),
             (lambda p: p.update(output=["csv"]), "output: expected a JSON object"),
             # float(true) is 1.0: the row would read s=True and run s = 1
@@ -267,23 +273,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="axes"):
             parse_config(payload)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("workers", 0),
-            ("workers", -3),
-            ("workers", "two"),
-            ("workers", 2.5),
-            ("workers", True),
-            ("workers", None),  # no null state: the default is one worker
-            ("job_cap", 0),
-            ("job_cap", -1),
-            ("job_cap", 2.5),
-        ],
-    )
-    def test_sweep_counts_must_be_positive_integers(self, field, value):
-        payload = base_payload(sweep={"axes": {"n": [3]}, field: value})
-        with pytest.raises(ConfigError, match=f"sweep.{field}"):
+    @pytest.mark.parametrize("value", [0, -1, 2.5, None])  # no null state: the default is 512
+    def test_sweep_counts_must_be_positive_integers(self, value):
+        payload = base_payload(sweep={"axes": {"n": [3]}, "job_cap": value})
+        with pytest.raises(ConfigError, match="sweep.job_cap"):
             parse_config(payload)
 
     def test_null_stands_for_a_default_of_none(self):
@@ -296,9 +289,9 @@ class TestConfigParsing:
         assert (config.time.sample_every, config.time.observable_every) == (None, None)
 
     def test_sweep_counts_accept_positive_integers(self):
-        config = parse_config(base_payload(sweep={"axes": {"n": [3]}, "workers": 2, "job_cap": 1}))
-        assert (config.sweep.workers, config.sweep.job_cap) == (2, 1)
-        assert parse_config(base_payload(sweep={"axes": {"n": [3]}})).sweep.workers == 1
+        config = parse_config(base_payload(sweep={"axes": {"n": [3]}, "job_cap": 1}))
+        assert config.sweep.job_cap == 1
+        assert parse_config(base_payload(sweep={"axes": {"n": [3]}})).sweep.job_cap == 512
 
     def test_load_config_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -326,7 +319,7 @@ class TestRunCommand:
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
         metadata = json.load(open(paths_a["metadata"]))
-        assert metadata["trajectory"]["kappa"] == 0.25
+        assert metadata["trajectory"]["noise"]["kappa"] == 0.25
         assert metadata["trajectory"]["max_trace_drift"] <= 1e-9
 
     @pytest.mark.parametrize("formats", [["csv", "json"], ["csv", "states"]])
@@ -407,12 +400,6 @@ class TestRunCommand:
         code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "trajectory.csv").exists()
-
-    def test_cli_kappa_override(self, tmp_path):
-        path = write_config(tmp_path, base_payload())
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o1"), "--kappa", "1.0"]) == 0
-        metadata = json.load(open(tmp_path / "o1" / "metadata.json"))
-        assert metadata["trajectory"]["kappa"] == 1.0
 
     def test_metadata_lists_blocks_of_touched_nodes(self, tmp_path):
         # GHZ n = 5 under dephasing touches basis indices 0 and 31 of rho (one 2-block)
@@ -567,19 +554,31 @@ class TestSweepCommand:
         assert f"workers: expected a positive integer, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_kappa_flag_on_a_kappa_axis_is_refused(self, tmp_path, capsys):
-        axis = base_payload(sweep={"axes": {"kappa": [0.25]}, "snapshot_t": 1.0})
+    @pytest.mark.parametrize("workers", [0, -3, "two", 2.5, True])
+    def test_sweep_experiment_refuses_a_bad_worker_count(self, tmp_path, workers):
+        config = parse_config(base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 1.0}))
         out = tmp_path / "sweep"
-        argv = ["sweep", "--config", write_config(tmp_path, axis), "--out", str(out)]
-        assert main([*argv, "--kappa", "1.0"]) == 2
-        assert "config error: sweep.axes.kappa" in capsys.readouterr().err
+        refusal = f"workers: expected a positive integer, got {workers!r}"
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
+            sweep_experiment(config, str(out), workers=workers)
         assert not out.exists()
-        # without the axis the flag sets every cell's kappa
-        no_axis = base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 1.0})
-        argv[2] = write_config(tmp_path, no_axis, name="no_axis.json")
-        assert main([*argv, "--kappa", "1.0"]) == 0
-        with open(out / "summary.csv", newline="") as handle:
-            assert [row["kappa"] for row in csv.DictReader(handle)] == ["1.0"]
+
+    def test_sweep_experiment_defaults_to_one_worker(self, tmp_path):
+        config = parse_config(base_payload(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.0}))
+        paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=None)
+        assert json.loads(Path(paths["metadata"]).read_text())["workers"] == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle-check"])
+    def test_kappa_flag_is_gone(self, tmp_path, capsys, command):
+        # kappa comes from noise.kappa or a sweep.axes.kappa axis, never from the command line
+        payload = base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 1.0})
+        path = write_config(tmp_path, payload)
+        argv = [command, "--config", path, "--out", str(tmp_path / "out"), "--kappa", "1.0"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kappa 1.0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = parse_config(base_payload())

@@ -1183,6 +1183,21 @@ class TestOracleDeviation:
         assert dev < 1e-8
         assert validated == [3]
 
+    def test_sparse_cadence_still_compares_at_t_max(self, monkeypatch):
+        compared = []
+        integrals = dynamics._integrals
+
+        def recorded(spec, t):
+            compared.append(t)
+            return integrals(spec, t)
+
+        monkeypatch.setattr(dynamics, "_integrals", recorded)
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        # 0.7 does not divide 3.0: the last multiple is 2.8, and t_max is compared after it
+        dev = oracle_deviation(dicke_state(4, 2), spec, 3.0, IntegratorOptions(step=0.01), 0.7)
+        assert dev < 1e-8
+        assert compared == pytest.approx([0.0, 0.7, 1.4, 2.1, 2.8, 3.0])
+
     def test_map_elements_match_the_validated_map(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         rho0 = density_from_pure(random_pure(4, np.random.default_rng(5)))
