@@ -19,7 +19,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -237,6 +236,8 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     if workers == 1:
         results = [_run_sweep_cell(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only multi-worker sweeps pay it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_cell, jobs))
 

@@ -17,17 +17,20 @@ gamma_y (nz + nx) + gamma_z (nx + ny)] y.  The one stepper therefore
 advances one RK4 amplification factor per letter-count class (the Hamming
 distance under pure dephasing) that rho0's pattern uses, with rates evaluated
 a block of steps at a time (max(128, 15360 // classes) steps: 960 for fig5
-GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  A block's RK4
-growth table (steps x classes) comes from a memo keyed by (active rate
-models, h, first step, end step, class coefficient tuples: -2 kappa anti_a /
-omega_0 per active axis), and each model's three stage-rate rows from a memo
-keyed by (model, h, first step, end step).  A class's growth depends on n only
-through its coefficients, so a sweep's cells of one s evaluate the rate only
-once, and W's cells of one s share one table at every n.  Both memos hold 32
-entries (15 MiB in all at worst up to 120 classes).  One flip-and-sign
-transform per site puts the Pauli coefficients where popcounts of each
-entry's row and column give its class, counted bit by bit on the pattern's
-entries; it is skipped when z is the only active axis.  Full-matrix RK4 is
+GHZ n=7's 16 classes, 7680 for GHZ or W under dephasing).  A block's factor
+table (steps x classes) holds the class factors after each of its steps: the
+running product of its RK4 growth rows from the factors at its first step
+(the carry, all ones for the first block).  It comes from a memo keyed by
+(active rate models, h, first step, end step, class coefficient tuples: -2
+kappa anti_a / omega_0 per active axis, carry), and each model's three
+stage-rate rows from a memo keyed by (model, h, first step, end step); a
+record reads its factors as one row of the table.  A class's factors depend
+on n only through its coefficients, so a sweep's cells of one s evaluate the
+rate only once, and W's cells of one s share one table at every n.  Both
+memos hold 32 entries (15 MiB in all at worst up to 120 classes).  One
+flip-and-sign transform per site puts the Pauli coefficients where popcounts
+of each entry's row and column give its class, counted bit by bit on the
+pattern's entries; it is skipped when z is the only active axis.  Full-matrix RK4 is
 exactly RK4 on these factors; the test suite's dense RK4 stepper, which
 materialises the right-hand side, is the independent reference
 (``tests/reference.py``).
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -197,17 +200,21 @@ def _site_transform(values: np.ndarray, signs: list, inverse: bool) -> np.ndarra
 _BLOCK_ENTRIES = 128 * 120
 _BLOCK_STEPS = 128
 
-# Stage rates and growth tables of the rate blocks that runs have stepped, by their
+# Stage rates and factor tables of the rate blocks that runs have stepped, by their
 # arguments, each memo dropping its least recently used entry first.  The models are
-# frozen dataclasses and a class's growth depends on n only through its coefficients, so
-# every sweep cell of one s shares the block's stage rates, and cells whose classes have
-# the same coefficients (W's at every n) share its table.  Worst case: a block has at most
-# _BLOCK_ENTRIES = 15360 steps (one class), so one model's stage rows are at most
-# 3 x 15360 float64s = 360 KiB, and a table at most max(_BLOCK_ENTRIES, _BLOCK_STEPS x
-# classes) float64s: 120 KiB up to 120 classes, 1 KiB per class above.  The memos hold at
-# most 32 x (360 + 120) KiB = 15 MiB, plus 32 KiB per class above 120.  A paper sweep needs
-# 12 stage-row entries (one 3000-step block per s) of 70 KiB each and 3000 x 2 tables of
-# 47 KiB: one per s for fig4's W, one per cell for fig3's GHZ (its d = n class).
+# frozen dataclasses and a class's factors depend on n only through its coefficients and
+# the carry, so every sweep cell of one s shares the block's stage rates, and cells whose
+# classes have the same coefficients (W's at every n) share its table.  A table is the
+# block's running product, so a record reads its factors as one row, and the next block's
+# carry is the last row, which the stepper holds and passes on itself.
+# Worst case: a block has at most _BLOCK_ENTRIES = 15360 steps (one class), so one model's
+# stage rows are at most 3 x 15360 float64s = 360 KiB, and a table at most
+# max(_BLOCK_ENTRIES, _BLOCK_STEPS x classes) float64s (and the carry row, which the
+# table's base array holds above it): 120 KiB up to 120 classes, 1 KiB per class above.
+# The memos hold at most 32 x (360 + 120) KiB = 15 MiB, plus 32 KiB per class above 120.
+# A paper sweep needs 12 stage-row entries (one 3000-step block per s) of 70 KiB each and
+# 3000 x 2 tables of 47 KiB: one per s for fig4's W, one per cell for fig3's GHZ (its
+# d = n class).
 _GROWTH_ENTRIES = 32
 
 
@@ -222,9 +229,19 @@ def _stage_rates(model: DecayRateModel, h: float, j: int, stop: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=_GROWTH_ENTRIES)
-def _growth_table(models: tuple, h: float, j: int, stop: int, coeffs: tuple) -> np.ndarray:
-    """Read-only RK4 growth of steps j..stop-1, one row per step and one column per class."""
-    return _rk4_growth([_stage_rates(model, h, j, stop) for model in models], h, coeffs)
+def _factor_table(
+    models: tuple, h: float, j: int, stop: int, coeffs: tuple, carry: tuple
+) -> np.ndarray:
+    """Read-only class factors after each of steps j..stop-1, from ``carry`` before step j.
+
+    One row per step and one column per class: the running product of the block's RK4
+    growth rows.  An accumulation down axis 0 multiplies row by row, as one step at a time
+    does, so every row is bitwise the factors that stepping from ``carry`` gives.
+    """
+    growth = _rk4_growth([_stage_rates(model, h, j, stop) for model in models], h, coeffs)
+    table = np.multiply.accumulate(np.vstack((carry, growth)), axis=0)[1:]
+    table.setflags(write=False)
+    return table
 
 
 def _rk4_growth(stages: list, h: float, coeffs: tuple) -> np.ndarray:
@@ -252,7 +269,8 @@ def _rk4_growth(stages: list, h: float, coeffs: tuple) -> np.ndarray:
 # Peak bytes of a class-engine run, charged above what tracemalloc measured with numpy 2.4:
 # per pattern entry for the stepper and one plan's build (92 at full support, n = 8), per
 # entry and plan kept (16), per basis index (16.4 for a cold fig3 or fig4 cell at n = 20:
-# psi, whose norm check allocates none) and per growth-table entry (86-94 with three axes).
+# psi, whose norm check allocates none) and per factor-table entry (66-76 for a cold block:
+# the peak is in the RK4 stages, and the running product's stack and output stay below it).
 _ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 24, 128
 
 
@@ -333,8 +351,8 @@ class _ClassStepper:
     All of that, and the block plans, is the ``_ClassPattern`` of psi and the active axes,
     reused from the previous run when both match; the stepper holds the run's own part:
     the active rate models, each class's coefficient tuple, the rate blocks and the
-    factors.  Each block's growth table comes from the growth memo (``_growth_table``),
-    shared by every run with the same rate models, time grid and class coefficients.
+    factors.  Each block's factor table comes from the memo (``_factor_table``), shared
+    by every run with the same rate models, time grid, class coefficients and carry.
 
     Hermiticity is not measured.  The generator maps Hermitian matrices to Hermitian ones
     and every class factor is real, so rho(t) is Hermitian up to the letter transform's
@@ -362,15 +380,13 @@ class _ClassStepper:
         h, block = self.h, self.block_steps
         j = k0
         while j < k:
-            offset = j % block
-            if offset == 0:  # RK4 growth rows of the next block, up to t_max
+            start = j - j % block
+            if j == start:  # the next block's factor rows, up to t_max, from the factors now
                 end = min(j + block, self.n_steps)
-                self.growth = _growth_table(self.models, h, j, end, self.coeffs)
-            stop = min(k, j - offset + block)
-            rows = self.growth[offset : offset + stop - j]
-            # a reduction down axis 0 multiplies row by row, as one step at a time does
-            self.factors = np.multiply.reduce(np.vstack((self.factors, rows)), axis=0)
-            j = stop
+                carry = tuple(self.factors.tolist())
+                self.table = _factor_table(self.models, h, j, end, self.coeffs, carry)
+            j = min(k, start + block)
+            self.factors = self.table[j - start - 1]
 
     def values(self) -> np.ndarray:
         """rho(t) at the pattern's (rows, cols)."""
@@ -414,8 +430,8 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     min(|S|^2, 2^n) offsets, each block a coset of their span (at most min(n, |S| - 1)
     dimensions).  Stacked values count twice: ``eigvalsh`` copies them unseen by tracemalloc.
     This is a cold build; a run that reuses the previous run's pattern (same n, psi and
-    axes) allocates no pattern or plan anew, and one whose growth tables the memo
-    (``_growth_table``) holds computes none.  At most one pattern is held between runs, and
+    axes) allocates no pattern or plan anew, and one whose factor tables the memo
+    (``_factor_table``) holds computes none.  At most one pattern is held between runs, and
     it is dropped before the next one is built; the memos' own bound (at most 15 MiB up to
     120 classes) is not charged here.
     """
@@ -508,7 +524,6 @@ def evolve(
             )
 
     metadata = {
-        "noise": asdict(spec),
         "integrator": stepper.engine,
         "classes": stepper.classes,
         "block_steps": stepper.block_steps,

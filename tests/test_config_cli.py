@@ -5,7 +5,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +26,8 @@ from qubitbath.cli import (
 from qubitbath.config import ConfigError, StateConfig, load_config, parse_config
 from reference import dense_engine
 
-PAPER_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs" / "paper").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+PAPER_CONFIGS = sorted((ROOT / "configs" / "paper").glob("*.json"))
 
 
 def base_payload(**overrides):
@@ -319,7 +323,7 @@ class TestRunCommand:
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
         metadata = json.load(open(paths_a["metadata"]))
-        assert metadata["trajectory"]["noise"]["kappa"] == 0.25
+        assert metadata["config"]["noise"]["kappa"] == 0.25
         assert metadata["trajectory"]["max_trace_drift"] <= 1e-9
 
     @pytest.mark.parametrize("formats", [["csv", "json"], ["csv", "states"]])
@@ -822,7 +826,7 @@ class TestNoDenseInitialState:
     @staticmethod
     def _peak(fn, *args):
         dynamics._last_pattern.clear()  # a cold build, not a reuse of the warm-up's pattern
-        dynamics._growth_table.cache_clear()  # and the warm-up's growth is computed anew
+        dynamics._factor_table.cache_clear()  # and the warm-up's factors are computed anew
         dynamics._stage_rates.cache_clear()
         tracemalloc.start()
         try:
@@ -1028,6 +1032,23 @@ class TestSweepRecords:
         assert summaries[0].read_bytes() == summaries[1].read_bytes()
         for workers, summary in zip((1, 2), summaries):
             assert json.loads(summary.with_name("summary.json").read_text())["workers"] == workers
+
+    def test_cli_import_loads_no_process_pool(self):
+        # the pool's modules load only when a sweep runs on more than one worker
+        code = (
+            "import json, sys, qubitbath.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m.split('.')[0] in ('concurrent', 'multiprocessing'))))"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(out.stdout.splitlines()[-1]) == []
 
     def test_one_wall_time_per_cell(self, tmp_path):
         config = parse_config(

@@ -825,7 +825,7 @@ def paper_payload(stem: str) -> dict:
 
 
 def clear_growth_memos():
-    dynamics._growth_table.cache_clear()
+    dynamics._factor_table.cache_clear()
     dynamics._stage_rates.cache_clear()
 
 
@@ -843,7 +843,7 @@ def count_growth_tables(monkeypatch) -> list:
 
 
 def held_tables() -> int:
-    return dynamics._growth_table.cache_info().currsize
+    return dynamics._factor_table.cache_info().currsize
 
 
 def held_rates() -> int:
@@ -856,8 +856,8 @@ def fig4_rates(stop: int, model=OhmicZeroTempRate(2.47)):
 
 
 def table_of(model, stop=100, coeffs=((-1.0,),)):
-    """The memo's growth table of a one-model block of steps 0..stop-1 at step 0.01."""
-    return dynamics._growth_table((model,), 0.01, 0, stop, coeffs)
+    """The memo's factor table of a one-model block of steps 0..stop-1 at step 0.01."""
+    return dynamics._factor_table((model,), 0.01, 0, stop, coeffs, (1.0,) * len(coeffs))
 
 
 def cold_cell(job):
@@ -996,14 +996,43 @@ class TestGrowthMemo:
         )
         clear_growth_memos()
         models = (ConstantRate(0.1), ConstantRate(0.1))
-        dynamics._growth_table(models, 0.01, 0, 10, ((-1.0, -1.0),))
+        dynamics._factor_table(models, 0.01, 0, 10, ((-1.0, -1.0),), (1.0,))
         assert calls == [ConstantRate(0.1)] * 3
         assert held_rates() == 1
 
+    @pytest.mark.parametrize(
+        "psi, spec, t_max, blocks",
+        [(w_state(5), fig4_spec(), 30.0, 1), (ghz_state(7), None, 20.0, 3)],
+        ids=["w5-fig4-rates", "ghz7-fig5-rates"],
+    )
+    def test_factor_tables_equal_step_by_step_products(self, psi, spec, t_max, blocks):
+        # each table row is the factors after its step, bitwise, with each block carried
+        # on from the last row of the one before (GHZ n = 7: 960 + 960 + 80 steps)
+        spec = spec or parse_config(paper_payload("fig5_ghz_n7_depolarising")).noise
+        h, n_steps = 0.01, round(t_max / 0.01)
+        stepper = dynamics._ClassStepper(psi, spec, h, n_steps)
+        clear_growth_memos()
+        stepper.advance(0, n_steps)
+        starts = range(0, n_steps, stepper.block_steps)
+        assert len(starts) == blocks == held_tables()
+        factors = np.ones(stepper.classes)
+        for j in starts:
+            stop = min(j + stepper.block_steps, n_steps)
+            carry = tuple(factors.tolist())
+            table = dynamics._factor_table(stepper.models, h, j, stop, stepper.coeffs, carry)
+            stages = [dynamics._stage_rates(model, h, j, stop) for model in stepper.models]
+            expected = []
+            for growth in dynamics._rk4_growth(stages, h, stepper.coeffs):
+                factors = factors * growth
+                expected.append(factors)
+            assert_bitwise_equal(table, np.array(expected))
+        assert held_tables() == blocks  # every table above is the one the stepper used
+        assert_bitwise_equal(stepper.factors, factors)
+
     @pytest.mark.parametrize("psi, spec", [(w_state(4), fig4_spec()), (ghz_state(7), None)])
     def test_recording_cadence_keeps_bits(self, psi, spec):
-        # one reduction over a block gives the factors that step-by-step gives (GHZ n = 7:
-        # blocks of 960 steps, so the end-only run reduces over two of them)
+        # a row of a block's running product gives the factors that step-by-step gives
+        # (GHZ n = 7: blocks of 960 steps, so the end-only run carries across two of them)
         spec = spec or parse_config(paper_payload("fig5_ghz_n7_depolarising")).noise
         cuts = [one_vs_rest(psi.n)]
         ends = [
