@@ -33,7 +33,15 @@ from .analysis import (
     fit_reciprocal_exp,
     vanishing_crossing,
 )
-from .config import ConfigError, ExperimentConfig, _positive_int, load_config, parse_config
+from .config import (
+    _SECTIONS,
+    ConfigError,
+    ExperimentConfig,
+    _check_cuts,
+    _positive_int,
+    load_config,
+    parse_config,
+)
 from .dynamics import class_engine_bytes, evolve, oracle_deviation
 from .errors import IntegrationError
 from .rates import classify_divisibility
@@ -164,11 +172,14 @@ def _cell_base(config: ExperimentConfig) -> dict:
     return base
 
 
-def _derive_cell(base: dict, cell: dict) -> ExperimentConfig:
-    """The config of one cell from ``_cell_base``, validated by ``parse_config`` like any other.
+def _derive_cell(shared: ExperimentConfig, base: dict, cell: dict) -> ExperimentConfig:
+    """The config of one cell: ``shared`` (``base`` from ``_cell_base``, parsed once) with the
+    state and noise sections that the cell changes.
 
-    Only the sections the cell changes are copied; the rest of ``base`` is shared by every
-    cell and never written.
+    Those two sections are re-parsed from ``base`` by ``parse_config``'s own section parsers,
+    and the cuts go through its cut checks at the cell's n, so a cell is refused as its own
+    config would be.  Only the sections the cell changes are copied; ``base`` is shared by
+    every cell and never written.
     """
     state, noise = dict(base["state"]), dict(base["noise"])
     noise["rate_z"] = rate_z = dict(noise["rate_z"])
@@ -180,7 +191,9 @@ def _derive_cell(base: dict, cell: dict) -> ExperimentConfig:
         rate_z["s"] = cell["s"]
     if "kappa" in cell:
         noise["kappa"] = cell["kappa"]
-    return parse_config({**base, "state": state, "noise": noise})
+    state, noise = _SECTIONS["state"](state, "state"), _SECTIONS["noise"](noise, "noise")
+    _check_cuts(shared.cuts, state.n)
+    return dataclasses.replace(shared, state=state, noise=noise)
 
 
 def _run_sweep_cell(args: tuple) -> tuple:
@@ -220,7 +233,8 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     workers = min(_positive_int(1 if workers is None else workers, "workers"), len(cells))
 
     base = _cell_base(config)
-    jobs = [(cell, _derive_cell(base, cell)) for cell in cells]
+    shared = parse_config(base)  # what no cell changes is validated once
+    jobs = [(cell, _derive_cell(shared, base, cell)) for cell in cells]
     # cells differ only in n, s and kappa, so all share their active axes: one cell per state
     estimated = {job.state: job for _, job in jobs}.values()
     needed = workers * max(

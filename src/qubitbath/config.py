@@ -311,15 +311,20 @@ _SECTIONS = {
 }
 
 
-def parse_config(payload: dict) -> ExperimentConfig:
-    config = _record(ExperimentConfig, payload, "", _SECTIONS)
-    for i, label in enumerate(config.cuts):
-        if label in config.cuts[:i]:
+def _check_cuts(cuts: tuple, n: int) -> None:
+    """Refuse a repeated cut label or one that names no bipartition of n qubits."""
+    for i, label in enumerate(cuts):
+        if label in cuts[:i]:
             raise ConfigError(f"cuts: duplicate label {label!r}")
         try:
-            parse_cut_label(label, config.state.n)
+            parse_cut_label(label, n)
         except ValueError as exc:
             raise ConfigError(f"cuts: {exc}") from exc
+
+
+def parse_config(payload: dict) -> ExperimentConfig:
+    config = _record(ExperimentConfig, payload, "", _SECTIONS)
+    _check_cuts(config.cuts, config.state.n)
     if config.sweep is not None:
         _on_step_grid(config.sweep.snapshot_t, config.time.step, "sweep.snapshot_t")
     return config

@@ -45,9 +45,12 @@ values on it and axes, so a sweep's cells of one n share them.  A plan holds
 the components of the nodes the pattern touches (any other node is an exact
 zero eigenvalue), grouped by size, and where each value goes in its group's
 stack.  A record costs one evaluation of rho(t) on the pattern plus one
-stacked ``eigvalsh`` per size group, and a positivity point reads |Tr rho - 1|
-off the diagonal entries (``max_trace_drift``); the full matrix is rebuilt
-only for states that ``record_states`` keeps.
+stacked ``eigvalsh`` per size group of 2 x 2 blocks or larger (a 1 x 1 block
+is its value's real part), and a positivity point reads |Tr rho - 1| off the
+diagonal entries (``max_trace_drift``); the full matrix is rebuilt only for
+states that ``record_states`` keeps.  The record at t = 0 is rho0's, the same
+for every run with the pattern: the pattern holds it, by the cuts and whether
+positivity is due, so a sweep's cells of one n solve rho0 once.
 
 One closed-form entry, ``analytic_state_at``, gives the exact state of either
 noise kind at time t from the rate integrals and is the independent oracle for
@@ -281,7 +284,10 @@ class _ClassPattern:
     letter transform runs and its per-site signs, each coefficient's class, each class's
     anticommuting-letter counts per active axis, and the block plans by cut, each built on
     first use.  No rate model enters, so runs that differ only in their rates share one
-    pattern (``_class_pattern``).
+    pattern (``_class_pattern``).  Nor does any enter rho0's record: at step 0 every class
+    factor is 1, so ``initial`` holds that record (E per cut, the minimum eigenvalue and the
+    trace drift) by the cuts and whether positivity is due, and a sweep's cells of one n
+    solve rho0 once.
     """
 
     def __init__(self, psi: PureState, support: np.ndarray, axes: tuple):
@@ -304,7 +310,7 @@ class _ClassPattern:
         code = sum((n + 1) ** j * _popcount(letters[axis], n) for j, axis in enumerate(axes))
         codes, self.coeff_class = np.unique(code, return_inverse=True)
         self.anti = [codes // (n + 1) ** j % (n + 1) for j in range(len(axes))]
-        self.dim, self.classes, self.plans = d, len(codes), {}
+        self.dim, self.classes, self.plans, self.initial = d, len(codes), {}, {}
 
     def plan(self, cut: Optional[Bipartition]) -> BlockPlan:
         """Block plan of rho (cut None) or of its partial transpose, built on first use."""
@@ -374,7 +380,7 @@ class _ClassStepper:
         # each class's decay coefficients, -2 kappa anti_a / omega0 per active axis
         self.coeffs = tuple(zip(*((-(scale * row)).tolist() for row in self.pattern.anti)))
         self.block_steps = max(_BLOCK_STEPS, _BLOCK_ENTRIES // self.classes)
-        self.factors = np.ones(self.classes, dtype=float)
+        self.step, self.factors = 0, np.ones(self.classes, dtype=float)
 
     def advance(self, k0: int, k: int) -> None:
         h, block = self.h, self.block_steps
@@ -387,6 +393,7 @@ class _ClassStepper:
                 self.table = _factor_table(self.models, h, j, end, self.coeffs, carry)
             j = min(k, start + block)
             self.factors = self.table[j - start - 1]
+        self.step = k
 
     def values(self) -> np.ndarray:
         """rho(t) at the pattern's (rows, cols)."""
@@ -403,14 +410,29 @@ class _ClassStepper:
         return mat
 
     def observe(self, cuts, positivity: bool) -> tuple:
-        """E per cut and, if asked, the minimum eigenvalue of rho, from one block plan each."""
-        pattern, values, lam_min = self.pattern, self.values(), None
+        """E per cut and, if asked, the minimum eigenvalue of rho, from one block plan each.
+
+        At step 0 the record is rho0's, which the pattern holds once solved (``initial``).
+        """
+        if self.step == 0:
+            key = (tuple(cuts), positivity)
+            if key not in self.pattern.initial:
+                self.pattern.initial[key] = self._record(cuts, positivity)
+            values, lam_min, drift = self.pattern.initial[key]
+        else:
+            values, lam_min, drift = self._record(cuts, positivity)
+        self.max_trace_drift = max(self.max_trace_drift, drift)
+        return list(values), lam_min
+
+    def _record(self, cuts, positivity: bool) -> tuple:
+        """(E per cut, the minimum eigenvalue or None, |Tr rho - 1| or 0.0) of rho now."""
+        pattern, values, lam_min, drift = self.pattern, self.values(), None, 0.0
         if positivity:  # an untouched node is an exact zero eigenvalue
             eigs = pattern.plan(None).eigvalsh(values)
             lam_min = float(min(eigs.min(), 0.0) if pattern.plan(None).untouched else eigs.min())
             drift = float(abs(values[pattern.rows == pattern.cols].sum() - 1.0))
-            self.max_trace_drift = max(self.max_trace_drift, drift)
-        return [log2_trace_norm(pattern.plan(cut).eigvalsh(values)) for cut in cuts], lam_min
+        negativities = tuple(log2_trace_norm(pattern.plan(cut).eigvalsh(values)) for cut in cuts)
+        return negativities, lam_min, drift
 
     def blocks(self, cuts) -> dict:
         """[size, count] of each plan's stacked groups, by cut label and "rho" (positivity)."""

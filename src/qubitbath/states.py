@@ -141,8 +141,11 @@ class BlockPlan:
     and blocks of one size are solved in one stacked ``eigvalsh`` call.  The plan
     (size groups and each value's place in its group's stack) is built once;
     ``eigvalsh`` then costs one scatter of the values plus the stacked solves and
-    returns the blocks' eigenvalues group by group, unsorted.  Each of the
-    ``untouched`` other nodes is an exact zero eigenvalue, counted and not stored.
+    returns the blocks' eigenvalues group by group, unsorted.  The 1 x 1 group
+    calls no solver: a block's eigenvalue is its value's real part, scattered to
+    the block's place, which is exactly what LAPACK returns for one row.  Each of
+    the ``untouched`` other nodes is an exact zero eigenvalue, counted and not
+    stored.
     """
 
     def __init__(self, rows, cols, dim: int):
@@ -172,6 +175,11 @@ class BlockPlan:
         values = np.asarray(values)[self.order]
         eigs = [np.zeros(0)]  # an all-zero matrix has no block
         for size, count, flat, lo, hi in self.groups:
+            if size == 1:  # a 1 x 1 block's eigenvalue is its real part, as LAPACK returns it
+                singles = np.zeros(count, dtype=values.real.dtype)
+                singles[flat] = values[lo:hi].real
+                eigs.append(singles)
+                continue
             blocks = np.zeros(count * size * size, dtype=values.dtype)
             blocks[flat] = values[lo:hi]
             eigs.append(np.linalg.eigvalsh(blocks.reshape(count, size, size)).ravel())

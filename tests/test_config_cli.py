@@ -811,6 +811,12 @@ class TestAtomicOutputs:
         assert list(out.iterdir()) == []
 
 
+def derive_cell(config, cell):
+    """One cell's config as a sweep derives it: the cell base parsed once, then the cell."""
+    base = cli._cell_base(config)
+    return cli._derive_cell(parse_config(base), base, cell)
+
+
 def paper_config(stem, **state):
     payload = json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
     payload["state"].update(state)
@@ -839,7 +845,7 @@ class TestNoDenseInitialState:
     def test_sweep_cell_peak_allocation(self, stem):
         config = paper_config(stem)
         cell = {"n": 10, "s": 2.47}
-        job = (cell, cli._derive_cell(cli._cell_base(config), cell))
+        job = (cell, derive_cell(config, cell))
         cli._run_sweep_cell(job)  # lazy imports and rate set-up happen once per process
         (_, rows, failure, _), peak = self._peak(cli._run_sweep_cell, job)
         assert failure is None and len(rows) == len(config.cuts)
@@ -872,7 +878,7 @@ class TestNoDenseInitialState:
         assert (tmp_path / "run" / "trajectory.csv").exists() and "states" not in paths
         sweep = paper_config("fig4_w_dephasing_sweep")
         cell = {"n": 6, "s": 2.47}
-        job = cli._derive_cell(cli._cell_base(sweep), cell)
+        job = derive_cell(sweep, cell)
         _, rows, failure, _ = cli._run_sweep_cell((cell, job))
         assert failure is None and len(rows) == 2
 
@@ -899,9 +905,8 @@ class TestCellMemoryEstimate:
         config = sweep_config(stem)
         cell = {"n": n, **({"s": 2.47} if "s" in config.sweep.axes else {})}
         warm = dict(cell, n=3)
-        base = cli._cell_base(config)
-        cli._run_sweep_cell((warm, cli._derive_cell(base, warm)))  # lazy set-up, once
-        job = cli._derive_cell(base, cell)
+        cli._run_sweep_cell((warm, derive_cell(config, warm)))  # lazy set-up, once
+        job = derive_cell(config, cell)
         peak_of = TestNoDenseInitialState._peak
         (_, rows, failure, _), peak = peak_of(cli._run_sweep_cell, (cell, job))
         assert failure is None and len(rows) == len(config.cuts)
@@ -969,10 +974,27 @@ class TestCellDerivation:
     def test_matches_per_cell_round_trip(self, config):
         base = cli._cell_base(config)
         pristine = copy.deepcopy(base)
+        shared = parse_config(base)
         cells = sweep_cells(config)
         for cell in cells:
-            assert cli._derive_cell(base, cell) == round_trip_cell(config, cell)
+            assert cli._derive_cell(shared, base, cell) == round_trip_cell(config, cell)
         assert base == pristine  # cells copy what they change; the base is never written
+
+    def test_sweep_parses_config_once(self, tmp_path, monkeypatch):
+        parsed = []
+        real = cli.parse_config
+
+        def counting(payload):
+            parsed.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(cli, "parse_config", counting)
+        axes = {"n": [3, 4], "s": [2.0, 2.47, 3.0]}
+        config = parse_config(base_payload(sweep={"axes": axes, "snapshot_t": 1.0}))
+        paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
+        # the cell base alone: each cell re-parses only its state and noise sections
+        assert parsed == [cli._cell_base(config)]
+        assert len(Path(paths["summary"]).read_text().splitlines()) == 1 + 6
 
     def _refused_before_any_cell(self, tmp_path, monkeypatch, payload, match):
         def no_cell(job):

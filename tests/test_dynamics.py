@@ -1,9 +1,11 @@
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
@@ -37,7 +39,7 @@ from qubitbath import (
 from qubitbath import cli, dynamics
 from qubitbath.cli import main, sweep_experiment
 from qubitbath.config import parse_config
-from qubitbath.states import DensityMatrix, PureState
+from qubitbath.states import BlockPlan, DensityMatrix, PureState
 from reference import (
     PAULI_X,
     PAULI_Y,
@@ -820,6 +822,116 @@ class TestPatternReuse:
         assert held < 2**20, held
 
 
+def count_plan_solves(monkeypatch) -> list:
+    """One entry per ``BlockPlan.eigvalsh`` call from here on."""
+    calls = []
+    real = BlockPlan.eigvalsh
+
+    def counting(plan, values):
+        calls.append(plan)
+        return real(plan, values)
+
+    monkeypatch.setattr(BlockPlan, "eigvalsh", counting)
+    return calls
+
+
+def rho0_record(psi, spec, cuts, positivity=True) -> tuple:
+    """A fresh stepper's record at step 0: E per cut, lambda_min and the trace drift."""
+    stepper = dynamics._ClassStepper(psi, spec, 0.01, 100)
+    stepper.advance(0, 0)
+    values, lam_min = stepper.observe(cuts, positivity)
+    return values, lam_min, stepper.max_trace_drift
+
+
+def assert_same_record(a, b):
+    (values_a, lam_a, drift_a), (values_b, lam_b, drift_b) = a, b
+    assert_bitwise_equal(values_a, values_b)
+    assert (lam_a is None) == (lam_b is None)
+    if lam_a is not None:
+        assert_bitwise_equal(lam_a, lam_b)
+    assert_bitwise_equal(drift_a, drift_b)
+
+
+PAULI_GHZ = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+
+
+class TestInitialRecord:
+    """rho0's record (t = 0) depends on the pattern and the cuts alone: it is solved once
+    per pattern and served bitwise to every later run from the same psi."""
+
+    OPTIONS = IntegratorOptions(step=0.01, observable_every=0.5, sample_every=1.0)
+
+    def test_sweep_solves_rho0_once_per_n(self, tmp_path, monkeypatch):
+        payload = paper_payload("fig4_w_dephasing_sweep")
+        payload["sweep"]["axes"] = {"n": [4, 5], "s": [2.0, 2.47, 3.0]}
+        calls = count_plan_solves(monkeypatch)
+        dynamics._last_pattern.clear()
+        sweep_experiment(parse_config(payload), str(tmp_path), workers=1)
+        # per n: rho0 once, then each of the 3 cells' snapshot; each record solves 2 cuts and rho
+        assert len(calls) == 2 * (1 + 3) * 3
+
+    @pytest.mark.parametrize(
+        "psi, spec, other",
+        [
+            (w_state(6), fig4_spec(), fig4_spec(s=3.0, kappa=1.0)),
+            (ghz_state(5), PAULI_GHZ, NoiseSpec("pauli", **REVIVAL_RATES)),
+            (
+                random_pure(4, np.random.default_rng(3)),
+                NoiseSpec("pauli", **REVIVAL_RATES),
+                PAULI_GHZ,
+            ),
+        ],
+        ids=["w6-dephasing", "ghz5-pauli", "random4-pauli"],
+    )
+    def test_served_record_equals_cold_record(self, psi, spec, other, monkeypatch):
+        # other rates on the same axes: the same pattern, so the second run is served rho0
+        cuts = [one_vs_rest(psi.n), highest_cut(psi.n)]
+        dynamics._last_pattern.clear()
+        evolve(psi, other, 1.0, cuts, self.OPTIONS)  # solves and holds rho0's record
+        calls = count_plan_solves(monkeypatch)
+        served = evolve(psi, spec, 1.0, cuts, self.OPTIONS)
+        assert len(calls) == 2 + 3  # t = 0.5: both cuts; t = 1: both cuts and rho
+        served_record = rho0_record(psi, spec, cuts)
+        assert len(calls) == 5
+        cold = cold_evolve(psi, spec, 1.0, cuts, self.OPTIONS)
+        assert_same_trajectory(served, cold)
+        for key in ("min_eigenvalue", "max_trace_drift"):
+            assert_bitwise_equal(served.metadata[key], cold.metadata[key])
+        dynamics._last_pattern.clear()
+        assert_same_record(served_record, rho0_record(psi, spec, cuts))
+
+    def test_other_cuts_get_their_own_record(self):
+        psi, spec = w_state(6), fig4_spec()
+        dynamics._last_pattern.clear()
+        rho0_record(psi, spec, [one_vs_rest(6)])
+        served = rho0_record(psi, spec, [highest_cut(6)])
+        dynamics._last_pattern.clear()
+        cold = rho0_record(psi, spec, [highest_cut(6)])
+        assert_same_record(served, cold)
+        assert cold[0] != rho0_record(psi, spec, [one_vs_rest(6)])[0]  # the cuts tell apart
+
+    def test_positivity_gets_its_own_record(self):
+        psi, spec, cuts = ghz_state(5), PAULI_GHZ, [one_vs_rest(5)]
+        dynamics._last_pattern.clear()
+        without = rho0_record(psi, spec, cuts, positivity=False)
+        served = rho0_record(psi, spec, cuts, positivity=True)
+        assert without[1] is None and without[2] == 0.0
+        dynamics._last_pattern.clear()
+        assert_same_record(served, rho0_record(psi, spec, cuts, positivity=True))
+        assert served[1] is not None
+        assert_same_record(without, rho0_record(psi, spec, cuts, positivity=False))
+
+    def test_other_n_drops_the_old_record(self):
+        dynamics._last_pattern.clear()
+        evolve(w_state(5), fig4_spec(), 1.0, [one_vs_rest(5)], self.OPTIONS)
+        old = weakref.ref(held_pattern())
+        assert list(old().initial) == [((one_vs_rest(5),), True)]
+        evolve(w_state(6), fig4_spec(), 1.0, [one_vs_rest(6)], self.OPTIONS)
+        gc.collect()
+        assert old() is None  # the old pattern, and its record with it, is gone
+        assert list(held_pattern().initial) == [((one_vs_rest(6),), True)]
+
+
 def paper_payload(stem: str) -> dict:
     return json.loads((CONFIG_DIR / f"{stem}.json").read_text())
 
@@ -915,9 +1027,10 @@ class TestGrowthMemo:
         payload = paper_payload("fig4_w_dephasing_sweep")
         payload["sweep"]["axes"] = {"kappa": [0.25, 1.0], "n": [3, 4, 5], "s": [2.47]}
         base = cli._cell_base(parse_config(payload))
+        shared = parse_config(base)
         # sweep order, axes sorted by name: every n at kappa = 1/4, then every n at kappa = 1
         cells = [{"kappa": k, "n": n, "s": 2.47} for k in (0.25, 1.0) for n in (3, 4, 5)]
-        jobs = [(cell, cli._derive_cell(base, cell)) for cell in cells]
+        jobs = [(cell, cli._derive_cell(shared, base, cell)) for cell in cells]
         clear_growth_memos()
         served = [cli._run_sweep_cell(job)[:3] for job in jobs]
         # one table per kappa, both from one block's stage rates

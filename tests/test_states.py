@@ -267,6 +267,44 @@ def test_block_plan_matches_dense(sizes, pad, seed):
     assert np.abs(with_untouched_zeros(plan, block) - dense).max() <= 1e-12
 
 
+def stacked_eigvalsh(plan, values) -> np.ndarray:
+    """``plan``'s spectrum with every size group, 1 x 1 ones too, sent to one stacked
+    ``np.linalg.eigvalsh``: each value placed in its block by the plan's ``flat``."""
+    values = np.asarray(values)[plan.order]
+    eigs = [np.zeros(0)]
+    for size, count, flat, lo, hi in plan.groups:
+        blocks = np.zeros(count * size * size, dtype=values.dtype)
+        blocks[flat] = values[lo:hi]
+        eigs.append(np.linalg.eigvalsh(blocks.reshape(count, size, size)).ravel())
+    return np.concatenate(eigs)
+
+
+# signed zeros, subnormals and magnitudes near both ends of the float64 range
+EXTREME_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_by_one_groups_match_stacked_eigvalsh(seed, dtype):
+    rng = np.random.default_rng(seed)
+    mat = planted_blocks([1] * 40 + [2] * 5 + [3] * 3, seed, pad=6)
+    rows, cols = np.nonzero(mat)
+    # entries out of node order, so a 1 x 1 group's entries do not come in its blocks' order
+    shuffle = rng.permutation(len(rows))
+    plan = BlockPlan(rows[shuffle], cols[shuffle], len(mat))
+    assert [group[:2] for group in plan.groups] == [(1, 40), (2, 5), (3, 3)]
+
+    def parts():
+        scale = 10.0 ** rng.integers(-300, 301, len(rows))
+        normal = rng.normal(size=len(rows)) * scale
+        return np.where(rng.random(len(rows)) < 0.4, rng.choice(EXTREME_PARTS, len(rows)), normal)
+
+    values = parts() + 1j * parts() if dtype is complex else parts()
+    eigs, reference = plan.eigvalsh(values), stacked_eigvalsh(plan, values)
+    assert (eigs.dtype, eigs.shape) == (reference.dtype, reference.shape) == (np.float64, (59,))
+    assert eigs.tobytes() == reference.tobytes()
+
+
 def first_seen_order(labels) -> list:
     """Labels renumbered by first appearance: equal lists mean the same partition."""
     seen = {}
