@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle-check", help="compare the integrator against the closed-form map"
     )
-    add_common(p_oracle)
+    p_oracle.add_argument("--config", required=True, help="experiment config JSON")
     p_oracle.add_argument("--threshold", type=float, default=1e-7)
     p_oracle.add_argument(
         "--compare-every", type=float, default=None, help="comparison cadence (default: every step)"

@@ -52,11 +52,12 @@ states that ``record_states`` keeps.  The record at t = 0 is rho0's, the same
 for every run with the pattern: the pattern holds it, by the cuts and whether
 positivity is due, so a sweep's cells of one n solve rho0 once.
 
-One closed-form entry, ``analytic_state_at``, gives the exact state of either
-noise kind at time t from the rate integrals and is the independent oracle for
-the integrator (``oracle_deviation``); when Lambda_x = Lambda_y = 0, as under
-dephasing, it damps each entry by its Hamming distance, read from a popcount
-table built for the call.
+One exact channel, ``_exact_channel``, gives the state of either noise kind at
+time t from the rate integrals, on values laid out offset by offset as the
+pattern is; when Lambda_x = Lambda_y = 0, as under dephasing, it damps each
+offset by its Hamming weight.  ``analytic_state_at`` applies it to every offset
+of a full matrix, and the oracle for the integrator (``oracle_deviation``) to
+rho0 on psi's offsets, so the oracle builds no 2^n x 2^n array either.
 """
 
 from __future__ import annotations
@@ -76,12 +77,7 @@ from .entanglement import (
 )
 from .errors import IntegrationError
 from .rates import ZERO_RATE, ConstantRate, DecayRateModel
-from .states import (
-    BlockPlan,
-    DensityMatrix,
-    PureState,
-    density_from_pure,
-)
+from .states import BlockPlan, DensityMatrix, PureState
 
 __all__ = [
     "DEPHASING",
@@ -565,20 +561,23 @@ def evolve(
     )
 
 
-def _pauli_map_elements(
-    elements: np.ndarray, n: int, lam_integrals: Sequence[float], spec: NoiseSpec
+def _exact_channel(
+    values: np.ndarray, offsets: np.ndarray, n: int, lam_integrals: Sequence[float], spec: NoiseSpec
 ) -> np.ndarray:
-    """``analytic_state_at``'s channel at ``lam_integrals`` on rho0's 2^n x 2^n elements.
+    """``analytic_state_at``'s channel at ``lam_integrals`` on values laid out offset by offset.
 
-    Returns the elements, unvalidated.  The Hamming route runs whenever Lambda_x = Lambda_y
-    = 0, the exact condition under which it is the channel, whatever the spec's kind.
+    Row j of ``values`` holds the entries (a, a ^ offsets[j]) for a = 0..2^n - 1, the layout
+    of the engine's pattern.  A site's Pauli conjugations mix (a, b) only with
+    (a ^ e_i, b ^ e_i), so each keeps the offset o = a ^ b, and the Z/Y sign is (-1)^(o_i),
+    one per row.  Returns new values, unvalidated.  The Hamming route (one damping factor per
+    row) runs whenever Lambda_x = Lambda_y = 0, the exact condition under which it is the
+    channel, whatever the spec's kind.
     """
     lam_x_int, lam_y_int, lam_z_int = (float(v) for v in lam_integrals)
     if lam_x_int == lam_y_int == 0.0:
         log_damping = -2.0 * spec.kappa * lam_z_int / spec.omega0
         damping = np.exp(log_damping * np.arange(n + 1))  # by Hamming distance
-        index = np.arange(2**n)
-        return elements * damping[_popcount(index, n)[index[:, None] ^ index]]
+        return values * damping[_popcount(offsets, n)][:, None]
     scale = 2.0 * spec.kappa / spec.omega0
     tx = np.exp(-scale * (lam_y_int + lam_z_int))
     ty = np.exp(-scale * (lam_z_int + lam_x_int))
@@ -590,22 +589,12 @@ def _pauli_map_elements(
     c_y = 0.25 * (1.0 - tx + ty - tz)
     c_z = 0.25 * (1.0 - tx - ty + tz)
 
-    tens = np.array(elements, dtype=complex).reshape((2,) * (2 * n))
-    out, term = np.empty_like(tens), np.empty_like(tens)
-    for i in range(n):
-        # out = c_i tens + c_x flip + c_y (signs flip) + c_z (signs tens), in two buffers
-        flip = np.flip(tens, axis=(i, n + i))
-        signs = _axis_sign(i, 2 * n) * _axis_sign(n + i, 2 * n)
-        np.multiply(c_i, tens, out=out)
-        out += np.multiply(c_x, flip, out=term)
-        np.multiply(signs, flip, out=term)
-        term *= c_y
-        out += term
-        np.multiply(signs, tens, out=term)
-        term *= c_z
-        out += term
-        tens, out = out, tens
-    return tens.reshape(2**n, 2**n)
+    stack = values.reshape((len(offsets),) + (2,) * n)
+    for i in range(n):  # site i is bit n - 1 - i, axis i + 1 of the stack
+        sign = (1.0 - 2.0 * (offsets >> (n - 1 - i) & 1)).reshape((-1,) + (1,) * n)
+        flip = np.flip(stack, axis=i + 1)
+        stack = c_i * stack + c_x * flip + c_y * (sign * flip) + c_z * (sign * stack)
+    return stack.reshape(values.shape)
 
 
 def _integrals(spec: NoiseSpec, t: float) -> list:
@@ -627,7 +616,10 @@ def analytic_state_at(rho0: DensityMatrix, spec: NoiseSpec, t: float) -> Density
     exp(-2 kappa Lambda_z d / omega_0), with d = popcount(a ^ b) the Hamming
     distance, and populations untouched.
     """
-    elements = _pauli_map_elements(rho0.elements, rho0.n, _integrals(spec, t), spec)
+    index = np.arange(rho0.dim)
+    at = (index, index ^ index[:, None])  # row o holds the entries (a, a ^ o)
+    elements = np.empty_like(rho0.elements)
+    elements[at] = _exact_channel(rho0.elements[at], index, rho0.n, _integrals(spec, t), spec)
     return DensityMatrix(n=rho0.n, elements=elements, check_positivity=False)
 
 
@@ -644,18 +636,24 @@ def oracle_deviation(
     the exact propagator every ``compare_every`` time units (default: every step): at
     t = 0, at each multiple of ``compare_every`` and at t_max, whether or not
     ``compare_every`` divides it.
-    This is the primary correctness gate for the integrator.  Only rho0 is validated;
-    each comparison reads the map's elements.
+    This is the primary correctness gate for the integrator.  It builds no 2^n x 2^n
+    array and no ``DensityMatrix``: rho0 is laid out offset by offset on the offsets of
+    psi's support, where the exact channel (``_exact_channel``) keeps it, and every
+    engine entry on another offset counts at its full |value|.
     """
     h = options.step
     n_steps = _stride("t_max", t_max, h, None)
     stride = _stride("compare_every", compare_every, h, 1)
-    rho0 = density_from_pure(psi).elements
     stepper = _ClassStepper(psi, spec, h, n_steps)
-    deviations = [
-        np.abs(
-            stepper.current() - _pauli_map_elements(rho0, psi.n, _integrals(spec, t), spec)
-        ).max()
-        for t, _ in _recording_points(stepper, n_steps, (stride,))
-    ]
+    rows, cols = stepper.pattern.rows, stepper.pattern.cols
+    amplitudes, support = psi.amplitudes, np.flatnonzero(psi.amplitudes)
+    offsets = np.unique(np.concatenate(((support[:, None] ^ support).ravel(), rows ^ cols)))
+    # rho0 at (a, a ^ o), zero on the engine's other offsets; the product is np.outer's arithmetic
+    rho0 = amplitudes * amplitudes[np.arange(psi.dim) ^ offsets[:, None]].conj()
+    at = (np.searchsorted(offsets, rows ^ cols), rows)
+    deviations = []
+    for t, _ in _recording_points(stepper, n_steps, (stride,)):
+        gap = _exact_channel(rho0, offsets, psi.n, _integrals(spec, t), spec)
+        gap[at] -= stepper.values()
+        deviations.append(np.abs(gap).max())
     return float(np.max(deviations))  # a NaN from a blown-up run is kept, not skipped

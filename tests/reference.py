@@ -4,13 +4,17 @@
 matrix, with the master equation's right-hand side materialised
 (``lindblad_rhs``), hermitised and re-traced every step.  It takes
 ``dynamics._ClassStepper``'s constructor arguments and offers the same
-``advance``/``observe``/``current``/``blocks`` methods, so ``dense_engine()``
-patches it in and ``evolve`` and ``oracle_deviation`` record it through their
-one loop.  Its ``observe`` takes each spectrum from one dense
-``np.linalg.eigvalsh``, so no class-vs-dense comparison shares the engine's
-``BlockPlan``.  ``hamming_dephasing_map`` is the closed-form dephasing propagator
-read from a 4^n Hamming-distance table.  Nothing here calls ``dynamics._axis_sign``
-or ``dynamics._popcount``: the sign arrays and the table are built below.
+``advance``/``observe``/``values``/``current``/``blocks`` methods and a
+``pattern`` of every entry's ``rows``/``cols``, so ``dense_engine()`` patches it
+in and ``evolve`` and ``oracle_deviation`` record it through their one loop.
+Its ``observe`` takes each spectrum from one dense ``np.linalg.eigvalsh``, so no
+class-vs-dense comparison shares the engine's ``BlockPlan``.
+``hamming_dephasing_map`` is the closed-form dephasing propagator read from a
+4^n Hamming-distance table, and ``pauli_channel_reference`` the closed-form
+three-axis channel as sum_P c_P P rho P over embedded Pauli matrices, site by
+site.  Nothing here calls ``dynamics._axis_sign``, ``dynamics._popcount`` or
+``dynamics._exact_channel``: the sign arrays, the table and the sums are built
+below.
 ``integrated_rate_quadrature`` integrates a rate model by adaptive quadrature,
 independently of the models' closed-form ``integrated``.
 ``ohmic_rate_spectral`` evaluates the zero-temperature Ohmic rate from its
@@ -23,6 +27,7 @@ independently of the partial transpose, and ``symmetry_check`` is the spread of
 import functools
 import math
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -122,6 +127,8 @@ class DenseStepper:
 
     def __init__(self, psi, spec, h: float, n_steps: int):
         self.mat = np.array(density_from_pure(psi).elements, dtype=complex)
+        index = np.arange(psi.dim)  # every entry, row by row, as ``values`` lays them out
+        self.pattern = SimpleNamespace(rows=np.repeat(index, psi.dim), cols=np.tile(index, psi.dim))
         self.spec = spec
         self.h = h
         self.tables = _tables(psi.n)
@@ -151,6 +158,10 @@ class DenseStepper:
             if drift > TRACE_RENORM_TOL:
                 mat = mat / trace
             self.mat = mat
+
+    def values(self) -> np.ndarray:
+        """rho(t) at the pattern's (rows, cols)."""
+        return self.mat.ravel()
 
     def current(self) -> np.ndarray:
         return self.mat
@@ -193,6 +204,30 @@ def hamming_dephasing_map(rho0: DensityMatrix, big_gamma: float, spec) -> Densit
     log_damping = -2.0 * spec.kappa * big_gamma / spec.omega0
     factors = np.exp(np.multiply(log_damping, _tables(rho0.n).hamming, dtype=np.float64))
     return DensityMatrix(n=rho0.n, elements=rho0.elements * factors, check_positivity=False)
+
+
+def pauli_channel_reference(rho0: DensityMatrix, lams, spec) -> np.ndarray:
+    """Exact channel at rate integrals ``lams`` = (Lambda_x, Lambda_y, Lambda_z), site by site.
+
+    Each site's channel is sum_P c_P P rho P over P = I, X, Y, Z, embedded as 2^n x 2^n
+    matrices, with the weights that give it the Pauli-transfer eigenvalues
+    lambda_x = exp(-2 kappa (Lambda_y + Lambda_z) / omega_0) and cyclic permutations.
+    """
+    lam_x, lam_y, lam_z = (
+        math.exp(-2.0 * spec.kappa * (lams[j] + lams[k]) / spec.omega0)
+        for j, k in ((1, 2), (2, 0), (0, 1))
+    )
+    weights = (
+        (1.0 + lam_x + lam_y + lam_z) / 4.0,
+        (1.0 + lam_x - lam_y - lam_z) / 4.0,
+        (1.0 - lam_x + lam_y - lam_z) / 4.0,
+        (1.0 - lam_x - lam_y + lam_z) / 4.0,
+    )
+    rho, n = np.array(rho0.elements, dtype=complex), rho0.n
+    for site in range(1, n + 1):
+        paulis = (embed_local_operator(p, site, n) for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
+        rho = sum(c * (p @ rho @ p) for c, p in zip(weights, paulis))  # each P is Hermitian
+    return rho
 
 
 def _quad_strict(func, a, b, what, **kwargs):

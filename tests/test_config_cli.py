@@ -577,9 +577,9 @@ class TestSweepCommand:
         # kappa comes from noise.kappa or a sweep.axes.kappa axis, never from the command line
         payload = base_payload(sweep={"axes": {"n": [3]}, "snapshot_t": 1.0})
         path = write_config(tmp_path, payload)
-        argv = [command, "--config", path, "--out", str(tmp_path / "out"), "--kappa", "1.0"]
+        out = [] if command == "oracle-check" else ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main([command, "--config", path, *out, "--kappa", "1.0"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --kappa 1.0" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
@@ -658,6 +658,17 @@ class TestOracleCheckCommand:
                 assert "pass" in capsys.readouterr().out
                 assert main(["oracle-check", "--config", path, "--threshold", "1e-16"]) == 1
                 assert "FAIL" in capsys.readouterr().out
+
+    def test_refuses_out(self, tmp_path, capsys):
+        # oracle-check writes nothing, so it takes no output directory
+        path = write_config(tmp_path, base_payload(time={"t_max": 2.0, "step": 0.01}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle-check", "--config", path, "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --out" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_ohmicity_whose_gamma_of_s_minus_one_is_undefined_names_the_field(
         self, tmp_path, capsys
@@ -870,8 +881,8 @@ class TestNoDenseInitialState:
         def refuse(psi):
             raise AssertionError("density_from_pure called on a run or sweep path")
 
-        for module in (dynamics, states):
-            monkeypatch.setattr(module, "density_from_pure", refuse)
+        assert not hasattr(dynamics, "density_from_pure")
+        monkeypatch.setattr(states, "density_from_pure", refuse)
         config = paper_config("fig5_w_n5_depolarising")
         assert "states" not in config.output.formats
         paths = run_experiment(config, str(tmp_path / "run"))

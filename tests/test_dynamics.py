@@ -49,6 +49,7 @@ from reference import (
     embed_local_operator,
     hamming_dephasing_map,
     lindblad_rhs,
+    pauli_channel_reference,
     with_untouched_zeros,
 )
 
@@ -1246,6 +1247,18 @@ class TestAnalyticMaps:
             want = analytic_state_at(rho0, dephasing, t).elements
             assert_bitwise_equal(analytic_state_at(rho0, pauli, t).elements, want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kappa", [1.0, 0.25])
+    @pytest.mark.parametrize(
+        "lams", [(0.0, 0.0, 0.7), (0.45, 0.0, 0.2), (0.2, 0.5, 0.9)], ids=["z", "xz", "xyz"]
+    )
+    def test_matches_site_by_site_pauli_sum(self, n, kappa, lams):
+        rho0 = random_density(n)
+        rate_x, rate_y, rate_z = (ConstantRate(lam) for lam in lams)
+        spec = NoiseSpec("pauli", rate_z=rate_z, rate_x=rate_x, rate_y=rate_y, kappa=kappa)
+        out = analytic_state_at(rho0, spec, 1.0)
+        assert np.abs(out.elements - pauli_channel_reference(rho0, lams, spec)).max() <= 1e-15
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kappa", [1.0, 0.25])
     def test_dephasing_matches_hamming_table(self, n, kappa):
@@ -1311,7 +1324,7 @@ class TestOracleDeviation:
         [fig4_spec(), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)],
         ids=["dephasing", "pauli"],
     )
-    def test_validates_only_rho0(self, spec, monkeypatch):
+    def test_builds_no_density_matrix(self, spec, monkeypatch):
         validated = []
         post_init = DensityMatrix.__post_init__
 
@@ -1323,7 +1336,44 @@ class TestOracleDeviation:
         # 100 comparisons, one per step
         dev = oracle_deviation(ghz_state(3), spec, 1.0, options=IntegratorOptions(step=0.01))
         assert dev < 1e-8
-        assert validated == [3]
+        assert validated == []
+
+    @pytest.mark.parametrize("noise", sorted(AGREEMENT_NOISES))
+    @pytest.mark.parametrize(
+        "psi",
+        [ghz_state(4), w_state(4), dicke_state(5, 2), random_pure(4, np.random.default_rng(7))],
+        ids=["ghz4", "w4", "dicke5-2", "random4"],
+    )
+    def test_equals_the_dense_comparison(self, psi, noise):
+        # the max over the whole 2^n x 2^n matrix of |engine - analytic_state_at|, bitwise
+        spec = NoiseSpec(kappa=0.25, **AGREEMENT_NOISES[noise])
+        stepper = dynamics._ClassStepper(psi, spec, 0.01, 100)
+        rho0, want = density_from_pure(psi), 0.0
+        for t, _ in dynamics._recording_points(stepper, 100, (25,)):  # every 0.25 up to t = 1
+            gap = np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
+            want = max(want, gap)
+        assert oracle_deviation(psi, spec, 1.0, IntegratorOptions(step=0.01), 0.25) == want
+
+    def test_ghz_at_the_engines_scale(self):
+        # fig5's rates, GHZ n = 16: two offsets of 2^16 entries each
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        assert oracle_deviation(ghz_state(16), spec, 2.0, IntegratorOptions(step=0.01), 1.0) < 1e-7
+
+    def test_peak_allocation_builds_no_dense_array(self):
+        # one 4^12 complex matrix is 256 MiB; GHZ's two offsets hold 2 x 2^12 entries
+        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
+        psi, options = ghz_state(12), IntegratorOptions(step=0.01)
+        oracle_deviation(psi, spec, 2.0, options, 1.0)  # lazy set-up, once
+        dynamics._last_pattern.clear()  # a cold build
+        clear_growth_memos()
+        tracemalloc.start()
+        try:
+            dev = oracle_deviation(psi, spec, 2.0, options, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev < 1e-7
+        assert peak < 8 * 2**20
 
     def test_sparse_cadence_still_compares_at_t_max(self, monkeypatch):
         compared = []
@@ -1340,13 +1390,28 @@ class TestOracleDeviation:
         assert dev < 1e-8
         assert compared == pytest.approx([0.0, 0.7, 1.4, 2.1, 2.8, 3.0])
 
-    def test_map_elements_match_the_validated_map(self):
-        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        rho0 = density_from_pure(random_pure(4, np.random.default_rng(5)))
+    @pytest.mark.parametrize(
+        "psi",
+        [random_pure(4, np.random.default_rng(5)), ghz_state(5), w_state(5), dicke_state(6, 3)],
+        ids=["random4", "ghz5", "w5", "dicke6-3"],
+    )
+    @pytest.mark.parametrize(
+        "spec", [fig4_spec(), NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)], ids=["z", "xyz"]
+    )
+    def test_offset_map_matches_the_dense_map(self, psi, spec):
+        # rho0 on psi's offsets, as the oracle lays it out, against analytic_state_at's result
+        amp, index = psi.amplitudes, np.arange(psi.dim)
+        support = np.flatnonzero(amp)
+        offsets = np.unique(support[:, None] ^ support)
+        at = (index, index ^ offsets[:, None])
+        off = np.ones((psi.dim, psi.dim), dtype=bool)
+        off[at] = False
         for t in (0.0, 0.37, 12.35):
             lams = dynamics._integrals(spec, t)
-            want = analytic_state_at(rho0, spec, t).elements
-            assert_bitwise_equal(dynamics._pauli_map_elements(rho0.elements, 4, lams, spec), want)
+            want = analytic_state_at(density_from_pure(psi), spec, t).elements
+            got = dynamics._exact_channel(amp * amp[at[1]].conj(), offsets, psi.n, lams, spec)
+            assert_bitwise_equal(got, want[at])
+            assert not want[off].any()  # the channel keeps every offset
 
 
 class TestRemovedSurface:
@@ -1359,6 +1424,7 @@ class TestRemovedSurface:
             "lindblad_rhs",
             "analytic_dephasing_map",
             "analytic_pauli_map",
+            "_pauli_map_elements",
             "embed_local_operator",
             "hamming_distance_matrix",
             "PAULI_I",
