@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -34,13 +33,11 @@ from .analysis import (
     vanishing_crossing,
 )
 from .config import (
-    _SECTIONS,
     ConfigError,
     ExperimentConfig,
-    _check_cuts,
     _positive_int,
     load_config,
-    parse_config,
+    parse_config,  # unused here; perfbench/tracing.py patches it (its traced selftest needs it)
 )
 from .dynamics import class_engine_bytes, evolve, oracle_deviation
 from .errors import IntegrationError
@@ -164,38 +161,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     return paths
 
 
-def _cell_base(config: ExperimentConfig) -> dict:
-    """A sweep's config in JSON form, without its sweep section, timed to its snapshot."""
-    base = dataclasses.replace(config, sweep=None).to_dict()
-    snapshot = config.sweep.snapshot_t
-    base["time"].update(t_max=snapshot, sample_every=snapshot, observable_every=snapshot)
-    return base
-
-
-def _derive_cell(shared: ExperimentConfig, base: dict, cell: dict) -> ExperimentConfig:
-    """The config of one cell: ``shared`` (``base`` from ``_cell_base``, parsed once) with the
-    state and noise sections that the cell changes.
-
-    Those two sections are re-parsed from ``base`` by ``parse_config``'s own section parsers,
-    and the cuts go through its cut checks at the cell's n, so a cell is refused as its own
-    config would be.  Only the sections the cell changes are copied; ``base`` is shared by
-    every cell and never written.
-    """
-    state, noise = dict(base["state"]), dict(base["noise"])
-    noise["rate_z"] = rate_z = dict(noise["rate_z"])
-    if "n" in cell:
-        state["n"] = cell["n"]
-    if "s" in cell:
-        if "s" not in rate_z:
-            raise ConfigError("sweep.axes.s: noise.rate_z has no Ohmicity parameter")
-        rate_z["s"] = cell["s"]
-    if "kappa" in cell:
-        noise["kappa"] = cell["kappa"]
-    state, noise = _SECTIONS["state"](state, "state"), _SECTIONS["noise"](noise, "noise")
-    _check_cuts(shared.cuts, state.n)
-    return dataclasses.replace(shared, state=state, noise=noise)
-
-
 def _run_sweep_cell(args: tuple) -> tuple:
     """(cell, its summary rows, its failure or None, its wall seconds) for one derived cell."""
     cell, config = args
@@ -220,30 +185,20 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> di
 
 def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     """The sweep itself; returns the output paths and the failed cells."""
-    if config.sweep is None:
-        raise ConfigError("sweep: config has no sweep section")
-    sweep = config.sweep
-    axes = sweep.axes
-    names = sorted(axes)
-    cells = [dict(zip(names, combo)) for combo in itertools.product(*(axes[k] for k in names))]
-    if len(cells) > sweep.job_cap:
-        raise ConfigError(f"sweep: {len(cells)} cells exceed job_cap={sweep.job_cap}")
-
+    jobs = config.cells()
     # a config error like any bad count, so --workers 0 is a usage error
-    workers = min(_positive_int(1 if workers is None else workers, "workers"), len(cells))
+    workers = min(_positive_int(1 if workers is None else workers, "workers"), len(jobs))
 
-    base = _cell_base(config)
-    shared = parse_config(base)  # what no cell changes is validated once
-    jobs = [(cell, _derive_cell(shared, base, cell)) for cell in cells]
     # cells differ only in n, s and kappa, so all share their active axes: one cell per state
     estimated = {job.state: job for _, job in jobs}.values()
     needed = workers * max(
         class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) for job in estimated
     )
-    if needed > sweep.memory_budget_mb * 2**20:
+    budget = config.sweep.memory_budget_mb
+    if needed > budget * 2**20:
         raise ConfigError(
             f"sweep: estimated {needed / 2**20:.0f} MiB for the largest cell on {workers} "
-            f"workers exceeds memory_budget_mb={sweep.memory_budget_mb}"
+            f"workers exceeds memory_budget_mb={budget}"
         )
 
     results = []
@@ -275,7 +230,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
             _metadata(
                 config,
                 {
-                    "cells": len(cells),
+                    "cells": len(jobs),
                     "workers": workers,
                     "cell_seconds": cell_seconds,
                     "failures": failures,
@@ -285,7 +240,7 @@ def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     for failure in failures:
         print(f"sweep: cell {failure['cell']} failed: {failure['error']}", file=sys.stderr)
     if failures:
-        print(f"sweep: {len(failures)} of {len(cells)} cells failed", file=sys.stderr)
+        print(f"sweep: {len(failures)} of {len(jobs)} cells failed", file=sys.stderr)
     return paths, failures
 
 
@@ -343,12 +298,11 @@ def _cmd_divisibility(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     config = load_config(args.config)
-    options = config.time.integrator_options(record_states=False)
     deviation = oracle_deviation(
         config.state.build(),
         config.noise,
         config.time.t_max,
-        options=options,
+        step=config.time.step,
         compare_every=args.compare_every,
     )
     status = "pass" if deviation <= args.threshold else "FAIL"

@@ -15,9 +15,12 @@ An experiment config is a single JSON document::
                    "revival_threshold": float}?,
       "output": {"directory": str, "formats": ["csv", "json"]}?,
       "sweep":  {"axes": {"n": [...], "s": [...], "kappa": [...]},
-                 "snapshot_t": float, "job_cap": int,
+                 "snapshot_t": float?, "job_cap": int,
                  "memory_budget_mb": float}?
     }
+
+A sweep reports each cell's E at ``sweep.snapshot_t``, by default ``time.t_max``.
+``ExperimentConfig.cells`` derives the cells' configs from the parsed config.
 
 Rate models use the tagged records of :mod:`qubitbath.rates`, e.g.
 ``{"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}``.  The dataclasses below,
@@ -32,6 +35,7 @@ the record.  The JSON form is ``dataclasses.asdict``, a rate model's ``kind`` in
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -170,7 +174,7 @@ class OutputConfig:
 @dataclass(frozen=True)
 class SweepConfig:
     axes: dict
-    snapshot_t: float = 30.0
+    snapshot_t: Optional[float] = None
     job_cap: int = 512
     memory_budget_mb: float = 4096.0
 
@@ -187,6 +191,44 @@ class ExperimentConfig:
 
     def bipartitions(self) -> list:
         return [parse_cut_label(label, self.state.n) for label in self.cuts]
+
+    def cells(self) -> list:
+        """The sweep's (cell, cell config) pairs, axes sorted by name and the last one fastest.
+
+        A cell config is this config without its sweep section, timed to the snapshot, with
+        the cell's n, s and kappa put in its parsed records.  What the cell changes is checked
+        as ``parse_config`` checks it, so a cell is refused with its own config's message.
+        """
+        if self.sweep is None:
+            raise ConfigError("sweep: config has no sweep section")
+        axes = self.sweep.axes
+        names = sorted(axes)
+        cells = [dict(zip(names, combo)) for combo in itertools.product(*(axes[k] for k in names))]
+        if len(cells) > self.sweep.job_cap:
+            raise ConfigError(f"sweep: {len(cells)} cells exceed job_cap={self.sweep.job_cap}")
+        if "s" in axes and not hasattr(self.noise.rate_z, "s"):
+            raise ConfigError("sweep.axes.s: noise.rate_z has no Ohmicity parameter")
+        snapshot = self.time.t_max if self.sweep.snapshot_t is None else self.sweep.snapshot_t
+        time = dataclasses.replace(
+            self.time, t_max=snapshot, sample_every=snapshot, observable_every=snapshot
+        )
+        pairs = []
+        for cell in cells:
+            state, noise = self.state, self.noise
+            if "n" in cell:
+                state = _check_state(dataclasses.replace(state, n=cell["n"]), "state")
+            if "s" in cell:
+                try:  # the rate's own __post_init__ check, as _record runs it
+                    rate_z = dataclasses.replace(noise.rate_z, s=cell["s"])
+                except ValueError as exc:
+                    raise ConfigError(f"noise.rate_z: {exc}") from exc
+                noise = dataclasses.replace(noise, rate_z=rate_z)
+            if "kappa" in cell:  # the axis holds supported values only
+                noise = dataclasses.replace(noise, kappa=cell["kappa"])
+            _check_cuts(self.cuts, state.n)
+            cell_config = dataclasses.replace(self, state=state, noise=noise, time=time, sweep=None)
+            pairs.append((cell, cell_config))
+        return pairs
 
     def to_dict(self) -> dict:
         """The JSON form, with ``parse_config(config.to_dict()) == config``."""
@@ -213,7 +255,11 @@ def _family(value, where: str) -> str:
 
 def _parse_state(payload, where: str) -> StateConfig:
     checks = {"family": _family, "n": _positive_int, "k": _optional(_positive_int)}
-    state = _record(StateConfig, payload, where, checks)
+    return _check_state(_record(StateConfig, payload, where, checks), where)
+
+
+def _check_state(state: StateConfig, where: str) -> StateConfig:
+    """``state`` within its family's bounds, a Dicke state's k defaulted to 1."""
     if state.family == "w" and state.n < 2:
         raise ConfigError(f"{where}.n: a w state needs at least 2 qubits")
     if state.family != "dicke":
@@ -303,7 +349,7 @@ _SECTIONS = {
         SweepConfig,
         {
             "axes": _axes,
-            "snapshot_t": _positive,
+            "snapshot_t": _optional(_positive),
             "job_cap": _positive_int,
             "memory_budget_mb": _positive,
         },

@@ -627,13 +627,13 @@ def oracle_deviation(
     psi: PureState,
     spec: NoiseSpec,
     t_max: float,
-    options: IntegratorOptions = IntegratorOptions(),
+    step: float = 0.01,
     compare_every: Optional[float] = None,
 ) -> float:
     """Max-abs element deviation between RK4 evolution and the analytic map.
 
-    Steps the integrator from rho0 = |psi><psi| across [0, t_max] and compares against
-    the exact propagator every ``compare_every`` time units (default: every step): at
+    Steps the integrator by ``step`` from rho0 = |psi><psi| across [0, t_max] and compares
+    against the exact propagator every ``compare_every`` time units (default: every step): at
     t = 0, at each multiple of ``compare_every`` and at t_max, whether or not
     ``compare_every`` divides it.
     This is the primary correctness gate for the integrator.  It builds no 2^n x 2^n
@@ -641,10 +641,9 @@ def oracle_deviation(
     psi's support, where the exact channel (``_exact_channel``) keeps it, and every
     engine entry on another offset counts at its full |value|.
     """
-    h = options.step
-    n_steps = _stride("t_max", t_max, h, None)
-    stride = _stride("compare_every", compare_every, h, 1)
-    stepper = _ClassStepper(psi, spec, h, n_steps)
+    n_steps = _stride("t_max", t_max, step, None)
+    stride = _stride("compare_every", compare_every, step, 1)
+    stepper = _ClassStepper(psi, spec, step, n_steps)
     rows, cols = stepper.pattern.rows, stepper.pattern.cols
     amplitudes, support = psi.amplitudes, np.flatnonzero(psi.amplitudes)
     offsets = np.unique(np.concatenate(((support[:, None] ^ support).ravel(), rows ^ cols)))

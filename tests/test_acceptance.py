@@ -131,7 +131,7 @@ def test_criterion_01_dephasing_oracle_equivalence():
                     maker(n),
                     dephasing_spec(s, 0.25),
                     30.0,
-                    options=IntegratorOptions(step=0.01, record_states=False),
+                    step=0.01,
                 )
                 worst = max(worst, dev)
     # the dense matrix stepper must satisfy the same bound where it is cheap
@@ -143,7 +143,7 @@ def test_criterion_01_dephasing_oracle_equivalence():
                     ghz_state(n),
                     dephasing_spec(s, 0.25),
                     30.0,
-                    options=IntegratorOptions(step=0.01, record_states=False),
+                    step=0.01,
                 )
             worst_dense = max(worst_dense, dev)
     ok = worst <= bound and worst_dense <= bound
@@ -170,7 +170,7 @@ def test_criterion_02_pauli_oracle_equivalence():
                 ghz_state(n),
                 pauli_spec(kappa),
                 20.0,
-                options=IntegratorOptions(step=0.01, record_states=False),
+                step=0.01,
             )
             for n in (3, 4, 5)
         )
@@ -556,7 +556,7 @@ def test_criterion_11_invariant_suite():
                 ghz_state(3),
                 dephasing_spec(OHMICITY_STAR, 1.0),
                 10.0,
-                options=IntegratorOptions(step=h, record_states=False),
+                step=h,
             )
             for h in (0.08, 0.04)
         ]

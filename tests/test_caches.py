@@ -1,5 +1,6 @@
 """Source scans of the package: no cache grows without bound for the life of a process,
-and no module binds a ``numpy.linalg`` name at import."""
+no module binds a ``numpy.linalg`` name at import, and no module imports a name it never
+reads but the ones perfbench's tracer patches."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,61 @@ def test_scan_finds_each_linalg_binding():
         "from numpy import linalg\n"
     )
     assert sorted(_linalg_bindings(ast.parse(source))) == [2, 3, 4, 6, 7]
+
+
+def _unused_imports(tree: ast.AST) -> list:
+    """(line, name) of each name a module imports and never reads.
+
+    A name is read when it is loaded anywhere in the module or listed in ``__all__``.
+    """
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            read.update(item.value for item in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+# unused at home, but perfbench/tracing.py patches these names on these modules
+PINNED_BY_TRACING = {("cli", "parse_config"), ("dynamics", "log_negativity")}
+
+
+def test_src_imports_nothing_unused():
+    found = {
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"  # the package imports its names to re-export them
+        for _, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == PINNED_BY_TRACING
+    tracing = (PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text()
+    for module, name in PINNED_BY_TRACING:
+        assert f'self._patch({module}, "{name}"' in tracing
+
+
+def test_scan_finds_each_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import numpy as np\n"
+        "from math import pi, tau as full_turn\n"
+        "from .errors import ConfigError\n"
+        "import xml.dom\n"
+        "__all__ = ['ConfigError']\n"
+        "def area(r: np.ndarray):\n"
+        "    from json import dumps\n"
+        "    from csv import writer\n"
+        "    return dumps(pi * r)\n"
+    )
+    found = _unused_imports(ast.parse(source))
+    assert found == [(2, "os"), (3, "osp"), (5, "full_turn"), (7, "xml"), (11, "writer")]

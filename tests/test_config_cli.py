@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qubitbath.cli as cli
+import qubitbath.config as config_module
 from qubitbath import dynamics, evolve, states
 from qubitbath.cli import (
     divisibility_report,
@@ -117,6 +118,19 @@ class TestConfigParsing:
             (
                 lambda p: p.update(state={"family": "dicke", "n": 4, "k": 1.5}),
                 "state.k: expected a positive integer, got 1.5",
+            ),
+            # the family bounds, which sweep cells check as well
+            (
+                lambda p: p.update(state={"family": "w", "n": 1}),
+                r"^state\.n: a w state needs at least 2 qubits$",
+            ),
+            (
+                lambda p: p.update(state={"family": "ghz", "n": 3, "k": 1}),
+                r"^state\.k: only valid for the dicke family$",
+            ),
+            (
+                lambda p: p.update(state={"family": "dicke", "n": 3, "k": 3}),
+                r"^state\.k: expected an integer in 1\.\.2, got 3$",
             ),
             (
                 lambda p: p.update(sweep={"axes": {"n": [3, 3.5]}}),
@@ -823,9 +837,10 @@ class TestAtomicOutputs:
 
 
 def derive_cell(config, cell):
-    """One cell's config as a sweep derives it: the cell base parsed once, then the cell."""
-    base = cli._cell_base(config)
-    return cli._derive_cell(parse_config(base), base, cell)
+    """One cell's config as a sweep derives it: the config's sweep narrowed to that one cell."""
+    sweep = dataclasses.replace(config.sweep, axes={name: [value] for name, value in cell.items()})
+    [(_, job)] = dataclasses.replace(config, sweep=sweep).cells()
+    return job
 
 
 def paper_config(stem, **state):
@@ -954,7 +969,7 @@ def sweep_cells(config):
 
 
 def round_trip_cell(config, cell):
-    """A cell's config by its own to_dict round trip, as each cell was once derived."""
+    """A cell's config by a full ``parse_config`` of its own edited JSON form."""
     payload = dataclasses.replace(config, sweep=None).to_dict()
     if "n" in cell:
         payload["state"]["n"] = cell["n"]
@@ -963,12 +978,14 @@ def round_trip_cell(config, cell):
     if "kappa" in cell:
         payload["noise"]["kappa"] = cell["kappa"]
     snapshot = config.sweep.snapshot_t
+    if snapshot is None:
+        snapshot = config.time.t_max
     payload["time"].update(t_max=snapshot, sample_every=snapshot, observable_every=snapshot)
     return parse_config(payload)
 
 
 class TestCellDerivation:
-    """Every cell's config comes from one serialised base and is parsed like any config."""
+    """Every cell's config is derived from the parsed config and refused as its own would be."""
 
     @pytest.mark.parametrize(
         "config",
@@ -983,29 +1000,41 @@ class TestCellDerivation:
         ids=["fig3", "fig4", "kappa-axis", "three-axes"],
     )
     def test_matches_per_cell_round_trip(self, config):
-        base = cli._cell_base(config)
-        pristine = copy.deepcopy(base)
-        shared = parse_config(base)
-        cells = sweep_cells(config)
-        for cell in cells:
-            assert cli._derive_cell(shared, base, cell) == round_trip_cell(config, cell)
-        assert base == pristine  # cells copy what they change; the base is never written
+        pristine = copy.deepcopy(config)
+        pairs = config.cells()
+        assert [cell for cell, _ in pairs] == sweep_cells(config)
+        for cell, cell_config in pairs:
+            assert cell_config == round_trip_cell(config, cell)
+        assert config == pristine  # cells replace records; the sweep's config is never written
 
-    def test_sweep_parses_config_once(self, tmp_path, monkeypatch):
+    def test_sweep_parses_no_config(self, tmp_path, monkeypatch):
         parsed = []
-        real = cli.parse_config
 
-        def counting(payload):
-            parsed.append(payload)
-            return real(payload)
+        def counting(real):
+            def wrapper(*args):
+                parsed.append(real.__name__)
+                return real(*args)
 
-        monkeypatch.setattr(cli, "parse_config", counting)
+            return wrapper
+
         axes = {"n": [3, 4], "s": [2.0, 2.47, 3.0]}
         config = parse_config(base_payload(sweep={"axes": axes, "snapshot_t": 1.0}))
+        monkeypatch.setattr(cli, "parse_config", counting(cli.parse_config))
+        for name in ("parse_config", "_record", "_parse_state", "_rate"):
+            monkeypatch.setattr(config_module, name, counting(getattr(config_module, name)))
         paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
-        # the cell base alone: each cell re-parses only its state and noise sections
-        assert parsed == [cli._cell_base(config)]
+        # every cell is derived from the parsed records: no section is parsed again
+        assert parsed == []
         assert len(Path(paths["summary"]).read_text().splitlines()) == 1 + 6
+
+    def test_snapshot_defaults_to_t_max(self, tmp_path):
+        config = parse_config(base_payload(sweep={"axes": {"n": [3, 4]}}))
+        assert config.sweep.snapshot_t is None
+        assert parse_config(config.to_dict()) == config
+        assert {job.time.t_max for _, job in config.cells()} == {2.0}
+        paths = sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
+        rows = list(csv.DictReader(Path(paths["summary"]).read_text().splitlines()))
+        assert [(row["n"], row["t"]) for row in rows] == [("3", "2.0"), ("4", "2.0")]
 
     def _refused_before_any_cell(self, tmp_path, monkeypatch, payload, match):
         def no_cell(job):
@@ -1051,6 +1080,21 @@ class TestCellDerivation:
             sweep={"axes": {"n": [5, 3]}, "snapshot_t": 1.0},
         )
         self._refused_before_any_cell(tmp_path, monkeypatch, payload, r"^cuts: .*side B")
+
+    def test_w_cell_below_two_qubits_is_refused(self, tmp_path, monkeypatch):
+        payload = base_payload(
+            state={"family": "w", "n": 3}, sweep={"axes": {"n": [1, 3]}, "snapshot_t": 1.0}
+        )
+        match = r"^state\.n: a w state needs at least 2 qubits$"
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
+
+    def test_dicke_cell_without_room_for_k_is_refused(self, tmp_path, monkeypatch):
+        payload = base_payload(
+            state={"family": "dicke", "n": 5, "k": 3},
+            sweep={"axes": {"n": [5, 3]}, "snapshot_t": 1.0},
+        )
+        match = r"^state\.k: expected an integer in 1\.\.2, got 3$"
+        self._refused_before_any_cell(tmp_path, monkeypatch, payload, match)
 
 
 class TestSweepRecords:

@@ -279,14 +279,14 @@ class TestEvolve:
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
         for engine in (contextlib.nullcontext, dense_engine):
             with engine():
-                dev = oracle_deviation(ghz_state(3), spec, 10.0, IntegratorOptions(step=0.01))
+                dev = oracle_deviation(ghz_state(3), spec, 10.0, step=0.01)
             assert dev < 1e-8
 
     def test_matches_pauli_oracle(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         for engine in (contextlib.nullcontext, dense_engine):
             with engine():
-                dev = oracle_deviation(ghz_state(3), spec, 10.0, IntegratorOptions(step=0.01))
+                dev = oracle_deviation(ghz_state(3), spec, 10.0, step=0.01)
             assert dev < 1e-8
 
     def test_fast_and_dense_steppers_agree(self):
@@ -405,9 +405,7 @@ class TestEvolve:
         assert np.abs(fast.states[-1].elements - dense.states[-1].elements).max() <= 1e-13
         for label in fast.observables:
             assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
-        dev = oracle_deviation(
-            psi, spec, t_max, options=IntegratorOptions(step=0.01), compare_every=t_max
-        )
+        dev = oracle_deviation(psi, spec, t_max, step=0.01, compare_every=t_max)
         assert dev < 1e-8
 
     def test_no_cuts_rebuilds_only_at_sample_points(self, monkeypatch):
@@ -475,7 +473,7 @@ class TestEvolve:
         # and each row is its own step's: rows one step off in t agree with each
         # other but not with the closed form
         with fixed_blocks(1):
-            assert oracle_deviation(psi, spec, t_max, IntegratorOptions(step=0.01), t_max) < 1e-8
+            assert oracle_deviation(psi, spec, t_max, 0.01, t_max) < 1e-8
 
     @pytest.mark.parametrize(
         "stem, psi, classes, block_steps",
@@ -578,7 +576,7 @@ class TestEvolve:
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=1.0)
         with dense_engine():
             devs = [
-                oracle_deviation(ghz_state(3), spec, 10.0, IntegratorOptions(step=h))
+                oracle_deviation(ghz_state(3), spec, 10.0, step=h)
                 for h in (0.08, 0.04)
             ]
         assert devs[0] / devs[1] >= 8.0
@@ -1027,11 +1025,10 @@ class TestGrowthMemo:
     def test_kappa_sweep_cells_match_cold_cells(self):
         payload = paper_payload("fig4_w_dephasing_sweep")
         payload["sweep"]["axes"] = {"kappa": [0.25, 1.0], "n": [3, 4, 5], "s": [2.47]}
-        base = cli._cell_base(parse_config(payload))
-        shared = parse_config(base)
+        jobs = parse_config(payload).cells()
         # sweep order, axes sorted by name: every n at kappa = 1/4, then every n at kappa = 1
         cells = [{"kappa": k, "n": n, "s": 2.47} for k in (0.25, 1.0) for n in (3, 4, 5)]
-        jobs = [(cell, cli._derive_cell(shared, base, cell)) for cell in cells]
+        assert [cell for cell, _ in jobs] == cells
         clear_growth_memos()
         served = [cli._run_sweep_cell(job)[:3] for job in jobs]
         # one table per kappa, both from one block's stage rates
@@ -1289,9 +1286,7 @@ def test_pauli_channel_breaks_cat_cut_equivalence():
 
 def test_oracle_deviation_zero_noise_is_exact():
     spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.0))
-    dev = oracle_deviation(
-        w_state(3), spec, 1.0, options=IntegratorOptions(step=0.01)
-    )
+    dev = oracle_deviation(w_state(3), spec, 1.0, step=0.01)
     assert dev <= 1e-12
 
 
@@ -1315,7 +1310,7 @@ class TestOracleDeviation:
             config.state.build(),
             config.noise,
             config.time.t_max,
-            options=config.time.integrator_options(record_states=False),
+            step=config.time.step,
         )
         assert dev == pytest.approx(PAPER_ORACLE_DEVIATIONS[stem], rel=1e-12)
 
@@ -1334,7 +1329,7 @@ class TestOracleDeviation:
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
         # 100 comparisons, one per step
-        dev = oracle_deviation(ghz_state(3), spec, 1.0, options=IntegratorOptions(step=0.01))
+        dev = oracle_deviation(ghz_state(3), spec, 1.0, step=0.01)
         assert dev < 1e-8
         assert validated == []
 
@@ -1352,23 +1347,23 @@ class TestOracleDeviation:
         for t, _ in dynamics._recording_points(stepper, 100, (25,)):  # every 0.25 up to t = 1
             gap = np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
             want = max(want, gap)
-        assert oracle_deviation(psi, spec, 1.0, IntegratorOptions(step=0.01), 0.25) == want
+        assert oracle_deviation(psi, spec, 1.0, 0.01, 0.25) == want
 
     def test_ghz_at_the_engines_scale(self):
         # fig5's rates, GHZ n = 16: two offsets of 2^16 entries each
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        assert oracle_deviation(ghz_state(16), spec, 2.0, IntegratorOptions(step=0.01), 1.0) < 1e-7
+        assert oracle_deviation(ghz_state(16), spec, 2.0, 0.01, 1.0) < 1e-7
 
     def test_peak_allocation_builds_no_dense_array(self):
         # one 4^12 complex matrix is 256 MiB; GHZ's two offsets hold 2 x 2^12 entries
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        psi, options = ghz_state(12), IntegratorOptions(step=0.01)
-        oracle_deviation(psi, spec, 2.0, options, 1.0)  # lazy set-up, once
+        psi = ghz_state(12)
+        oracle_deviation(psi, spec, 2.0, 0.01, 1.0)  # lazy set-up, once
         dynamics._last_pattern.clear()  # a cold build
         clear_growth_memos()
         tracemalloc.start()
         try:
-            dev = oracle_deviation(psi, spec, 2.0, options, 1.0)
+            dev = oracle_deviation(psi, spec, 2.0, 0.01, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1386,7 +1381,7 @@ class TestOracleDeviation:
         monkeypatch.setattr(dynamics, "_integrals", recorded)
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         # 0.7 does not divide 3.0: the last multiple is 2.8, and t_max is compared after it
-        dev = oracle_deviation(dicke_state(4, 2), spec, 3.0, IntegratorOptions(step=0.01), 0.7)
+        dev = oracle_deviation(dicke_state(4, 2), spec, 3.0, 0.01, 0.7)
         assert dev < 1e-8
         assert compared == pytest.approx([0.0, 0.7, 1.4, 2.1, 2.8, 3.0])
 
