@@ -39,7 +39,7 @@ from .config import (
     load_config,
     parse_config,  # unused here; perfbench/tracing.py patches it (its traced selftest needs it)
 )
-from .dynamics import class_engine_bytes, evolve, oracle_deviation
+from .dynamics import class_engine_bytes, evolve, oracle_deviation, sweep_snapshots
 from .errors import IntegrationError
 from .rates import classify_divisibility
 
@@ -95,24 +95,6 @@ def _write_csv(path: str, header: list, rows) -> None:
             writer.writerow([_fmt(value) for value in row])
 
 
-def _evolve_config(config: ExperimentConfig, record_states: bool) -> tuple:
-    """The trajectory of ``config`` and one (requested label, E series) pair per cut.
-
-    Labels stay as the config spells them.  Cuts that name the same bipartition, such as
-    ``highest-cut`` and ``1-Rest`` at n = 3, are solved once and reported under each name.
-    """
-    cuts = config.bipartitions()
-    trajectory = evolve(
-        config.state.build(),
-        config.noise,
-        config.time.t_max,
-        cuts=cuts,
-        options=config.time.integrator_options(record_states=record_states),
-    )
-    series = [(label, trajectory.observables[cut.label]) for label, cut in zip(config.cuts, cuts)]
-    return trajectory, series
-
-
 def _trajectory_analysis(times, series, analysis_cfg) -> dict:
     report = {}
     window = analysis_cfg.saturation_window
@@ -135,7 +117,16 @@ def _trajectory_analysis(times, series, analysis_cfg) -> dict:
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """Execute one trajectory and write csv/json artifacts; returns paths."""
-    trajectory, series = _evolve_config(config, record_states="states" in config.output.formats)
+    cuts = config.bipartitions()
+    trajectory = evolve(
+        config.state.build(),
+        config.noise,
+        config.time.t_max,
+        cuts=cuts,
+        options=config.time.integrator_options(record_states="states" in config.output.formats),
+    )
+    # labels as the config spells them: highest-cut and 1-Rest at n = 3 share one series
+    series = [(label, trajectory.observables[cut.label]) for label, cut in zip(config.cuts, cuts)]
     times = trajectory.times
     # built before any file is written, so a refusal leaves no output of this run
     if "json" in config.output.formats:
@@ -161,21 +152,40 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     return paths
 
 
-def _run_sweep_cell(args: tuple) -> tuple:
-    """(cell, its summary rows, its failure or None, its wall seconds) for one derived cell."""
-    cell, config = args
+def _run_sweep_group(group: tuple) -> list:
+    """(cell, its summary rows, its failure or None, its seconds) for each cell of one state.
+
+    ``group`` is the state's psi and its (cell, cell config) pairs, which differ only in their
+    noise: ``sweep_snapshots`` steps each cell and solves their snapshots together.
+    """
+    psi, jobs = group
     start = time.perf_counter()
+    config = jobs[0][1]  # the cells share their time grid and cuts
+    cuts = config.bipartitions()
     try:
-        trajectory, series = _evolve_config(config, record_states=False)
+        specs = [job.noise for _, job in jobs]
+        t, outcomes = sweep_snapshots(psi, specs, config.time.t_max, cuts, config.time.step)
+    except Exception as exc:  # what fails the whole group fails each of its cells
+        outcomes = [(exc, (time.perf_counter() - start) / len(jobs))] * len(jobs)
+    results = []
+    for (cell, job), (outcome, seconds) in zip(jobs, outcomes):
+        if isinstance(outcome, Exception):  # per-cell failures must not kill the sweep
+            failure = {
+                "error": f"{type(outcome).__name__}: {outcome}",
+                "traceback": "".join(traceback.format_exception(outcome)),
+            }
+            results.append((cell, [], failure, seconds))
+            continue
         # every column from the cell's own config, whichever axes the sweep has
-        snapshot = {"n": config.state.n, "kappa": config.noise.kappa, "t": trajectory.times[-1]}
-        if hasattr(config.noise.rate_z, "s"):
-            snapshot["s"] = config.noise.rate_z.s
-        rows = [{**snapshot, "cut": label, "log_negativity": e[-1]} for label, e in series]
-        return cell, rows, None, time.perf_counter() - start
-    except Exception as exc:  # per-cell failures must not kill the sweep
-        failure = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
-        return cell, [], failure, time.perf_counter() - start
+        snapshot = {"n": job.state.n, "kappa": job.noise.kappa, "t": t}
+        if hasattr(job.noise.rate_z, "s"):
+            snapshot["s"] = job.noise.rate_z.s
+        rows = [
+            {**snapshot, "cut": label, "log_negativity": outcome[cut.label]}
+            for label, cut in zip(config.cuts, cuts)
+        ]
+        results.append((cell, rows, None, seconds))
+    return results
 
 
 def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> dict:
@@ -186,29 +196,37 @@ def sweep_experiment(config: ExperimentConfig, out_dir: str, workers=None) -> di
 def _sweep(config: ExperimentConfig, out_dir: str, workers) -> tuple:
     """The sweep itself; returns the output paths and the failed cells."""
     jobs = config.cells()
+    # cells differ only in n, s and kappa, so a state's cells share psi, its pattern and axes
+    by_state = {}
+    for index, (_, job) in enumerate(jobs):
+        by_state.setdefault(job.state, []).append(index)
     # a config error like any bad count, so --workers 0 is a usage error
-    workers = min(_positive_int(1 if workers is None else workers, "workers"), len(jobs))
+    workers = min(_positive_int(1 if workers is None else workers, "workers"), len(by_state))
 
-    # cells differ only in n, s and kappa, so all share their active axes: one cell per state
-    estimated = {job.state: job for _, job in jobs}.values()
-    needed = workers * max(
-        class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) for job in estimated
+    groups = [(state.build(), [jobs[i] for i in indices]) for state, indices in by_state.items()]
+    estimate = max(
+        class_engine_bytes(psi, cells[0][1].noise, len(cells[0][1].cuts)) for psi, cells in groups
     )
+    # every state's psi is held until the sweep ends
+    needed = workers * estimate + sum(psi.amplitudes.nbytes for psi, _ in groups)
     budget = config.sweep.memory_budget_mb
     if needed > budget * 2**20:
         raise ConfigError(
-            f"sweep: estimated {needed / 2**20:.0f} MiB for the largest cell on {workers} "
-            f"workers exceeds memory_budget_mb={budget}"
+            f"sweep: estimated {needed / 2**20:.0f} MiB (the largest group on {workers} "
+            f"workers, plus every state's psi) exceeds memory_budget_mb={budget}"
         )
 
-    results = []
     if workers == 1:
-        results = [_run_sweep_cell(job) for job in jobs]
+        grouped = [_run_sweep_group(group) for group in groups]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only multi-worker sweeps pay it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_cell, jobs))
+            grouped = list(pool.map(_run_sweep_group, groups))
+    results = [None] * len(jobs)  # back in cell order
+    for indices, group_results in zip(by_state.values(), grouped):
+        for index, result in zip(indices, group_results):
+            results[index] = result
 
     rows, failures, cell_seconds = [], [], []
     for cell, cell_rows, failure, wall_s in results:

@@ -50,7 +50,12 @@ is its value's real part), and a positivity point reads |Tr rho - 1| off the
 diagonal entries (``max_trace_drift``); the full matrix is rebuilt only for
 states that ``record_states`` keeps.  The record at t = 0 is rho0's, the same
 for every run with the pattern: the pattern holds it, by the cuts and whether
-positivity is due, so a sweep's cells of one n solve rho0 once.
+positivity is due, so a sweep's cells of one n solve rho0 once.  A sweep cell
+records only rho0 and its snapshot, and ``sweep_snapshots`` solves the
+snapshots of one n's cells together: one ``eigvalsh`` per size group covers
+every cell's blocks, in chunks of at most ``_STACK_BYTES`` (8 MiB), and each
+cell's record is read off its own row of the stack (``_records``), bitwise the
+record of that cell alone.
 
 One exact channel, ``_exact_channel``, gives the state of either noise kind at
 time t from the rate integrals, on values laid out offset by offset as the
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -272,6 +278,10 @@ def _rk4_growth(stages: list, h: float, coeffs: tuple) -> np.ndarray:
 # the peak is in the RK4 stages, and the running product's stack and output stay below it).
 _ENTRY_BYTES, _PLAN_ENTRY_BYTES, _INDEX_BYTES, _GROWTH_BYTES = 112, 16, 24, 128
 
+# A sweep stacks as many of its cells' snapshots as keep the stacked values and blocks
+# under this many bytes, or one where that alone is larger (``sweep_snapshots``).
+_STACK_BYTES = 8 * 2**20
+
 
 class _ClassPattern:
     """What a class-engine run needs from psi and the active axes alone (``_ClassStepper``).
@@ -330,6 +340,35 @@ def _class_pattern(psi: PureState, axes: tuple) -> _ClassPattern:
         _last_pattern.clear()  # before the build, so two patterns are never held at once
         _last_pattern[key] = _ClassPattern(psi, support, axes)
     return _last_pattern[key]
+
+
+def _records(pattern: _ClassPattern, values: np.ndarray, cuts, positivity: bool) -> list:
+    """Per state, its record: (E per cut, the minimum eigenvalue or None, |Tr rho - 1| or 0.0).
+
+    ``values`` is rho on the pattern, one state's (entries,) or a stack's (states, entries).
+    Each plan solves the whole stack in one call; every record is then read off its state's
+    own contiguous row, so it is bitwise the record of that state solved alone.
+    """
+    stacked = values.ndim > 1
+
+    def rows(array):  # each state's own row
+        return array if stacked else [array]
+
+    count = len(values) if stacked else 1
+    lam_mins, drifts = [None] * count, [0.0] * count
+    if positivity:  # an untouched node is an exact zero eigenvalue
+        plan = pattern.plan(None)
+        lam_mins = [
+            float(min(eigs.min(), 0.0) if plan.untouched else eigs.min())
+            for eigs in rows(plan.eigvalsh(values))
+        ]
+        diagonal = values[..., pattern.rows == pattern.cols]
+        drifts = [float(abs(row.sum() - 1.0)) for row in rows(diagonal)]
+    by_cut = [
+        [log2_trace_norm(eigs) for eigs in rows(pattern.plan(cut).eigvalsh(values))]
+        for cut in cuts
+    ]
+    return list(zip(zip(*by_cut) if cuts else [()] * count, lam_mins, drifts))
 
 
 class _ClassStepper:
@@ -422,13 +461,7 @@ class _ClassStepper:
 
     def _record(self, cuts, positivity: bool) -> tuple:
         """(E per cut, the minimum eigenvalue or None, |Tr rho - 1| or 0.0) of rho now."""
-        pattern, values, lam_min, drift = self.pattern, self.values(), None, 0.0
-        if positivity:  # an untouched node is an exact zero eigenvalue
-            eigs = pattern.plan(None).eigvalsh(values)
-            lam_min = float(min(eigs.min(), 0.0) if pattern.plan(None).untouched else eigs.min())
-            drift = float(abs(values[pattern.rows == pattern.cols].sum() - 1.0))
-        negativities = tuple(log2_trace_norm(pattern.plan(cut).eigvalsh(values)) for cut in cuts)
-        return negativities, lam_min, drift
+        return _records(self.pattern, self.values(), cuts, positivity)[0]
 
     def blocks(self, cuts) -> dict:
         """[size, count] of each plan's stacked groups, by cut label and "rho" (positivity)."""
@@ -449,9 +482,11 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     dimensions).  Stacked values count twice: ``eigvalsh`` copies them unseen by tracemalloc.
     This is a cold build; a run that reuses the previous run's pattern (same n, psi and
     axes) allocates no pattern or plan anew, and one whose factor tables the memo
-    (``_factor_table``) holds computes none.  At most one pattern is held between runs, and
-    it is dropped before the next one is built; the memos' own bound (at most 15 MiB up to
-    120 classes) is not charged here.
+    (``_factor_table``) holds computes none.  A sweep group (``sweep_snapshots``) is charged
+    one chunk of its stacked snapshots, ``_STACK_BYTES`` whole, on top of the cold build; a
+    chunk of one snapshot larger than that is a run's own record, already counted.  At most
+    one pattern is held between runs, and it is dropped before the next one is built; the
+    memos' own bound (at most 15 MiB up to 120 classes) is not charged here.
     """
     n, d, support = psi.n, psi.dim, int(np.count_nonzero(psi.amplitudes))
     active = _active_rates(spec)
@@ -462,7 +497,13 @@ def class_engine_bytes(psi: PureState, spec: NoiseSpec, cuts: int) -> float:
     classes = n + 1 if len(active) == 1 else math.comb(n + 3, 3)
     growth = max(_BLOCK_ENTRIES, _BLOCK_STEPS * classes)
     per_entry = _ENTRY_BYTES + (cuts + 1) * _PLAN_ENTRY_BYTES
-    return float(entries * per_entry + 32 * stacked + d * _INDEX_BYTES + growth * _GROWTH_BYTES)
+    return float(
+        entries * per_entry
+        + 32 * stacked
+        + _STACK_BYTES
+        + d * _INDEX_BYTES
+        + growth * _GROWTH_BYTES
+    )
 
 
 def _stride(name: str, interval: Optional[float], h: float, default: int) -> int:
@@ -484,6 +525,23 @@ def _recording_points(stepper, n_steps: int, strides):
     for k0, k in zip([0] + points, points):
         stepper.advance(k0, k)
         yield k * stepper.h, [k % stride == 0 or k == n_steps for stride in strides]
+
+
+def _distinct_cuts(psi: PureState, cuts) -> list:
+    """The cuts, checked against psi's qubit count, one per label (highest-cut == 1-Rest at
+    n = 3)."""
+    for cut in cuts:
+        if cut.n != psi.n:
+            raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {psi.n}")
+    return list({cut.label: cut for cut in cuts}.values())
+
+
+def _check_positivity(lam_min: float, t: float) -> None:
+    if lam_min < EIGENVALUE_ERROR_FLOOR:
+        raise IntegrationError(
+            f"state lost positivity (min eigenvalue {lam_min:.3e}) at "
+            f"t={t:.4f}; reduce the step size"
+        )
 
 
 def evolve(
@@ -509,11 +567,7 @@ def evolve(
     obs_stride = _stride("observable_every", options.observable_every, h, 1 if cuts else n_steps)
     sample_stride = _stride("sample_every", options.sample_every, h, n_steps)
 
-    for cut in cuts:
-        if cut.n != psi.n:
-            raise ValueError(f"cut {cut.label} is for {cut.n} qubits, state has {psi.n}")
-    # one entry per label, e.g. highest-cut == 1-Rest at n = 3
-    cuts = list({cut.label: cut for cut in cuts}.values())
+    cuts = _distinct_cuts(psi, cuts)
 
     times, state_times, states, min_eigenvalues = [], [], [], []
     observables = {cut.label: [] for cut in cuts}
@@ -530,11 +584,7 @@ def evolve(
         if not state_due:
             continue
         min_eigenvalues.append(lam_min)
-        if lam_min < EIGENVALUE_ERROR_FLOOR:
-            raise IntegrationError(
-                f"state lost positivity (min eigenvalue {lam_min:.3e}) at "
-                f"t={t:.4f}; reduce the step size"
-            )
+        _check_positivity(lam_min, t)
         if options.record_states:  # steppers never write to a matrix they returned
             state_times.append(t)
             states.append(
@@ -559,6 +609,85 @@ def evolve(
         states=states,
         metadata=metadata,
     )
+
+
+def _stack_rows(pattern: _ClassPattern, cuts) -> int:
+    """Snapshots per stacked solve: as many as keep the stack's arrays in _STACK_BYTES.
+
+    A snapshot's values are held three times (the cell's own, the stacked copy and a plan's
+    reordered copy) and the largest plan's blocks twice (the solver copies them).
+    """
+    blocks = max(
+        sum(count * size * size for size, count, *_ in pattern.plan(cut).groups)
+        for cut in (None, *cuts)
+    )
+    return max(1, _STACK_BYTES // (16 * (3 * len(pattern.rows) + 2 * blocks)))  # complex
+
+
+def _snapshot(cuts, record: tuple, t: float) -> dict:
+    """E by cut label from a snapshot's record, once its minimum eigenvalue passes the floor."""
+    negativities, lam_min, _ = record
+    _check_positivity(lam_min, t)
+    return {cut.label: value for cut, value in zip(cuts, negativities)}
+
+
+def sweep_snapshots(
+    psi: PureState,
+    specs: Sequence[NoiseSpec],
+    t_max: float,
+    cuts: Sequence[Bipartition],
+    step: float,
+) -> tuple:
+    """rho0 = |psi><psi| evolved to t_max under each spec, recorded as ``evolve`` records it.
+
+    A sweep's cells of one state share psi's pattern and plans and differ only in their
+    class factors, so each cell steps its own factors to t_max and each plan then solves
+    the cells' snapshots as one stack (``_records``), as many at a time as keep its blocks
+    under _STACK_BYTES.  rho0's record is solved once, for the first cell, and the pattern
+    serves it to the others.  The specs must share their active axes.
+
+    Returns the snapshot time and, per spec, (E by cut label, seconds) or, for a spec that
+    failed, (the exception, seconds).  A cell fails alone, as ``evolve`` fails: its stepper
+    raised, or its minimum eigenvalue at t = 0 or at t_max is below
+    ``EIGENVALUE_ERROR_FLOOR``.  A snapshot that is not finite is solved alone, by the
+    one-row route ``evolve`` takes, so it fails (or not) just as there and no stacked solve
+    sees it.  A cell's seconds are its own stepping plus an equal share of the stacked solves.
+    """
+    n_steps = _stride("t_max", t_max, step, None)
+    t, cuts = n_steps * step, _distinct_cuts(psi, cuts)
+    (axes, *others) = {tuple(_active_rates(spec)) for spec in specs}
+    if others:
+        raise ValueError("the specs of one snapshot group must share their active axes")
+    pattern = _class_pattern(psi, axes)
+    rows = _stack_rows(pattern, cuts)
+    outcomes, seconds, solve_s = [None] * len(specs), [0.0] * len(specs), 0.0
+    for lo in range(0, len(specs), rows):
+        stacked = []  # (spec index, finite snapshot on the pattern)
+        for i in range(lo, min(lo + rows, len(specs))):
+            start = time.perf_counter()
+            try:
+                stepper = _ClassStepper(psi, specs[i], step, n_steps)
+                _check_positivity(stepper.observe(cuts, True)[1], 0.0)
+                stepper.advance(0, n_steps)
+                values = stepper.values()
+                if np.isfinite(values).all():
+                    stacked.append((i, values))
+                else:
+                    outcomes[i] = _snapshot(cuts, stepper._record(cuts, True), t)
+            except Exception as exc:  # the cell fails, not the group
+                outcomes[i] = exc
+            seconds[i] = time.perf_counter() - start
+        start = time.perf_counter()
+        if stacked:
+            records = _records(pattern, np.stack([v for _, v in stacked]), cuts, True)
+            for (i, _), record in zip(stacked, records):
+                try:
+                    outcomes[i] = _snapshot(cuts, record, t)
+                except IntegrationError as exc:
+                    outcomes[i] = exc
+        solve_s += time.perf_counter() - start
+    share = solve_s / len(specs)
+    return t, [(outcome, own + share) for outcome, own in zip(outcomes, seconds)]
 
 
 def _exact_channel(

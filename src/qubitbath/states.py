@@ -172,18 +172,26 @@ class BlockPlan:
         ]
 
     def eigvalsh(self, values) -> np.ndarray:
-        values = np.asarray(values)[self.order]
-        eigs = [np.zeros(0)]  # an all-zero matrix has no block
+        """The blocks' eigenvalues, (..., eigs), of the matrices whose values are (..., entries).
+
+        Leading axes stack matrices: each group's blocks of every matrix go to one solver
+        call, which solves them one by one, so a stacked row is bitwise its own 1-D call.
+        Values are indexed entries first (``.T``), which costs a 1-D call nothing.
+        """
+        values = np.asarray(values).T[self.order]
+        lead = values.shape[:0:-1]
+        eigs = [np.zeros(lead + (0,))]  # an all-zero matrix has no block
         for size, count, flat, lo, hi in self.groups:
             if size == 1:  # a 1 x 1 block's eigenvalue is its real part, as LAPACK returns it
-                singles = np.zeros(count, dtype=values.real.dtype)
-                singles[flat] = values[lo:hi].real
+                singles = np.zeros(lead + (count,), dtype=values.real.dtype)
+                singles.T[flat] = values[lo:hi].real
                 eigs.append(singles)
                 continue
-            blocks = np.zeros(count * size * size, dtype=values.dtype)
-            blocks[flat] = values[lo:hi]
-            eigs.append(np.linalg.eigvalsh(blocks.reshape(count, size, size)).ravel())
-        return np.concatenate(eigs)
+            blocks = np.zeros(lead + (count * size * size,), dtype=values.dtype)
+            blocks.T[flat] = values[lo:hi]
+            solved = np.linalg.eigvalsh(blocks.reshape(lead + (count, size, size)))
+            eigs.append(solved.reshape(lead + (count * size,)))
+        return np.concatenate(eigs, axis=-1)
 
 
 def ghz_state(n: int) -> PureState:

@@ -17,7 +17,7 @@ import pytest
 
 import qubitbath.cli as cli
 import qubitbath.config as config_module
-from qubitbath import dynamics, evolve, states
+from qubitbath import OhmicZeroTempRate, dynamics, evolve, states
 from qubitbath.cli import (
     divisibility_report,
     main,
@@ -529,14 +529,12 @@ class TestSweepCommand:
             sweep_experiment(config, str(tmp_path / "sweep"))
 
     def test_failed_cell_makes_cli_exit_nonzero(self, tmp_path, monkeypatch, capsys):
-        import qubitbath.cli as cli
+        real_advance = dynamics._ClassStepper.advance
 
-        real_evolve = cli.evolve
-
-        def evolve_failing_at_n4(rho0, *args, **kwargs):
-            if rho0.n == 4:
+        def advance_failing_at_n4(stepper, *args):
+            if stepper.pattern.dim == 2**4:
                 raise RuntimeError("injected cell failure")
-            return real_evolve(rho0, *args, **kwargs)
+            return real_advance(stepper, *args)
 
         payload = base_payload(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.0})
         payload["output"]["formats"] = ["csv"]  # no summary.json to carry the failure
@@ -544,7 +542,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", path, "--out", str(out), "--workers", "1"]
         assert main(argv) == 0
-        monkeypatch.setattr(cli, "evolve", evolve_failing_at_n4)
+        monkeypatch.setattr(dynamics._ClassStepper, "advance", advance_failing_at_n4)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "injected cell failure" in err
@@ -561,7 +559,7 @@ class TestSweepCommand:
         assert failure["cell"] == {"n": 4}
         assert failure["error"] == "RuntimeError: injected cell failure"
         assert failure["traceback"].startswith("Traceback (most recent call last):")
-        assert "evolve_failing_at_n4" in failure["traceback"]
+        assert "advance_failing_at_n4" in failure["traceback"]
         assert failure["traceback"].rstrip().endswith(failure["error"])
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -843,8 +841,17 @@ def derive_cell(config, cell):
     return job
 
 
+def run_group(*jobs):
+    """The results of (cell, cell config) pairs of one state, run as a sweep runs its group."""
+    return cli._run_sweep_group((jobs[0][1].state.build(), list(jobs)))
+
+
+def paper_payload(stem):
+    return json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
+
+
 def paper_config(stem, **state):
-    payload = json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
+    payload = paper_payload(stem)
     payload["state"].update(state)
     return parse_config(payload)
 
@@ -872,8 +879,8 @@ class TestNoDenseInitialState:
         config = paper_config(stem)
         cell = {"n": 10, "s": 2.47}
         job = (cell, derive_cell(config, cell))
-        cli._run_sweep_cell(job)  # lazy imports and rate set-up happen once per process
-        (_, rows, failure, _), peak = self._peak(cli._run_sweep_cell, job)
+        run_group(job)  # lazy imports and rate set-up happen once per process
+        [(_, rows, failure, _)], peak = self._peak(run_group, job)
         assert failure is None and len(rows) == len(config.cuts)
         assert peak < self.PEAK_LIMIT
 
@@ -905,13 +912,13 @@ class TestNoDenseInitialState:
         sweep = paper_config("fig4_w_dephasing_sweep")
         cell = {"n": 6, "s": 2.47}
         job = derive_cell(sweep, cell)
-        _, rows, failure, _ = cli._run_sweep_cell((cell, job))
+        [(_, rows, failure, _)] = run_group((cell, job))
         assert failure is None and len(rows) == 2
 
 
 def sweep_config(stem, **sweep):
     """A paper config with a sweep section; fig5 runs get an n axis and snapshot_t = t_max."""
-    payload = json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
+    payload = paper_payload(stem)
     payload.setdefault("sweep", {"axes": {"n": [3]}, "snapshot_t": payload["time"]["t_max"]})
     payload["sweep"].update(sweep)
     return parse_config(payload)
@@ -931,11 +938,29 @@ class TestCellMemoryEstimate:
         config = sweep_config(stem)
         cell = {"n": n, **({"s": 2.47} if "s" in config.sweep.axes else {})}
         warm = dict(cell, n=3)
-        cli._run_sweep_cell((warm, derive_cell(config, warm)))  # lazy set-up, once
+        run_group((warm, derive_cell(config, warm)))  # lazy set-up, once
         job = derive_cell(config, cell)
         peak_of = TestNoDenseInitialState._peak
-        (_, rows, failure, _), peak = peak_of(cli._run_sweep_cell, (cell, job))
+        [(_, rows, failure, _)], peak = peak_of(run_group, (cell, job))
         assert failure is None and len(rows) == len(config.cuts)
+        assert dynamics.class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) >= peak
+
+    def test_covers_whole_group_peak(self):
+        # fig5's x and y rates with an Ohmic z rate, so the group spans 12 values of s
+        s_values = paper_payload("fig4_w_dephasing_sweep")["sweep"]["axes"]["s"]
+        payload = paper_payload("fig5_w_n5_depolarising")
+        payload["state"]["n"] = 8
+        payload["noise"]["rate_z"] = {"kind": "ohmic_t0", "s": 2.47, "omega_c": 1.0}
+        payload["sweep"] = {"axes": {"s": s_values}, "snapshot_t": payload["time"]["t_max"]}
+        jobs = parse_config(payload).cells()
+        assert len(jobs) == 12
+        run_group(jobs[0])  # lazy set-up, once
+        results, peak = TestNoDenseInitialState._peak(run_group, *jobs)
+        assert [failure for _, _, failure, _ in results] == [None] * 12
+        # the stack is solved in several chunks of several snapshots each
+        (pattern,) = dynamics._last_pattern.values()
+        assert 1 < dynamics._stack_rows(pattern, jobs[0][1].bipartitions()) < 12
+        job = jobs[0][1]
         assert dynamics.class_engine_bytes(job.state.build(), job.noise, len(job.cuts)) >= peak
 
     def test_estimate_builds_each_state_once(self, tmp_path, monkeypatch):
@@ -950,8 +975,8 @@ class TestCellMemoryEstimate:
         axes = {"n": [3, 4], "s": [2.0, 2.47, 3.0]}
         config = parse_config(base_payload(sweep={"axes": axes, "snapshot_t": 1.0}))
         sweep_experiment(config, str(tmp_path / "sweep"), workers=1)
-        # one psi per n for the estimate, then one per cell to run it
-        assert sorted(built) == [3] * 4 + [4] * 4
+        # one psi per n, shared by the estimate and the n's group
+        assert sorted(built) == [3, 4]
 
     def test_fig4_at_thirteen_qubits_fits_default_budget(self, tmp_path):
         config = sweep_config("fig4_w_dephasing_sweep", axes={"n": [13], "s": [2.47]})
@@ -1037,10 +1062,10 @@ class TestCellDerivation:
         assert [(row["n"], row["t"]) for row in rows] == [("3", "2.0"), ("4", "2.0")]
 
     def _refused_before_any_cell(self, tmp_path, monkeypatch, payload, match):
-        def no_cell(job):
-            raise AssertionError(f"cell {job[0]} ran")
+        def no_group(group):
+            raise AssertionError(f"cells {[cell for cell, _ in group[1]]} ran")
 
-        monkeypatch.setattr(cli, "_run_sweep_cell", no_cell)
+        monkeypatch.setattr(cli, "_run_sweep_group", no_group)
         out = tmp_path / "sweep"
         with pytest.raises(ConfigError, match=match):
             sweep_experiment(parse_config(payload), str(out), workers=1)
@@ -1100,8 +1125,16 @@ class TestCellDerivation:
 class TestSweepRecords:
     """summary.json records the workers and every cell's wall time; summary.csv stays fixed."""
 
-    def test_fig3_summary_identical_across_workers(self, tmp_path):
-        config = paper_config("fig3_ghz_dephasing_sweep")
+    @pytest.mark.parametrize(
+        "config",
+        [
+            paper_config("fig3_ghz_dephasing_sweep"),
+            paper_config("fig4_w_dephasing_sweep"),
+            sweep_config("fig5_w_n5_depolarising", axes={"n": [3, 4, 5], "kappa": [1.0, 0.25]}),
+        ],
+        ids=["fig3", "fig4", "kappa-axis-pauli"],
+    )
+    def test_summary_identical_across_workers(self, tmp_path, config):
         summaries = [
             Path(sweep_experiment(config, str(tmp_path / f"w{w}"), workers=w)["summary"])
             for w in (1, 2)
@@ -1109,6 +1142,20 @@ class TestSweepRecords:
         assert summaries[0].read_bytes() == summaries[1].read_bytes()
         for workers, summary in zip((1, 2), summaries):
             assert json.loads(summary.with_name("summary.json").read_text())["workers"] == workers
+
+    def test_fig4_summary_identical_in_a_one_thread_process(self, tmp_path):
+        config_path = ROOT / "configs" / "paper" / "fig4_w_dephasing_sweep.json"
+        here = sweep_experiment(load_config(str(config_path)), str(tmp_path / "here"), workers=1)
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        fresh = tmp_path / "fresh"
+        argv = ["sweep", "--config", str(config_path), "--out", str(fresh), "--workers", "1"]
+        subprocess.run(
+            [sys.executable, "-m", "qubitbath.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            check=True,
+        )
+        assert (fresh / "summary.csv").read_bytes() == Path(here["summary"]).read_bytes()
 
     def test_cli_import_loads_no_process_pool(self):
         # the pool's modules load only when a sweep runs on more than one worker
@@ -1138,3 +1185,60 @@ class TestSweepRecords:
         assert summary["cells"] == len(records) == 6
         assert all(isinstance(r["wall_s"], float) and r["wall_s"] > 0 for r in records)
         assert "wall_s" not in Path(paths["summary"]).read_text()
+
+
+class TestCellFailureIsolation:
+    """A cell that fails inside its n's group fails alone, with the message evolve gives."""
+
+    @staticmethod
+    def clear_memos():
+        dynamics._stage_rates.cache_clear()
+        dynamics._factor_table.cache_clear()
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        yield
+        self.clear_memos()  # the patched rates leave no rows behind
+
+    @pytest.mark.parametrize(
+        "gamma, error",
+        # NaN factors; RK4 amplifying (h * rate = 3 on the coherences): finite, far below 0
+        [(math.nan, "LinAlgError: "), (300.0, "IntegrationError: state lost positivity")],
+        ids=["nan-rate", "below-floor"],
+    )
+    def test_one_cell_fails_alone(self, tmp_path, monkeypatch, capsys, gamma, error):
+        payload = paper_payload("fig4_w_dephasing_sweep")
+        payload["sweep"].update(axes={"n": [4], "s": [2.0, 2.47, 3.0]}, snapshot_t=1.0)
+        path = write_config(tmp_path, payload)
+
+        def sweep(out):
+            return main(["sweep", "--config", path, "--out", str(tmp_path / out), "--workers", "1"])
+
+        assert sweep("clean") == 0
+        real_rate = OhmicZeroTempRate.rate
+
+        def rate(model, t):
+            return np.full(np.shape(t), gamma) if model.s == 2.47 else real_rate(model, t)
+
+        monkeypatch.setattr(OhmicZeroTempRate, "rate", rate)
+        self.clear_memos()  # and are not served the clean run's
+        assert sweep("failed") == 1
+        assert "1 of 3 cells failed" in capsys.readouterr().err
+        (failure,) = json.loads((tmp_path / "failed" / "summary.json").read_text())["failures"]
+        assert failure["cell"] == {"n": 4, "s": 2.47}
+        job = derive_cell(parse_config(payload), failure["cell"])
+        with pytest.raises(Exception) as raised:
+            evolve(
+                job.state.build(),
+                job.noise,
+                job.time.t_max,
+                job.bipartitions(),
+                job.time.integrator_options(record_states=False),
+            )
+        assert failure["error"] == f"{raised.type.__name__}: {raised.value}"
+        assert failure["error"].startswith(error)
+        # the other cells of that n keep their rows, bit for bit
+        clean = (tmp_path / "clean" / "summary.csv").read_text().splitlines()
+        failed = (tmp_path / "failed" / "summary.csv").read_text().splitlines()
+        assert failed == [line for line in clean if ",2.47," not in line]
+        assert len(failed) == 1 + 2 * 2

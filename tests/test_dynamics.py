@@ -866,8 +866,8 @@ class TestInitialRecord:
         calls = count_plan_solves(monkeypatch)
         dynamics._last_pattern.clear()
         sweep_experiment(parse_config(payload), str(tmp_path), workers=1)
-        # per n: rho0 once, then each of the 3 cells' snapshot; each record solves 2 cuts and rho
-        assert len(calls) == 2 * (1 + 3) * 3
+        # per n: rho0 once, then the 3 cells' snapshots as one stack; each solves 2 cuts and rho
+        assert len(calls) == 2 * (1 + 1) * 3
 
     @pytest.mark.parametrize(
         "psi, spec, other",
@@ -931,6 +931,52 @@ class TestInitialRecord:
         assert list(held_pattern().initial) == [((one_vs_rest(6),), True)]
 
 
+OHMIC_PAULI = [
+    NoiseSpec("pauli", kappa=0.25, **dict(REVIVAL_RATES, rate_z=OhmicZeroTempRate(s)))
+    for s in (2.0, 3.0)
+]
+
+
+class TestSweepSnapshots:
+    """A state's cells, solved as one stack per plan, record bitwise what ``evolve`` records
+    at the snapshot."""
+
+    @pytest.mark.parametrize("stack_bytes", [dynamics._STACK_BYTES, 1], ids=["one-stack", "rows"])
+    @pytest.mark.parametrize(
+        "psi, specs",
+        [
+            (w_state(5), [fig4_spec(s, kappa) for kappa in (0.25, 1.0) for s in (2.0, 2.47, 3.0)]),
+            (
+                random_pure(4, np.random.default_rng(4)),
+                [PAULI_GHZ, NoiseSpec("pauli", **REVIVAL_RATES), *OHMIC_PAULI],
+            ),
+        ],
+        ids=["w5-dephasing", "random4-pauli"],
+    )
+    def test_matches_evolve_bitwise(self, psi, specs, stack_bytes, monkeypatch):
+        monkeypatch.setattr(dynamics, "_STACK_BYTES", stack_bytes)
+        cuts = [one_vs_rest(psi.n), highest_cut(psi.n)]
+        dynamics._last_pattern.clear()
+        calls = count_plan_solves(monkeypatch)
+        t, outcomes = dynamics.sweep_snapshots(psi, specs, 1.5, cuts, 0.01)
+        # both cuts and rho: rho0 once, then one stacked solve per chunk of snapshots
+        chunks = len(specs) if stack_bytes == 1 else 1
+        assert len(calls) == 3 * (1 + chunks)
+        options = IntegratorOptions(step=0.01, observable_every=1.5, sample_every=1.5)
+        for spec, (record, seconds) in zip(specs, outcomes, strict=True):
+            trajectory = cold_evolve(psi, spec, 1.5, cuts, options)
+            assert_bitwise_equal(t, trajectory.times[-1])
+            assert record.keys() == trajectory.observables.keys()
+            for label, series in trajectory.observables.items():
+                assert_bitwise_equal(record[label], series[-1])
+            assert seconds > 0
+
+    def test_specs_must_share_active_axes(self):
+        specs = [fig4_spec(), NoiseSpec("pauli", **REVIVAL_RATES)]
+        with pytest.raises(ValueError, match="share their active axes"):
+            dynamics.sweep_snapshots(w_state(4), specs, 1.0, [one_vs_rest(4)], 0.01)
+
+
 def paper_payload(stem: str) -> dict:
     return json.loads((CONFIG_DIR / f"{stem}.json").read_text())
 
@@ -971,11 +1017,25 @@ def table_of(model, stop=100, coeffs=((-1.0,),)):
     return dynamics._factor_table((model,), 0.01, 0, stop, coeffs, (1.0,) * len(coeffs))
 
 
+def run_groups(jobs) -> list:
+    """(cell, rows, failure) of each (cell, cell config) pair, the cells of each state run as
+    one group as a sweep runs them, in the order of ``jobs``."""
+    groups = {}
+    for index, (_, job) in enumerate(jobs):
+        groups.setdefault(job.state, []).append(index)
+    results = [None] * len(jobs)
+    for state, indices in groups.items():
+        group_results = cli._run_sweep_group((state.build(), [jobs[i] for i in indices]))
+        for index, result in zip(indices, group_results, strict=True):
+            results[index] = result[:3]
+    return results
+
+
 def cold_cell(job):
-    """A sweep cell's rows with the growth memos and the held pattern cleared."""
+    """A sweep cell's rows, run alone, with the growth memos and the held pattern cleared."""
     clear_growth_memos()
     dynamics._last_pattern.clear()
-    return cli._run_sweep_cell(job)[:3]
+    return run_groups([job])[0]
 
 
 class TestGrowthMemo:
@@ -1030,7 +1090,7 @@ class TestGrowthMemo:
         cells = [{"kappa": k, "n": n, "s": 2.47} for k in (0.25, 1.0) for n in (3, 4, 5)]
         assert [cell for cell, _ in jobs] == cells
         clear_growth_memos()
-        served = [cli._run_sweep_cell(job)[:3] for job in jobs]
+        served = run_groups(jobs)
         # one table per kappa, both from one block's stage rates
         assert held_tables() == 2 and held_rates() == 1
         for job, rows in zip(jobs, served):

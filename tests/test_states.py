@@ -305,6 +305,33 @@ def test_one_by_one_groups_match_stacked_eigvalsh(seed, dtype):
     assert eigs.tobytes() == reference.tobytes()
 
 
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=25),
+    st.sampled_from([1, 3, 12]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+@example([1, 1, 2, 2, 4], 12, 0)  # 1 x 1, 2 x 2 and larger groups at once
+@example([3], 3, 1)
+def test_stacked_rows_match_one_row_calls(sizes, count, seed):
+    mat = planted_blocks(sizes, seed, pad=3)
+    rows, cols = np.nonzero(mat)
+    plan = BlockPlan(rows, cols, len(mat))
+    rng = np.random.default_rng(seed)
+    # count Hermitian matrices on the one pattern, each with its own values there
+    stack = []
+    for _ in range(count):
+        a = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+        stack.append((a + a.conj().T)[rows, cols])
+    stack = np.array(stack)
+    eigs = plan.eigvalsh(stack)
+    assert (eigs.dtype, eigs.shape) == (np.float64, (count, sum(sizes)))
+    for row, values in zip(eigs, stack, strict=True):
+        assert row.tobytes() == plan.eigvalsh(values).tobytes()
+    # more leading axes stack the same matrices
+    assert plan.eigvalsh(stack.reshape(count, 1, -1)).tobytes() == eigs.tobytes()
+
+
 def first_seen_order(labels) -> list:
     """Labels renumbered by first appearance: equal lists mean the same partition."""
     seen = {}
