@@ -12,9 +12,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
+import platform
 import sys
 import time
 import traceback
@@ -78,10 +80,33 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def source_sha256(package_dir: str) -> str:
+    """sha256 over the ``.py`` files in ``package_dir`` by name, each as name, size and bytes."""
+    import hashlib  # only a process that writes a sidecar pays it
+
+    digest = hashlib.sha256()
+    for name in sorted(name for name in os.listdir(package_dir) if name.endswith(".py")):
+        with open(os.path.join(package_dir, name), "rb") as handle:
+            data = handle.read()
+        digest.update(b"%s\0%d\0%s" % (name.encode(), len(data), data))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _code_identity() -> dict:
+    """Which code ran, computed for the first sidecar a process writes (not at import)."""
+    return {
+        "source_sha256": source_sha256(os.path.dirname(os.path.abspath(__file__))),
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+    }
+
+
 def _metadata(config: ExperimentConfig, extra: dict) -> dict:
     return {
         "config": config.to_dict(),
         "package_version": __version__,
+        **_code_identity(),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         **extra,
     }
@@ -123,7 +148,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         config.noise,
         config.time.t_max,
         cuts=cuts,
-        options=config.time.integrator_options(record_states="states" in config.output.formats),
+        options=config.time.integrator_options(),
     )
     # labels as the config spells them: highest-cut and 1-Rest at n = 3 share one series
     series = [(label, trajectory.observables[cut.label]) for label, cut in zip(config.cuts, cuts)]
@@ -142,13 +167,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         _write_json(paths["metadata"], _metadata(config, {"trajectory": trajectory.metadata}))
         paths["analysis"] = os.path.join(out_dir, "analysis.json")
         _write_json(paths["analysis"], analysis)
-    if "states" in config.output.formats:
-        paths["states"] = os.path.join(out_dir, "states.json")
-        dump = []
-        for t, state in zip(trajectory.state_times, trajectory.states):
-            pairs = np.stack((state.elements.real, state.elements.imag), axis=-1)
-            dump.append({"t": float(t), "state": {"n": state.n, "elements": pairs.tolist()}})
-        _write_json(paths["states"], {"states": dump})
     return paths
 
 

@@ -13,12 +13,13 @@ An experiment config is a single JSON document::
       "cuts":   ["1-Rest", "highest-cut", "{1,2}|{3,4,5}", ...],
       "analysis": {"saturation_window": float, "saturation_tol": float,
                    "revival_threshold": float}?,
-      "output": {"directory": str, "formats": ["csv", "json"]}?,
+      "output": {"directory": str, "formats": ["csv" | "json", ...]}?,
       "sweep":  {"axes": {"n": [...], "s": [...], "kappa": [...]},
                  "snapshot_t": float?, "job_cap": int,
                  "memory_budget_mb": float}?
     }
 
+``time.sample_every`` (default ``t_max``) paces the positivity and trace spot checks.
 A sweep reports each cell's E at ``sweep.snapshot_t``, by default ``time.t_max``.
 ``ExperimentConfig.cells`` derives the cells' configs from the parsed config.
 
@@ -50,7 +51,7 @@ from .states import PureState, dicke_state, ghz_state, w_state
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 STATE_FAMILIES = ("ghz", "w", "dicke")
-OUTPUT_FORMATS = ("csv", "json", "states")
+OUTPUT_FORMATS = ("csv", "json")
 
 
 def _record(cls, payload, where: str, checks: dict):
@@ -149,12 +150,11 @@ class TimeConfig:
     sample_every: Optional[float] = None
     observable_every: Optional[float] = None
 
-    def integrator_options(self, record_states: bool = True) -> IntegratorOptions:
+    def integrator_options(self) -> IntegratorOptions:
         return IntegratorOptions(
             step=self.step,
             observable_every=self.observable_every,
             sample_every=self.sample_every if self.sample_every is not None else self.t_max,
-            record_states=record_states,
         )
 
 

@@ -44,18 +44,17 @@ they are built once and reused by the next run with the same n, support,
 values on it and axes, so a sweep's cells of one n share them.  A plan holds
 the components of the nodes the pattern touches (any other node is an exact
 zero eigenvalue), grouped by size, and where each value goes in its group's
-stack.  A record costs one evaluation of rho(t) on the pattern plus one
-stacked ``eigvalsh`` per size group of 2 x 2 blocks or larger (a 1 x 1 block
-is its value's real part), and a positivity point reads |Tr rho - 1| off the
-diagonal entries (``max_trace_drift``); the full matrix is rebuilt only for
-states that ``record_states`` keeps.  The record at t = 0 is rho0's, the same
-for every run with the pattern: the pattern holds it, by the cuts and whether
-positivity is due, so a sweep's cells of one n solve rho0 once.  A sweep cell
-records only rho0 and its snapshot, and ``sweep_snapshots`` solves the
-snapshots of one n's cells together: one ``eigvalsh`` per size group covers
-every cell's blocks, in chunks of at most ``_STACK_BYTES`` (8 MiB), and each
-cell's record is read off its own row of the stack (``_records``), bitwise the
-record of that cell alone.
+stack.  A record costs one evaluation of rho(t) on the pattern plus one stacked
+``eigvalsh`` per size group of 2 x 2 blocks or larger (a 1 x 1 block is its
+value's real part), and a positivity point reads |Tr rho - 1| off the diagonal
+entries (``max_trace_drift``); no full matrix is ever built.  The record at
+t = 0 is rho0's, the same for every run with the pattern: the pattern holds it,
+by the cuts and whether positivity is due, so a sweep's cells of one n solve
+rho0 once.  A sweep cell records only rho0 and its snapshot, and ``sweep_snapshots``
+solves the snapshots of one n's cells together: one ``eigvalsh`` per size group
+covers every cell's blocks, in chunks of at most ``_STACK_BYTES`` (8 MiB), and
+each cell's record is read off its own row of the stack (``_records``), bitwise
+the record of that cell alone.
 
 One exact channel, ``_exact_channel``, gives the state of either noise kind at
 time t from the rate integrals, on values laid out offset by offset as the
@@ -143,14 +142,13 @@ class IntegratorOptions:
     """Fixed-step RK4 settings and recording cadence.
 
     ``observable_every`` defaults to every step when ``evolve`` has cuts, else
-    to t_max; full states are recorded (and positivity is spot-checked) every
-    ``sample_every`` time units.
+    to t_max; positivity and the trace are spot-checked every ``sample_every``
+    time units.
     """
 
     step: float = 0.01
     observable_every: Optional[float] = None
     sample_every: float = 1.0
-    record_states: bool = True
 
     def __post_init__(self):
         if self.step <= 0:
@@ -163,12 +161,10 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Recorded time grid, observables and (thinned) states of one run."""
+    """Recorded time grid, observables and diagnostics of one run."""
 
     times: np.ndarray
     observables: dict
-    state_times: np.ndarray
-    states: list
     metadata: dict
 
 
@@ -398,8 +394,7 @@ class _ClassStepper:
     Hermiticity is not measured.  The generator maps Hermitian matrices to Hermitian ones
     and every class factor is real, so rho(t) is Hermitian up to the letter transform's
     roundoff, and exactly so under z alone, where the entries at (a, b) and (b, a) are
-    conjugate products damped by one factor.  A kept state's ``DensityMatrix`` checks
-    |rho - rho^dag| <= 1e-12 on construction.
+    conjugate products damped by one factor.
     """
 
     engine = "rk4-pauli-classes"
@@ -437,12 +432,6 @@ class _ClassStepper:
         if pattern.transform:
             return _site_transform(coeffs, pattern.signs, inverse=True)
         return coeffs
-
-    def current(self) -> np.ndarray:
-        pattern = self.pattern
-        mat = np.zeros((pattern.dim, pattern.dim), dtype=complex)
-        mat[pattern.rows, pattern.cols] = self.values()
-        return mat
 
     def observe(self, cuts, positivity: bool) -> tuple:
         """E per cut and, if asked, the minimum eigenvalue of rho, from one block plan each.
@@ -553,10 +542,10 @@ def evolve(
 ) -> Trajectory:
     """Propagate rho0 = |psi><psi| under the noise spec from t=0 to t_max.
 
-    The stepper builds no 2^n x 2^n matrix but the states it keeps.
-    Entanglement observables (log negativity per requested cut) are recorded
-    every ``options.observable_every`` (default: every step, or only at both
-    ends when there are no cuts); full states every ``options.sample_every``.
+    It builds no 2^n x 2^n matrix.  Entanglement observables (log negativity
+    per requested cut) are recorded every ``options.observable_every``
+    (default: every step, or only at both ends when there are no cuts), and
+    positivity and the trace are spot-checked every ``options.sample_every``.
     Raises IntegrationError when the minimum eigenvalue at a sample point falls
     below ``EIGENVALUE_ERROR_FLOOR``, which indicates the step size is too
     large.  Trace drift is recorded in ``metadata["max_trace_drift"]`` and
@@ -569,27 +558,21 @@ def evolve(
 
     cuts = _distinct_cuts(psi, cuts)
 
-    times, state_times, states, min_eigenvalues = [], [], [], []
+    times, min_eigenvalues = [], []
     observables = {cut.label: [] for cut in cuts}
 
     stepper = _ClassStepper(psi, spec, h, n_steps)
-    for t, (obs_due, state_due) in _recording_points(
+    for t, (obs_due, sample_due) in _recording_points(
         stepper, n_steps, (obs_stride, sample_stride)
     ):
-        values, lam_min = stepper.observe(cuts if obs_due else (), state_due)
+        values, lam_min = stepper.observe(cuts if obs_due else (), sample_due)
         if obs_due:
             times.append(t)
             for series, value in zip(observables.values(), values):
                 series.append(value)
-        if not state_due:
-            continue
-        min_eigenvalues.append(lam_min)
-        _check_positivity(lam_min, t)
-        if options.record_states:  # steppers never write to a matrix they returned
-            state_times.append(t)
-            states.append(
-                DensityMatrix(n=psi.n, elements=stepper.current(), check_positivity=False)
-            )
+        if sample_due:
+            min_eigenvalues.append(lam_min)
+            _check_positivity(lam_min, t)
 
     metadata = {
         "integrator": stepper.engine,
@@ -605,8 +588,6 @@ def evolve(
     return Trajectory(
         times=np.array(times),
         observables={label: np.array(vals) for label, vals in observables.items()},
-        state_times=np.array(state_times),
-        states=states,
         metadata=metadata,
     )
 

@@ -4,11 +4,13 @@
 matrix, with the master equation's right-hand side materialised
 (``lindblad_rhs``), hermitised and re-traced every step.  It takes
 ``dynamics._ClassStepper``'s constructor arguments and offers the same
-``advance``/``observe``/``values``/``current``/``blocks`` methods and a
-``pattern`` of every entry's ``rows``/``cols``, so ``dense_engine()`` patches it
-in and ``evolve`` and ``oracle_deviation`` record it through their one loop.
-Its ``observe`` takes each spectrum from one dense ``np.linalg.eigvalsh``, so no
-class-vs-dense comparison shares the engine's ``BlockPlan``.
+``advance``/``observe``/``values``/``blocks`` methods and a ``pattern`` of every
+entry's ``rows``/``cols``, so ``dense_engine()`` patches it in and ``evolve`` and
+``oracle_deviation`` record it through their one loop.  Its ``observe`` takes
+each spectrum from one dense ``np.linalg.eigvalsh``, so no class-vs-dense
+comparison shares the engine's ``BlockPlan``.  ``rebuilt_states`` steps either
+stepper and scatters its ``values()`` onto its pattern: the 2^n x 2^n rho(t)
+that the tests compare, which the package itself never builds.
 ``hamming_dephasing_map`` is the closed-form dephasing propagator read from a
 4^n Hamming-distance table, and ``pauli_channel_reference`` the closed-form
 three-axis channel as sum_P c_P P rho P over embedded Pauli matrices, site by
@@ -128,7 +130,9 @@ class DenseStepper:
     def __init__(self, psi, spec, h: float, n_steps: int):
         self.mat = np.array(density_from_pure(psi).elements, dtype=complex)
         index = np.arange(psi.dim)  # every entry, row by row, as ``values`` lays them out
-        self.pattern = SimpleNamespace(rows=np.repeat(index, psi.dim), cols=np.tile(index, psi.dim))
+        self.pattern = SimpleNamespace(
+            rows=np.repeat(index, psi.dim), cols=np.tile(index, psi.dim), dim=psi.dim
+        )
         self.spec = spec
         self.h = h
         self.tables = _tables(psi.n)
@@ -163,9 +167,6 @@ class DenseStepper:
         """rho(t) at the pattern's (rows, cols)."""
         return self.mat.ravel()
 
-    def current(self) -> np.ndarray:
-        return self.mat
-
     def observe(self, cuts, positivity: bool) -> tuple:
         """E per cut and, if asked, the minimum eigenvalue, each from one dense eigensolve."""
         lam_min = float(np.linalg.eigvalsh(self.mat)[0]) if positivity else None
@@ -174,6 +175,23 @@ class DenseStepper:
     def blocks(self, cuts) -> None:
         """None: every record plans its own matrix."""
         return None
+
+
+def rebuilt_states(stepper, steps) -> list:
+    """rho after each step count in ``steps`` (ascending) of a fresh stepper, as 2^n x 2^n.
+
+    The stepper (``dynamics._ClassStepper`` or ``DenseStepper``) advances from one count to
+    the next, and each matrix is its ``values()`` at its pattern's (rows, cols), zero off the
+    pattern: every entry the engine can make nonzero is on it.
+    """
+    pattern, states, done = stepper.pattern, [], 0
+    for k in steps:
+        stepper.advance(done, k)
+        mat = np.zeros((pattern.dim, pattern.dim), dtype=complex)
+        mat[pattern.rows, pattern.cols] = stepper.values()
+        states.append(mat)
+        done = k
+    return states
 
 
 def with_untouched_zeros(plan, eigs) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Source scans of the package: no cache grows without bound for the life of a process,
-no module binds a ``numpy.linalg`` name at import, and no module imports a name it never
-reads but the ones perfbench's tracer patches."""
+no module binds a ``numpy.linalg`` name at import, no module imports a name it never
+reads but the ones perfbench's tracer patches, and the kept-state names stay deleted."""
 
 import ast
 from pathlib import Path
@@ -167,3 +167,81 @@ def test_scan_finds_each_unused_import():
     )
     found = _unused_imports(ast.parse(source))
     assert found == [(2, "os"), (3, "osp"), (5, "full_turn"), (7, "xml"), (11, "writer")]
+
+
+# the kept-state machinery: evolve keeps no state, so none of these may come back
+DELETED_NAMES = {"record_states", "state_times"}
+DELETED_METHODS = {"current"}
+
+
+def _deleted_bindings(tree: ast.AST) -> list:
+    """(line, name) of each binding of a ``DELETED_NAMES`` name and each ``DELETED_METHODS``
+    method: an assignment or field, an attribute set, a parameter, a keyword argument, an
+    import or a definition."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name in DELETED_METHODS
+            ]
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in DELETED_NAMES:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_src_binds_no_deleted_name():
+    found = [
+        f"{path.name}:{line}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _deleted_bindings(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_scan_finds_each_deleted_binding():
+    source = (
+        "from dataclasses import dataclass\n"
+        "from .dynamics import state_times\n"
+        "@dataclass\n"
+        "class Options:\n"
+        "    record_states: bool = True\n"
+        "    def current(self):\n"
+        "        self.state_times = []\n"
+        "def evolve(psi, record_states=True):\n"
+        "    state_times = []\n"
+        "    for state_times in []:\n"
+        "        pass\n"
+        "    return Options(record_states=False)\n"
+        "def current():\n"
+        "    return stepper.current(), options.record_states\n"
+        "class Stepper:\n"
+        "    async def current(self):\n"
+        "        pass\n"
+    )
+    found = _deleted_bindings(ast.parse(source))
+    assert found == [
+        (2, "state_times"),
+        (5, "record_states"),
+        (6, "current"),
+        (7, "state_times"),
+        (8, "record_states"),
+        (9, "state_times"),
+        (10, "state_times"),
+        (12, "record_states"),
+        (16, "current"),
+    ]

@@ -2,11 +2,14 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import os
+import platform
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -340,33 +343,6 @@ class TestRunCommand:
         assert metadata["config"]["noise"]["kappa"] == 0.25
         assert metadata["trajectory"]["max_trace_drift"] <= 1e-9
 
-    @pytest.mark.parametrize("formats", [["csv", "json"], ["csv", "states"]])
-    def test_run_keeps_only_the_states_it_writes(self, tmp_path, monkeypatch, formats):
-        built = []
-        post_init = states.DensityMatrix.__post_init__
-
-        def counted_post_init(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted_post_init)
-        config = parse_config(base_payload(output={"directory": "runs", "formats": formats}))
-        paths = run_experiment(config, str(tmp_path))
-        if "states" not in formats:
-            assert built == [] and "states" not in paths
-            return
-        # sample_every 1.0 up to t_max 2.0
-        dump = json.load(open(paths["states"]))["states"]
-        assert [entry["t"] for entry in dump] == [0.0, 1.0, 2.0]
-        assert len(built) == 3
-        # each entry is {"n", "elements": [[[re, im], ...], ...]}, the kept state's bits
-        for entry, state in zip(dump, built):
-            assert sorted(entry["state"]) == ["elements", "n"] and entry["state"]["n"] == 3
-            pairs = np.array(entry["state"]["elements"])
-            assert pairs.shape == (8, 8, 2)
-            assert np.array_equal(pairs[..., 0], state.elements.real)
-            assert np.array_equal(pairs[..., 1], state.elements.imag)
-
     def test_two_cut_run_emits_both_series(self, tmp_path):
         config = parse_config(
             base_payload(
@@ -438,6 +414,12 @@ class TestRunCommand:
         [
             ("run", lambda p: p.update(cuts=[1]), "cuts"),
             ("run", lambda p: p["output"].update(formats=5), "output.formats"),
+            # no command writes density matrices any more
+            (
+                "run",
+                lambda p: p["output"].update(formats=["csv", "states"]),
+                "output.formats: unsupported format 'states'",
+            ),
             ("run", lambda p: p["output"].update(directory=5), "output.directory"),
             ("run", lambda p: p["output"].update(directory=""), "output.directory"),
             ("run", lambda p: p["time"].update(t_max=math.inf), "time.t_max"),
@@ -793,6 +775,67 @@ class TestFitCommand:
         assert "fit: summary mixes several kappa values ['0.25', '1.0']" in err
 
 
+class TestCodeIdentity:
+    """metadata.json and summary.json record which code ran; the CSVs do not."""
+
+    PACKAGE = ROOT / "src" / "qubitbath"
+
+    def test_hash_is_sha256_over_the_sources(self):
+        digest = hashlib.sha256()
+        for path in sorted(self.PACKAGE.glob("*.py"), key=lambda path: path.name):
+            data = path.read_bytes()
+            digest.update(path.name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
+        assert cli.source_sha256(str(self.PACKAGE)) == digest.hexdigest()
+
+    def test_one_source_byte_changes_the_hash(self, tmp_path):
+        package = tmp_path / "qubitbath"
+        shutil.copytree(self.PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+        before = cli.source_sha256(str(package))
+        assert before == cli.source_sha256(str(self.PACKAGE))
+        (package / "notes.txt").write_text("not source\n")
+        assert cli.source_sha256(str(package)) == before
+        source = package / "dynamics.py"
+        data = bytearray(source.read_bytes())
+        data[len(data) // 2] ^= 1
+        source.write_bytes(bytes(data))
+        flipped = cli.source_sha256(str(package))
+        assert flipped != before
+        source.rename(package / "dynamics2.py")  # same bytes under another name
+        assert cli.source_sha256(str(package)) not in (before, flipped)
+
+    def test_sidecars_record_the_code(self, tmp_path):
+        identity = {
+            "source_sha256": cli.source_sha256(str(self.PACKAGE)),
+            "python_version": platform.python_version(),
+            "numpy_version": np.__version__,
+        }
+        config = parse_config(base_payload())
+        run = run_experiment(config, str(tmp_path / "run"))
+        sweep_payload = base_payload(sweep={"axes": {"n": [3, 4]}, "snapshot_t": 1.0})
+        sweep = sweep_experiment(parse_config(sweep_payload), str(tmp_path / "sweep"))
+        for paths, csv_name in ((run, "trajectory"), (sweep, "summary")):
+            metadata = json.loads(Path(paths["metadata"]).read_text())
+            assert {key: metadata[key] for key in identity} == identity
+            assert identity["source_sha256"] not in Path(paths[csv_name]).read_text()
+
+    def test_identity_is_computed_on_first_use_only(self):
+        # importing the package computes nothing; the first call computes it for the process
+        code = (
+            "import qubitbath.cli as cli\n"
+            "before = cli._code_identity.cache_info().currsize\n"
+            "print(before, cli._code_identity() is cli._code_identity())"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["0", "True"]
+
+
 class TestAtomicOutputs:
     """A writer that raises partway leaves no target file and no temporary."""
 
@@ -846,6 +889,17 @@ def run_group(*jobs):
     return cli._run_sweep_group((jobs[0][1].state.build(), list(jobs)))
 
 
+def one_thread_cli(argv) -> None:
+    """``qubitbath`` with ``argv`` in a fresh process limited to one OpenBLAS thread."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    subprocess.run(
+        [sys.executable, "-m", "qubitbath.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        check=True,
+    )
+
+
 def paper_payload(stem):
     return json.loads(next(p for p in PAPER_CONFIGS if p.stem == stem).read_text())
 
@@ -892,7 +946,7 @@ class TestNoDenseInitialState:
             config.noise,
             2.0,
             config.bipartitions(),
-            config.time.integrator_options(record_states=False),
+            config.time.integrator_options(),
         )
         # GHZ's two offsets, 0 and all ones, each with row popcounts 0..n
         assert trajectory.metadata["classes"] == 2 * (10 + 1)
@@ -900,15 +954,14 @@ class TestNoDenseInitialState:
         assert peak < self.PEAK_LIMIT
 
     def test_run_and_sweep_without_density_from_pure(self, tmp_path, monkeypatch):
-        def refuse(psi):
-            raise AssertionError("density_from_pure called on a run or sweep path")
+        def refuse(*args):
+            raise AssertionError("density_from_pure or a DensityMatrix on a run or sweep path")
 
         assert not hasattr(dynamics, "density_from_pure")
         monkeypatch.setattr(states, "density_from_pure", refuse)
-        config = paper_config("fig5_w_n5_depolarising")
-        assert "states" not in config.output.formats
-        paths = run_experiment(config, str(tmp_path / "run"))
-        assert (tmp_path / "run" / "trajectory.csv").exists() and "states" not in paths
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__", refuse)
+        run_experiment(paper_config("fig5_w_n5_depolarising"), str(tmp_path / "run"))
+        assert (tmp_path / "run" / "trajectory.csv").exists()
         sweep = paper_config("fig4_w_dephasing_sweep")
         cell = {"n": 6, "s": 2.47}
         job = derive_cell(sweep, cell)
@@ -1146,16 +1199,19 @@ class TestSweepRecords:
     def test_fig4_summary_identical_in_a_one_thread_process(self, tmp_path):
         config_path = ROOT / "configs" / "paper" / "fig4_w_dephasing_sweep.json"
         here = sweep_experiment(load_config(str(config_path)), str(tmp_path / "here"), workers=1)
-        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
         fresh = tmp_path / "fresh"
         argv = ["sweep", "--config", str(config_path), "--out", str(fresh), "--workers", "1"]
-        subprocess.run(
-            [sys.executable, "-m", "qubitbath.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
-            capture_output=True,
-            check=True,
-        )
+        one_thread_cli(argv)
         assert (fresh / "summary.csv").read_bytes() == Path(here["summary"]).read_bytes()
+
+    @pytest.mark.parametrize("stem", ["fig5_ghz_n7_depolarising", "fig5_w_n5_depolarising"])
+    def test_pauli_run_identical_in_a_one_thread_process(self, tmp_path, stem):
+        # the letter transform and the 2 x 2 and larger block solves of a three-axis run
+        config_path = ROOT / "configs" / "paper" / f"{stem}.json"
+        here = run_experiment(load_config(str(config_path)), str(tmp_path / "here"))
+        fresh = tmp_path / "fresh"
+        one_thread_cli(["run", "--config", str(config_path), "--out", str(fresh)])
+        assert (fresh / "trajectory.csv").read_bytes() == Path(here["trajectory"]).read_bytes()
 
     def test_cli_import_loads_no_process_pool(self):
         # the pool's modules load only when a sweep runs on more than one worker
@@ -1233,7 +1289,7 @@ class TestCellFailureIsolation:
                 job.noise,
                 job.time.t_max,
                 job.bipartitions(),
-                job.time.integrator_options(record_states=False),
+                job.time.integrator_options(),
             )
         assert failure["error"] == f"{raised.type.__name__}: {raised.value}"
         assert failure["error"].startswith(error)

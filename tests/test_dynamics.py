@@ -44,12 +44,14 @@ from reference import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    DenseStepper,
     class_and_dense,
     dense_engine,
     embed_local_operator,
     hamming_dephasing_map,
     lindblad_rhs,
     pauli_channel_reference,
+    rebuilt_states,
     with_untouched_zeros,
 )
 
@@ -181,12 +183,19 @@ def permute_pure(psi: PureState, perm) -> PureState:
     return PureState(psi.n, amp)
 
 
-def permute_density(rho: DensityMatrix, perm) -> DensityMatrix:
-    n = rho.n
-    tens = rho.elements.reshape((2,) * (2 * n))
+def permute_density(mat: np.ndarray, perm) -> np.ndarray:
+    n = len(perm)
     axes = list(perm) + [n + p for p in perm]
-    mat = np.transpose(tens, axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix(n, mat, check_positivity=False)
+    return np.transpose(mat.reshape((2,) * (2 * n)), axes).reshape(mat.shape)
+
+
+def class_and_dense_states(psi, spec, step, n_steps, steps):
+    """rho after each count in ``steps``, rebuilt from the class engine, then from the dense
+    reference, each stepper made for an ``n_steps`` run."""
+    return [
+        rebuilt_states(stepper(psi, spec, step, n_steps), steps)
+        for stepper in (dynamics._ClassStepper, DenseStepper)
+    ]
 
 
 def fixed_blocks(steps):
@@ -262,18 +271,15 @@ class TestEvolve:
     def test_zero_rate_is_identity(self):
         psi = w_state(3)
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(0.0))
-        traj = evolve(psi, spec, 1.0, options=IntegratorOptions(step=0.01))
-        assert np.abs(traj.states[-1].elements - density_from_pure(psi).elements).max() < 1e-14
+        (rho,) = rebuilt_states(dynamics._ClassStepper(psi, spec, 0.01, 100), [100])
+        assert np.abs(rho - density_from_pure(psi).elements).max() < 1e-14
 
     def test_single_qubit_constant_rate_solution(self):
         plus = PureState(1, np.full(2, math.sqrt(0.5)))
         g = 0.4
         spec = NoiseSpec("dephasing", rate_z=ConstantRate(g), kappa=1.0)
-        with dense_engine():
-            traj = evolve(plus, spec, 1.0, options=IntegratorOptions(step=0.01))
-        assert traj.states[-1].elements[0, 1].real == pytest.approx(
-            0.5 * math.exp(-2 * g), abs=1e-8
-        )
+        (rho,) = rebuilt_states(DenseStepper(plus, spec, 0.01, 100), [100])
+        assert rho[0, 1].real == pytest.approx(0.5 * math.exp(-2 * g), abs=1e-8)
 
     def test_matches_dephasing_oracle(self):
         spec = NoiseSpec("dephasing", rate_z=OhmicZeroTempRate(2.47), kappa=0.25)
@@ -298,7 +304,8 @@ class TestEvolve:
         assert fast.metadata["classes"] == 2  # W's Hamming distances 0 and 2
         assert fast.metadata["blocks"] == {"rho": [[4, 1]]}  # W's support, not all 16 indices
         assert dense.metadata["classes"] is dense.metadata["blocks"] is None
-        assert np.abs(fast.states[-1].elements - dense.states[-1].elements).max() < 1e-13
+        (fast_rho,), (dense_rho,) = class_and_dense_states(w_state(4), spec, 0.02, 200, [200])
+        assert np.abs(fast_rho - dense_rho).max() < 1e-13
 
     @given(
         family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
@@ -319,9 +326,9 @@ class TestEvolve:
         )
         opts = dict(step=0.02, observable_every=obs_every, sample_every=sample_every)
 
-        def grid(every):
+        def points(every):
             stride = 1 if every is None else round(every / 0.02)
-            return [0.02 * k for k in sorted({*range(0, 150, stride), 150})]
+            return sorted({*range(0, 150, stride), 150})
 
         for spec_kwargs in AGREEMENT_NOISES.values():  # every stepper branch
             spec = NoiseSpec(kappa=kappa, **spec_kwargs)
@@ -331,15 +338,15 @@ class TestEvolve:
                     lambda: evolve(psi, spec, 3.0, cuts=cuts, options=IntegratorOptions(**opts))
                 )
                 stepper = dynamics._ClassStepper(psi, spec, 0.02, 150)
+                states = class_and_dense_states(psi, spec, 0.02, 150, points(sample_every))
             assert fast.metadata["integrator"] == "rk4-pauli-classes"
             assert_reference_classes(stepper, n, spec)
             assert fast.metadata["classes"] == stepper.classes
             assert fast.metadata["block_steps"] == 128
             for traj in (fast, dense):
-                assert list(traj.times) == grid(obs_every)
-                assert list(traj.state_times) == grid(sample_every)
-            for a, b in zip(fast.states, dense.states):
-                assert np.abs(a.elements - b.elements).max() <= 1e-13
+                assert list(traj.times) == [0.02 * k for k in points(obs_every)]
+            for a, b in zip(*states, strict=True):
+                assert np.abs(a - b).max() <= 1e-13
             for label in fast.observables:
                 assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
 
@@ -390,7 +397,7 @@ class TestEvolve:
             want = -0.5 * sum(axis_rates[a] * ANTICOMMUTES[a][p] for a in axes for p in word)
             assert decay[r, c] == pytest.approx(want, abs=1e-15)
         # before any step the rebuild is the inverse of the forward map
-        assert np.abs(stepper.current() - rho0.elements).max() <= 1e-15
+        assert np.abs(rebuilt_states(stepper, [0])[0] - rho0.elements).max() <= 1e-15
 
     def test_interval_crossing_two_rate_blocks(self):
         # one recording interval of 3307 steps: two full 1536-step rate blocks (10
@@ -401,29 +408,29 @@ class TestEvolve:
         options = IntegratorOptions(step=0.01, observable_every=t_max, sample_every=t_max)
         fast, dense = class_and_dense(lambda: evolve(psi, spec, t_max, cuts, options))
         assert fast.metadata["block_steps"] == 1536
-        assert list(fast.times) == list(fast.state_times) == [0.0, 3307 * 0.01]
-        assert np.abs(fast.states[-1].elements - dense.states[-1].elements).max() <= 1e-13
+        assert list(fast.times) == [0.0, 3307 * 0.01]
+        (fast_rho,), (dense_rho,) = class_and_dense_states(psi, spec, 0.01, 3307, [3307])
+        assert np.abs(fast_rho - dense_rho).max() <= 1e-13
         for label in fast.observables:
             assert np.abs(fast.observables[label] - dense.observables[label]).max() <= 1e-13
         dev = oracle_deviation(psi, spec, t_max, step=0.01, compare_every=t_max)
         assert dev < 1e-8
 
-    def test_no_cuts_rebuilds_only_at_sample_points(self, monkeypatch):
-        rebuilds = []
-        current = dynamics._ClassStepper.current
+    def test_no_cuts_checks_positivity_only_at_sample_points(self, monkeypatch):
+        records = []
+        observe = dynamics._ClassStepper.observe
 
-        def counted_current(self):
-            rebuilds.append(self)
-            return current(self)
+        def counted_observe(self, cuts, positivity):
+            records.append((self.step, list(cuts), positivity))
+            return observe(self, cuts, positivity)
 
-        monkeypatch.setattr(dynamics._ClassStepper, "current", counted_current)
+        monkeypatch.setattr(dynamics._ClassStepper, "observe", counted_observe)
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         traj = evolve(
             w_state(3), spec, 2.0, options=IntegratorOptions(step=0.01)
         )
         assert list(traj.times) == [0.0, 2.0]
-        assert list(traj.state_times) == [0.0, 1.0, 2.0]
-        assert len(rebuilds) == 3
+        assert records == [(0, [], True), (100, [], True), (200, [], True)]
 
     def test_interval_advance_equals_step_by_step(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
@@ -467,9 +474,16 @@ class TestEvolve:
             for label, series in reference.observables.items():
                 assert np.array_equal(run.observables[label], series)
             assert run.metadata["min_eigenvalue"] == reference.metadata["min_eigenvalue"]
-            assert np.array_equal(run.state_times, reference.state_times)
-            for state, want in zip(run.states, reference.states, strict=True):
-                assert np.array_equal(state.elements, want.elements)
+        # rho itself at every sample point, rebuilt from steppers with those block lengths
+        n_steps = round(t_max / 0.01)
+        states = {}
+        for steps in (1, 7, None):
+            with fixed_blocks(steps) if steps else contextlib.nullcontext():
+                stepper = dynamics._ClassStepper(psi, spec, 0.01, n_steps)
+            states[steps] = rebuilt_states(stepper, range(0, n_steps + 1, 25))
+        for rebuilt in states.values():
+            for state, want in zip(rebuilt, states[1], strict=True):
+                assert np.array_equal(state, want)
         # and each row is its own step's: rows one step off in t agree with each
         # other but not with the closed form
         with fixed_blocks(1):
@@ -493,22 +507,6 @@ class TestEvolve:
         assert traj.metadata["classes"] == classes
         assert traj.metadata["block_steps"] == block_steps
 
-    def test_records_without_rebuilding_unkept_states(self, monkeypatch):
-        def no_rebuild(self):
-            raise AssertionError("current() called for a state that is not kept")
-
-        monkeypatch.setattr(dynamics._ClassStepper, "current", no_rebuild)
-        spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        traj = evolve(
-            ghz_state(4),
-            spec,
-            2.0,
-            cuts=[one_vs_rest(4), highest_cut(4)],
-            options=IntegratorOptions(step=0.01, sample_every=0.5, record_states=False),
-        )
-        assert len(traj.times) == 201 and not traj.states
-        assert len(traj.metadata["cuts"]) == 2
-
     @given(
         family=st.sampled_from(["ghz", "w", "dicke", "complex"]),
         n=st.integers(2, 8),
@@ -527,8 +525,7 @@ class TestEvolve:
         spec = NoiseSpec(kappa=kappa, **AGREEMENT_NOISES[noise])
         rho0 = density_from_pure(psi)
         stepper = dynamics._ClassStepper(psi, spec, 0.02, 150)
-        stepper.advance(0, steps)
-        mat = stepper.current()
+        (mat,) = rebuilt_states(stepper, [steps])
         # the full-matrix rebuild from rho0: the pattern misses no entry, and the
         # per-offset transform does the same arithmetic; off the pattern the
         # coefficients are exact zeros, whatever factor scales them
@@ -553,8 +550,7 @@ class TestEvolve:
             assert np.abs(spectrum - np.linalg.eigvalsh(reference)).max() <= 1e-13
 
     @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("record_states", [False, True])
-    def test_wraps_only_the_states_it_keeps(self, monkeypatch, record_states, dense):
+    def test_evolve_builds_no_density_matrix(self, monkeypatch, dense):
         built = []
         post_init = DensityMatrix.__post_init__
 
@@ -564,12 +560,11 @@ class TestEvolve:
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
-        options = IntegratorOptions(step=0.01, sample_every=0.5, record_states=record_states)
+        options = IntegratorOptions(step=0.01, sample_every=0.5)  # five sample points
         with dense_engine() if dense else contextlib.nullcontext():
             traj = evolve(w_state(3), spec, 2.0, cuts=[one_vs_rest(3)], options=options)
-        assert len(traj.states) == (5 if record_states else 0)
-        assert len(built) == len(traj.states) + dense  # the dense stepper wraps rho0 once
-        assert all(not state.elements.flags.writeable for state in traj.states)
+        assert len(traj.times) == 201
+        assert len(built) == dense  # the dense stepper wraps rho0 once
         assert -1e-12 < traj.metadata["min_eigenvalue"] < 1e-12
 
     def test_fourth_order_convergence(self):
@@ -596,8 +591,6 @@ class TestEvolve:
             assert len(series) == len(traj.times)
             assert series[0] == pytest.approx(1.0, abs=1e-10)
             assert np.all(np.diff(series) < 0)  # early-time decay
-        assert list(traj.state_times) == [0.0, 1.0, 2.0]
-        assert len(traj.states) == 3
 
     def test_trajectory_state_invariants(self):
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
@@ -607,9 +600,10 @@ class TestEvolve:
             5.0,
             options=IntegratorOptions(step=0.01, sample_every=1.0),
         )
-        for state in traj.states:
-            assert abs(np.trace(state.elements).real - 1.0) < 1e-9
-            assert np.abs(state.elements - state.elements.conj().T).max() < 1e-9
+        stepper = dynamics._ClassStepper(ghz_state(3), spec, 0.01, 500)
+        for rho in rebuilt_states(stepper, range(0, 501, 100)):
+            assert abs(np.trace(rho).real - 1.0) < 1e-9
+            assert np.abs(rho - rho.conj().T).max() < 1e-9
         assert traj.metadata["max_trace_drift"] <= 1e-9
         assert traj.metadata["min_eigenvalue"] >= -1e-8
 
@@ -626,8 +620,7 @@ class TestEvolve:
         monkeypatch.setattr(dynamics, "_rk4_growth", drifting)
         clear_growth_memos()
         try:
-            options = IntegratorOptions(step=0.01, record_states=False)
-            traj = evolve(w_state(4), fig4_spec(), 1.0, options=options)
+            traj = evolve(w_state(4), fig4_spec(), 1.0, options=IntegratorOptions(step=0.01))
         finally:
             clear_growth_memos()
         assert traj.metadata["max_trace_drift"] > 1e-9
@@ -636,16 +629,11 @@ class TestEvolve:
         spec = NoiseSpec("pauli", kappa=0.25, **REVIVAL_RATES)
         psi = random_pure(3)
         perm = (2, 0, 1)
-        opts = IntegratorOptions(step=0.02, sample_every=2.0)
-        evolved_then_permuted = permute_density(
-            evolve(psi, spec, 2.0, options=opts).states[-1], perm
+        (evolved,), (permuted,) = (
+            rebuilt_states(dynamics._ClassStepper(start, spec, 0.02, 100), [100])
+            for start in (psi, permute_pure(psi, perm))
         )
-        permuted_then_evolved = evolve(
-            permute_pure(psi, perm), spec, 2.0, options=opts
-        ).states[-1]
-        assert np.abs(
-            evolved_then_permuted.elements - permuted_then_evolved.elements
-        ).max() < 1e-12
+        assert np.abs(permute_density(evolved, perm) - permuted).max() < 1e-12
 
     def test_rejects_misaligned_grid(self):
         psi = ghz_state(2)
@@ -661,7 +649,7 @@ class TestEvolve:
             evolve(ghz_state(2), spec, 1.0, cuts=[one_vs_rest(3)])
 
     @staticmethod
-    def _unstable_run(**options):
+    def _unstable_run():
         # |0><0| relaxes on the Bloch z axis at rate 2(gamma_x + gamma_y);
         # with lambda * h = 15 the RK4 update amplifies instead of damping
         spec = NoiseSpec(
@@ -672,16 +660,11 @@ class TestEvolve:
             kappa=1.0,
         )
         ground = PureState(1, np.array([1.0, 0.0]))
-        evolve(ground, spec, 10.0, options=IntegratorOptions(step=0.5, sample_every=0.5, **options))
+        evolve(ground, spec, 10.0, options=IntegratorOptions(step=0.5, sample_every=0.5))
 
     def test_unstable_step_raises_diagnostic(self):
-        with pytest.raises(IntegrationError):
-            self._unstable_run()
-
-    def test_unstable_step_raises_without_recorded_states(self):
-        # positivity is checked at every sample point, kept or not
         with pytest.raises(IntegrationError, match="lost positivity"):
-            self._unstable_run(record_states=False)
+            self._unstable_run()
 
 
 def fig4_spec(s=2.47, kappa=0.25):
@@ -704,9 +687,6 @@ def assert_same_trajectory(a, b):
     assert a.observables.keys() == b.observables.keys()
     for label, series in a.observables.items():
         assert_bitwise_equal(series, b.observables[label])
-    assert_bitwise_equal(a.state_times, b.state_times)
-    for x, y in zip(a.states, b.states, strict=True):
-        assert_bitwise_equal(x.elements, y.elements)
     assert a.metadata == b.metadata
 
 
@@ -763,8 +743,7 @@ class TestPatternReuse:
     def test_plans_stack_only_touched_nodes(self):
         n = 12
         stepper = dynamics._ClassStepper(ghz_state(n), fig4_spec(), 0.01, 300)
-        stepper.advance(0, 300)
-        mat = stepper.current()
+        (mat,) = rebuilt_states(stepper, [300])
         for cut in (None, one_vs_rest(n), highest_cut(n)):
             reference = mat if cut is None else partial_transpose(mat, cut)
             touched = np.flatnonzero(np.abs(reference).sum(axis=0))
@@ -807,7 +786,7 @@ class TestPatternReuse:
 
     def test_dropped_pattern_leaves_nothing_per_qubit_count(self):
         # a W pattern is n^2 entries, psi alone is 2^n; W at n = 21 is 32 MiB of psi
-        options = IntegratorOptions(step=0.01, record_states=False)
+        options = IntegratorOptions(step=0.01)
         dynamics._last_pattern.clear()
         tracemalloc.start()
         try:
@@ -1212,7 +1191,12 @@ class TestGrowthMemo:
         ]
         every_step, at_end = (traj.observables["1-Rest"][-1:] for traj in ends)
         assert_bitwise_equal(every_step, at_end)
-        assert_bitwise_equal(ends[0].states[-1].elements, ends[1].states[-1].elements)
+        # and rho on the pattern, stepped one step at a time or in one go
+        steppers = [dynamics._ClassStepper(psi, spec, 0.01, 1200) for _ in range(2)]
+        for k in range(1200):
+            steppers[0].advance(k, k + 1)
+        steppers[1].advance(0, 1200)
+        assert_bitwise_equal(steppers[0].values(), steppers[1].values())
 
     def test_memo_bound(self):
         # the worst case stated above _GROWTH_ENTRIES: 15 MiB up to 120 classes
@@ -1403,9 +1387,9 @@ class TestOracleDeviation:
         # the max over the whole 2^n x 2^n matrix of |engine - analytic_state_at|, bitwise
         spec = NoiseSpec(kappa=0.25, **AGREEMENT_NOISES[noise])
         stepper = dynamics._ClassStepper(psi, spec, 0.01, 100)
-        rho0, want = density_from_pure(psi), 0.0
-        for t, _ in dynamics._recording_points(stepper, 100, (25,)):  # every 0.25 up to t = 1
-            gap = np.abs(stepper.current() - analytic_state_at(rho0, spec, t).elements).max()
+        rho0, want, steps = density_from_pure(psi), 0.0, range(0, 101, 25)  # every 0.25 to t = 1
+        for k, rho in zip(steps, rebuilt_states(stepper, steps)):
+            gap = np.abs(rho - analytic_state_at(rho0, spec, k * stepper.h).elements).max()
             want = max(want, gap)
         assert oracle_deviation(psi, spec, 1.0, 0.01, 0.25) == want
 

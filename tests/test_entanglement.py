@@ -24,10 +24,10 @@ from qubitbath import (
     partial_transpose,
     w_state,
 )
-from qubitbath import states
+from qubitbath import dynamics, states
 from qubitbath.entanglement import log2_trace_norm
 from qubitbath.states import DensityMatrix, PureState
-from reference import DenseStepper, schmidt_log_negativity, symmetry_check
+from reference import DenseStepper, rebuilt_states, schmidt_log_negativity, symmetry_check
 
 rng = np.random.default_rng(12345)
 
@@ -266,12 +266,15 @@ def test_engine_matches_dense_references_on_evolved_states(family, noise, n, t, 
     )
     cut = Bipartition(n, tuple(side))
     options = IntegratorOptions(observable_every=t, sample_every=t)
-    trajectory = evolve(FAMILIES[family](n), NOISES[noise], t, [cut], options)
-    assert np.array_equal(trajectory.times, trajectory.state_times)
-    # the engine's block plans against one dense eigensolve per kept state
-    dense = [log_negativity(state, cut) for state in trajectory.states]
+    psi, n_steps = FAMILIES[family](n), round(t / options.step)
+    trajectory = evolve(psi, NOISES[noise], t, [cut], options)
+    assert list(trajectory.times) == [0.0, n_steps * options.step]
+    # the engine's block plans against one dense eigensolve per recorded state, rebuilt
+    stepper = dynamics._ClassStepper(psi, NOISES[noise], options.step, n_steps)
+    rebuilt = rebuilt_states(stepper, [0, n_steps])
+    dense = [log_negativity(state, cut) for state in rebuilt]
     assert np.abs(trajectory.observables[cut.label] - dense).max() <= 1e-12
-    lam_min = min(state.min_eigenvalue() for state in trajectory.states)
+    lam_min = min(np.linalg.eigvalsh(state)[0] for state in rebuilt)
     assert abs(trajectory.metadata["min_eigenvalue"] - lam_min) <= 1e-12
 
 
@@ -299,6 +302,6 @@ def test_references_are_independent_of_the_block_route(monkeypatch, family, n):
     assert log_negativity(reference, cut) > 0.0
 
     stepper = DenseStepper(psi, spec, 0.01, 20)
-    stepper.advance(0, 20)
+    (mat,) = rebuilt_states(stepper, [20])
     (value,), lam_min = stepper.observe([cut], True)
-    assert_dense_equal(stepper.current(), value, lam_min)
+    assert_dense_equal(mat, value, lam_min)
